@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .functions import RepresentingFunction, default_grid
-
-SCALAR_TOL = 1e-10
+from .functions import SCALAR_TOL, RepresentingFunction, default_grid
 
 _JUMP_DELTA = 1e-7
 _HOMOGENEITY_SCALES = (0.5, 2.0, 10.0)

@@ -3,33 +3,34 @@
 A campaign draws instances (finite spaces, state/observable triples, or
 random-matrix spaces), runs the matching verifier on each, and aggregates
 counts and extremes.  Trial k of function j always receives the generator
-``split_rng(seed, j, k)``, so replays are bit-identical at any parallelism
-degree, and the worst case is reconstructed from its (function, trial)
-coordinates rather than stored.
+``split_rng(seed, j, k)``, so replays are bit-identical, and the worst case is
+rebuilt from its (function, trial) coordinates rather than stored.  Samples
+are valid by construction, so samplers build trusted spaces directly.  Trials
+run in-process, in order: threads would serialize on the interpreter lock.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 from .functions import RepresentingFunction, get_function
+from .linalg import MAX_DIM
 from .operator_means import MATRIX_TOL, OperatorMeanSpec
-from .reports import InequalityReport, VERDICT_VIOLATED
+from .reports import InequalityReport
 from .sampling import sample_density, sample_spd, split_rng
 from .verify import (
+    MODE_MATRIX,
+    MODE_SCALAR,
     SCALAR_TOL,
+    Atom,
     FiniteJointSpace,
     construct_counterexample,
-    matrix_space,
-    scalar_space,
     space_to_jsonable,
+    verify_matrix,
     verify_numeric,
-    verify_operator,
-    verify_random_matrix,
 )
 
 MODES = ("num", "op", "rm")
@@ -93,8 +94,8 @@ def validate_config(config: CampaignConfig) -> None:
     if config.trials < 0:
         raise UsageError(f"trials must be >= 0, got {config.trials!r}")
     lo, hi = config.dims
-    if not (1 <= lo <= hi <= 64):
-        raise UsageError(f"dims range must satisfy 1 <= min <= max <= 64, got {config.dims!r}")
+    if not (1 <= lo <= hi <= MAX_DIM):
+        raise UsageError(f"dims range must satisfy 1 <= min <= max <= {MAX_DIM}, got {config.dims!r}")
     lo, hi = config.atoms
     if not (1 <= lo <= hi):
         raise UsageError(f"atoms range must satisfy 1 <= min <= max, got {config.atoms!r}")
@@ -193,7 +194,8 @@ def sample_scalar_space(
     p = _dirichlet_probs(rng, k)
     x = _log_uniform_values(rng, k)
     y = _log_uniform_values(rng, k)
-    return scalar_space(zip(p, x, y))
+    atoms = (Atom(float(pi), float(xi), float(yi)) for pi, xi, yi in zip(p, x, y))
+    return FiniteJointSpace(MODE_SCALAR, tuple(atoms))
 
 
 def sample_operator_triple(
@@ -216,46 +218,45 @@ def sample_matrix_space(
     n = int(rng.integers(dims[0], dims[1] + 1))
     k = int(rng.integers(atoms[0], atoms[1] + 1))
     p = _dirichlet_probs(rng, k)
-    entries = []
+    atoms = []
     for i in range(k):
         rho = sample_density(n, rng)
         x = sample_spd(n, rng)
         y = sample_spd(n, rng)
-        entries.append((p[i], x, y, rho))
-    return matrix_space(entries)
+        atoms.append(Atom(float(p[i]), x, y, rho))
+    return FiniteJointSpace(MODE_MATRIX, tuple(atoms))
+
+
+def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
+    """The instance of trial t of function fi, as a trusted space (op: one atom)."""
+    rng = split_rng(config.seed, fi, t)
+    if config.mode == "num":
+        return sample_scalar_space(rng, config.atoms)
+    if config.mode == "op":
+        rho, a, b = sample_operator_triple(rng, config.dims)
+        return FiniteJointSpace(MODE_MATRIX, (Atom(1.0, a, b, rho),))
+    return sample_matrix_space(rng, config.dims, config.atoms)
 
 
 def _run_trial(config: CampaignConfig, fid: str, fi: int, t: int) -> InequalityReport:
-    rng = split_rng(config.seed, fi, t)
+    space = _sample_space(config, fi, t)
     tol = config.resolved_tol()
     if config.mode == "num":
-        space = sample_scalar_space(rng, config.atoms)
         return verify_numeric(space, get_function(fid), tol, seed=config.seed)
-    if config.mode == "op":
-        rho, a, b = sample_operator_triple(rng, config.dims)
-        return verify_operator(rho, a, b, OperatorMeanSpec(get_function(fid)), tol, seed=config.seed)
-    space = sample_matrix_space(rng, config.dims, config.atoms)
-    return verify_random_matrix(space, OperatorMeanSpec(get_function(fid)), tol, seed=config.seed)
+    spec = OperatorMeanSpec(get_function(fid))
+    return verify_matrix(space, spec, tol, config.seed, config.mode)
 
 
 def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> dict:
-    rng = split_rng(config.seed, fi, t)
-    if config.mode == "num":
-        space = sample_scalar_space(rng, config.atoms)
-    elif config.mode == "op":
-        rho, a, b = sample_operator_triple(rng, config.dims)
-        space = matrix_space([(1.0, a, b, rho)])
-    else:
-        space = sample_matrix_space(rng, config.dims, config.atoms)
+    space = _sample_space(config, fi, t)
     return {"function": fid, "trial": t, "space": space_to_jsonable(space)}
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every (function, trial) pair and aggregate.
 
-    ``workers`` > 1 executes trials in a thread pool; the summary is
-    identical at any worker count because each trial derives its generator
-    from the campaign seed and aggregation is order-independent.
+    Trials run in this process, in order, at any ``workers`` value; the
+    parameter is kept for existing callers and does not change the summary.
     """
     validate_config(config)
     tasks = [
@@ -263,16 +264,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
         for fi, fid in enumerate(config.functions)
         for t in range(config.trials)
     ]
-
-    def one(task) -> float:
-        fid, fi, t = task
-        return _run_trial(config, fid, fi, t).gap
-
-    if workers > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            gaps = list(pool.map(one, tasks))
-    else:
-        gaps = [one(task) for task in tasks]
+    gaps = [_run_trial(config, fid, fi, t).gap for fid, fi, t in tasks]
 
     tol = config.resolved_tol()
     per_function: dict[str, FunctionStats] = {}
@@ -343,7 +335,3 @@ def search_violation(
         space = construct_counterexample(f, 1.0, 2.0, 0.5)
         best = verify_numeric(space, f, tol, seed=seed)
     return best
-
-
-def is_violated(report: InequalityReport) -> bool:
-    return report.verdict == VERDICT_VIOLATED

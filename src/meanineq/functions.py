@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 
+#: Default tolerance for scalar-path verdicts and axiom probes.
+SCALAR_TOL = 1e-10
+
 # Switch-over to the continuous extension of the logarithmic mean: when
 # |log(x/y)| falls below this, the 0/0 formula is replaced by its limit.
 LOG_MEAN_EXTENSION_CUTOFF = 1e-12

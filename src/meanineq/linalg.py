@@ -53,7 +53,12 @@ def sym_matrix(values) -> np.ndarray:
         raise UsageError(f"matrix dimension must be in [1, {MAX_DIM}], got {n}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must all be finite")
-    return (a + a.T) / 2.0
+    return symmetrize(a)
+
+
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 without checks; exactly symmetric inputs come back bit for bit."""
+    return (m + m.T) / 2.0
 
 
 def sym_eigen(a) -> SpectralDecomposition:
@@ -62,7 +67,11 @@ def sym_eigen(a) -> SpectralDecomposition:
     Returns ascending eigenvalues and an orthogonal eigenvector matrix with
     columns paired to them; deterministic for a fixed input.
     """
-    s = sym_matrix(a)
+    return spectrum(sym_matrix(a))
+
+
+def spectrum(s: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a trusted symmetric array; solver failures raise NumericError."""
     try:
         lam, q = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
@@ -122,27 +131,35 @@ def apply_function(
     return rebuild(out, q)
 
 
-def _require_pd(lam: np.ndarray, label: str, pd_floor: float) -> None:
-    low = float(lam[0])
+def require_pd(
+    lam: np.ndarray, label: str, pd_floor: float, cond_limit: float | None = None
+) -> None:
+    """Reject an ascending spectrum at or below the PD floor or, when a limit
+    is given, with condition number above it."""
+    low, high = float(lam[0]), float(lam[-1])
     if low <= pd_floor:
         raise NotPositiveDefiniteError(
             f"{label} is not positive definite at floor {pd_floor!r} "
             f"(min eigenvalue {low!r})",
             min_eigenvalue=low,
         )
+    if cond_limit is not None and high / low > cond_limit:
+        raise DomainError(
+            f"{label} condition number {high / low:.3e} exceeds the guard {cond_limit:.0e}"
+        )
 
 
 def sqrt_pd(a, pd_floor: float = PD_FLOOR) -> np.ndarray:
     """Positive-definite square root; rejects matrices with min eigenvalue <= floor."""
     lam, q = sym_eigen(a)
-    _require_pd(lam, "matrix", pd_floor)
+    require_pd(lam, "matrix", pd_floor)
     return rebuild(np.sqrt(lam), q)
 
 
 def inv_sqrt_pd(a, pd_floor: float = PD_FLOOR) -> np.ndarray:
     """Inverse positive-definite square root; same domain policy as sqrt_pd."""
     lam, q = sym_eigen(a)
-    _require_pd(lam, "matrix", pd_floor)
+    require_pd(lam, "matrix", pd_floor)
     return rebuild(1.0 / np.sqrt(lam), q)
 
 

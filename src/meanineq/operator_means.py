@@ -32,8 +32,11 @@ from .linalg import (
     congruence,
     frobenius,
     rebuild,
+    require_pd,
+    spectrum,
     sym_eigen,
     sym_matrix,
+    symmetrize,
 )
 from .reports import InequalityReport, inequality_report
 
@@ -99,24 +102,8 @@ class TransformerReport:
 
 def _eval_scalar_fn(fn: ScalarFn, lam: np.ndarray) -> np.ndarray:
     if isinstance(fn, RepresentingFunction):
-        return fn.eval_array(lam)
+        return np.asarray(fn.fn(lam), dtype=float)
     return np.asarray(fn(lam), dtype=float)
-
-
-def _pd_spectrum(a: np.ndarray, label: str, pd_floor: float):
-    lam, q = sym_eigen(a)
-    low, high = float(lam[0]), float(lam[-1])
-    if low <= pd_floor:
-        raise NotPositiveDefiniteError(
-            f"{label} is not positive definite at floor {pd_floor!r} "
-            f"(min eigenvalue {low!r})",
-            min_eigenvalue=low,
-        )
-    if high / low > COND_LIMIT:
-        raise DomainError(
-            f"{label} condition number {high / low:.3e} exceeds the guard {COND_LIMIT:.0e}"
-        )
-    return lam, q
 
 
 def operator_perspective(
@@ -131,12 +118,20 @@ def operator_perspective(
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
-    lam_a, q_a = _pd_spectrum(sa, "first argument", pd_floor)
-    _pd_spectrum(sb, "second argument", pd_floor)
-    sqrt_a = rebuild(np.sqrt(lam_a), q_a)
-    inv_sqrt_a = rebuild(1.0 / np.sqrt(lam_a), q_a)
-    inner = sym_matrix(inv_sqrt_a @ sb @ inv_sqrt_a)
-    lam_m, q_m = sym_eigen(inner)
+    require_pd(spectrum(sb).eigenvalues, "second argument", pd_floor, COND_LIMIT)
+    return perspective_kernel(fn, sa, sb, pd_floor)
+
+
+def perspective_kernel(
+    fn: ScalarFn, sa: np.ndarray, sb: np.ndarray, pd_floor: float = PD_FLOOR
+) -> np.ndarray:
+    """P_f(A, B) for trusted symmetric A, B of one shape, B known PD within the
+    guard.  Two eigensolves: A's, which also checks A, and the inner matrix's."""
+    lam_a, q_a = spectrum(sa)
+    require_pd(lam_a, "first argument", pd_floor, COND_LIMIT)
+    sqrt_a = symmetrize((q_a * np.sqrt(lam_a)) @ q_a.T)
+    inv_sqrt_a = symmetrize((q_a * (1.0 / np.sqrt(lam_a))) @ q_a.T)
+    lam_m, q_m = spectrum(symmetrize(inv_sqrt_a @ sb @ inv_sqrt_a))
     low = float(lam_m[0])
     if low <= 0.0:
         if low <= -CLAMP_TOL:
@@ -145,8 +140,11 @@ def operator_perspective(
                 "numerically positive definite"
             )
         lam_m = np.maximum(lam_m, CLAMP_TOL)
-    f_inner = rebuild(_eval_scalar_fn(fn, lam_m), q_m)
-    return sym_matrix(sqrt_a @ f_inner @ sqrt_a)
+    images = _eval_scalar_fn(fn, lam_m)
+    if not np.all(np.isfinite(images)):
+        raise DomainError("scalar function produced non-finite eigenvalue images")
+    f_inner = symmetrize((q_m * images) @ q_m.T)
+    return symmetrize(sqrt_a @ f_inner @ sqrt_a)
 
 
 def operator_mean(spec: OperatorMeanSpec, a, b) -> np.ndarray:
@@ -184,17 +182,9 @@ def _simultaneous_eigenbasis(sa: np.ndarray, sb: np.ndarray):
     return q, da, db
 
 
-def commuting_oracle(
-    spec: OperatorMeanSpec, a, b, tol: float = COMMUTE_TOL
-) -> np.ndarray:
-    """Independent mean for commuting PD pairs via scalar means per eigenvalue.
-
-    Requires ||AB - BA||_F <= tol * ||A||_F * ||B||_F; simultaneous
-    diagonalization then reduces the mean to one scalar mean per joint
-    eigenvalue pair, bypassing the perspective formula entirely.
-    """
-    if not isinstance(spec, OperatorMeanSpec):
-        raise UsageError("commuting_oracle needs an OperatorMeanSpec")
+def _commuting_pd_pair(a, b, tol: float, label: str):
+    """Shared eigenbasis q and paired eigenvalues (da, db) of a commuting PD
+    pair, requiring ||AB - BA||_F <= tol * ||A||_F * ||B||_F."""
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
@@ -206,7 +196,22 @@ def commuting_oracle(
         )
     q, da, db = _simultaneous_eigenbasis(sa, sb)
     if np.any(da <= 0.0) or np.any(db <= 0.0):
-        raise DomainError("commuting oracle needs positive definite inputs")
+        raise DomainError(f"{label} needs positive definite inputs")
+    return q, da, db
+
+
+def commuting_oracle(
+    spec: OperatorMeanSpec, a, b, tol: float = COMMUTE_TOL
+) -> np.ndarray:
+    """Independent mean for commuting PD pairs via scalar means per eigenvalue.
+
+    Requires ||AB - BA||_F <= tol * ||A||_F * ||B||_F; simultaneous
+    diagonalization then reduces the mean to one scalar mean per joint
+    eigenvalue pair, bypassing the perspective formula entirely.
+    """
+    if not isinstance(spec, OperatorMeanSpec):
+        raise UsageError("commuting_oracle needs an OperatorMeanSpec")
+    q, da, db = _commuting_pd_pair(a, b, tol, "commuting oracle")
     # Scalar reduction of the perspective: a * f(b / a) per joint eigenvalue.
     vals = perspective_num(spec.f, db, da)
     return rebuild(np.asarray(vals, dtype=float), q)
@@ -326,18 +331,7 @@ def trace_perspective_check(
     (non-concave-flagged) f the orientation reverses.  The trace side is
     computed via the commuting scalar reduction, not the matrix perspective.
     """
-    sa, sb = sym_matrix(a), sym_matrix(b)
-    if sa.shape != sb.shape:
-        raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
-    comm = frobenius(sa @ sb - sb @ sa)
-    limit = COMMUTE_TOL * max(frobenius(sa) * frobenius(sb), 1e-300)
-    if comm > limit:
-        raise PreconditionError(
-            f"commutator norm {comm:.3e} exceeds {limit:.3e}; pair is not commuting"
-        )
-    _, da, db = _simultaneous_eigenbasis(sa, sb)
-    if np.any(da <= 0.0) or np.any(db <= 0.0):
-        raise DomainError("trace perspective check needs positive definite inputs")
+    _, da, db = _commuting_pd_pair(a, b, COMMUTE_TOL, "trace perspective check")
     trace_side = float(np.sum(perspective_num(f, db, da)))
     scalar_side = float(perspective_num(f, float(np.sum(db)), float(np.sum(da))))
     if f.claims_concave:
@@ -350,6 +344,6 @@ def trace_perspective_check(
         tol=tol,
         function=f.id,
         mode="trace",
-        dims=sa.shape[0],
+        dims=da.shape[0],
         atoms=1,
     )

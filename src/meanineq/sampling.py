@@ -57,9 +57,9 @@ def sample_density(
     spread: float = DEFAULT_SPREAD,
     floor: float = DEFAULT_FLOOR,
 ) -> np.ndarray:
-    """Sample a random density matrix: a normalized SPD sample."""
+    """Sample a random density matrix: a normalized SPD sample, valid by construction."""
     rho = sample_spd(n, rng, spread=spread, floor=floor)
-    return check_density(rho / np.trace(rho))
+    return rho / np.trace(rho)
 
 
 def check_density(rho) -> np.ndarray:

@@ -23,13 +23,11 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .functions import RepresentingFunction, mean_num
-from .linalg import PD_FLOOR, load_matrix, min_eigenvalue, sym_matrix
-from .operator_means import MATRIX_TOL, OperatorMeanSpec, expectation_state, operator_mean
+from .functions import SCALAR_TOL, RepresentingFunction, mean_num
+from .linalg import COND_LIMIT, PD_FLOOR, load_matrix, require_pd, sym_matrix
+from .operator_means import MATRIX_TOL, OperatorMeanSpec, expectation_state, perspective_kernel
 from .reports import InequalityReport, inequality_report
 from .sampling import check_density
-
-SCALAR_TOL = 1e-10
 
 PROB_SUM_TOL = 1e-12
 
@@ -47,6 +45,11 @@ class Atom:
 
 @dataclass(frozen=True)
 class FiniteJointSpace:
+    """Finite probability space: the validated form that verifiers trust.
+
+    Built by scalar_space/matrix_space/load_space, or by samplers whose
+    values are valid by construction."""
+
     mode: str
     atoms: tuple[Atom, ...]
 
@@ -90,8 +93,9 @@ def scalar_space(entries) -> FiniteJointSpace:
 def matrix_space(entries) -> FiniteJointSpace:
     """Build a matrix-mode space from (p, X, Y) or (p, X, Y, rho) tuples.
 
-    X and Y must be positive definite; densities, when present, must pass
-    the density-matrix checks.  All atoms share one dimension.
+    X and Y must be positive definite with condition number within the
+    perspective guard; densities, when present, must pass the density-matrix
+    checks.  All atoms share one dimension.
     """
     atoms = []
     probs = []
@@ -111,11 +115,7 @@ def matrix_space(entries) -> FiniteJointSpace:
         if x.shape[0] != dim or y.shape[0] != dim:
             raise UsageError("all atoms of a matrix space must share one dimension")
         for label, m in (("X", x), ("Y", y)):
-            low = min_eigenvalue(m)
-            if low <= PD_FLOOR:
-                raise DomainError(
-                    f"matrix atom {label} is not positive definite (min eigenvalue {low!r})"
-                )
+            require_pd(np.linalg.eigvalsh(m), f"matrix atom {label}", PD_FLOOR, COND_LIMIT)
         if rho is not None:
             rho = check_density(rho)
             if rho.shape[0] != dim:
@@ -136,8 +136,11 @@ def expectation_scalar(space: FiniteJointSpace, which) -> float:
         raise UsageError(f"expectation_scalar needs a scalar-mode space, got {space.mode!r}")
     total = 0.0
     if isinstance(which, RepresentingFunction):
+        # Values were validated when the space was built, so y * f(x / y) is
+        # evaluated without mean_num's checks (on 0-d arrays, as mean_num does).
         for a in space.atoms:
-            total += a.probability * float(mean_num(which, a.x, a.y))
+            x, y = np.asarray(a.x, dtype=float), np.asarray(a.y, dtype=float)
+            total += a.probability * float(y * np.asarray(which.fn(x / y), dtype=float))
         return total
     if which == "x":
         for a in space.atoms:
@@ -199,32 +202,9 @@ def verify_operator(
     tol: float = MATRIX_TOL,
     seed: int | None = None,
 ) -> InequalityReport:
-    """Operator expectation inequality in a state: Tr(rho m(A,B)) vs m(E A, E B)."""
-    rho = check_density(rho)
-    sa, sb = sym_matrix(a), sym_matrix(b)
-    if rho.shape != sa.shape or rho.shape != sb.shape:
-        raise UsageError(
-            f"dimension mismatch: rho {rho.shape}, A {sa.shape}, B {sb.shape}"
-        )
-    mean_ab = operator_mean(spec, sa, sb)
-    lhs = expectation_state(rho, mean_ab)
-    ea = expectation_state(rho, sa)
-    eb = expectation_state(rho, sb)
-    if ea <= PD_FLOOR or eb <= PD_FLOOR:
-        raise DomainError(
-            f"state expectations must be positive, got E(A)={ea!r}, E(B)={eb!r}"
-        )
-    rhs = float(mean_num(spec.f, ea, eb))
-    return inequality_report(
-        lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        function=spec.id,
-        mode="op",
-        dims=sa.shape[0],
-        atoms=1,
-        seed=seed,
-    )
+    """Operator expectation inequality in a state: Tr(rho m(A,B)) vs m(E A, E B),
+    verified as the random-matrix inequality on a validated one-atom space."""
+    return verify_matrix(matrix_space([(1.0, a, b, rho)]), spec, tol, seed, "op")
 
 
 def verify_random_matrix(
@@ -239,11 +219,25 @@ def verify_random_matrix(
         raise UsageError(f"verify_random_matrix needs a matrix-mode space, got {space.mode!r}")
     if not space.has_densities:
         raise UsageError("verify_random_matrix needs a density matrix on every atom")
+    return verify_matrix(space, spec, tol, seed, "rm")
+
+
+def verify_matrix(
+    space: FiniteJointSpace,
+    spec: OperatorMeanSpec,
+    tol: float,
+    seed: int | None,
+    mode: str,
+) -> InequalityReport:
+    """The matrix verifier behind ``op`` and ``rm``, on a trusted matrix-mode
+    space with a density on every atom; ``mode`` labels the report."""
+    if not isinstance(spec, OperatorMeanSpec):
+        raise UsageError("matrix verification needs an OperatorMeanSpec")
     lhs = 0.0
     ex = 0.0
     ey = 0.0
     for atom in space.atoms:
-        mean_xy = operator_mean(spec, atom.x, atom.y)
+        mean_xy = perspective_kernel(spec.f, atom.x, atom.y)
         lhs += atom.probability * expectation_state(atom.rho, mean_xy)
         ex += atom.probability * expectation_state(atom.rho, atom.x)
         ey += atom.probability * expectation_state(atom.rho, atom.y)
@@ -257,7 +251,7 @@ def verify_random_matrix(
         rhs=rhs,
         tol=tol,
         function=spec.id,
-        mode="rm",
+        mode=mode,
         dims=space.dims,
         atoms=len(space.atoms),
         seed=seed,

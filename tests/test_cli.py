@@ -253,6 +253,20 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2  # scalar space fed to the matrix verifier
 
 
+@pytest.mark.parametrize("x", [np.diag([1e-9, 1e9]), np.diag([1.0, -1.0])], ids=["ill-conditioned", "non-pd"])
+def test_verify_rm_rejects_bad_observable_file(tmp_path, capsys, x):
+    save_matrix(tmp_path / "x.txt", x)
+    save_matrix(tmp_path / "y.txt", np.eye(2))
+    save_matrix(tmp_path / "rho.txt", np.eye(2) / 2.0)
+    space = tmp_path / "space.txt"
+    space.write_text("1 x.txt y.txt rho.txt\n")
+    code, out, err = run_cli(
+        capsys, "verify-rm", "--function", "geometric", "--space", str(space)
+    )
+    assert code == 2 and out == ""
+    assert "matrix atom X" in err
+
+
 def test_argparse_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-num"])  # missing required flags

@@ -12,6 +12,8 @@ from meanineq import (
     sample_spd,
     split_rng,
 )
+from meanineq.linalg import COND_LIMIT
+from meanineq.sampling import DEFAULT_FLOOR
 
 
 def test_spd_floor_guarantee():
@@ -63,6 +65,17 @@ def test_density_reproducible():
     a = sample_density(3, split_rng(77, 1))
     b = sample_density(3, split_rng(77, 1))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_samplers_are_valid_by_construction(n):
+    # The campaign samplers skip validation, so their output must pass it.
+    for k in range(5):
+        rng = split_rng(21, n, k)
+        check_density(sample_density(n, rng))
+        lam = np.linalg.eigvalsh(sample_spd(n, rng))
+        assert lam[0] >= DEFAULT_FLOOR - 1e-12
+        assert lam[-1] / lam[0] <= COND_LIMIT
 
 
 def test_check_density_rejects():

@@ -7,6 +7,7 @@ import pytest
 
 from meanineq import (
     DomainError,
+    NotPositiveDefiniteError,
     UsageError,
     construct_counterexample,
     expectation_scalar,
@@ -54,6 +55,22 @@ def test_matrix_space_validation():
         matrix_space([(0.5, a, a, rho), (0.5, np.eye(3), np.eye(3), None)])
     with pytest.raises(DomainError):
         matrix_space([(1.0, a, a, np.eye(2))])  # trace-2 density
+
+
+def test_matrix_space_rejects_ill_conditioned_and_non_pd_observables():
+    rng = split_rng(2, 1)
+    a = sample_spd(2, rng)
+    rho = sample_density(2, rng)
+    ill = np.diag([1e-9, 1e9])  # condition number 1e18, above COND_LIMIT
+    singular = np.diag([1.0, 0.0])
+    for x, y in ((ill, a), (a, ill)):
+        with pytest.raises(DomainError) as exc:
+            matrix_space([(1.0, x, y, rho)])
+        assert not isinstance(exc.value, NotPositiveDefiniteError)
+        assert "condition number" in str(exc.value)
+    for x, y in ((singular, a), (a, singular)):
+        with pytest.raises(NotPositiveDefiniteError):
+            matrix_space([(1.0, x, y, rho)])
 
 
 def test_expectation_scalar_examples():
