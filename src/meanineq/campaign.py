@@ -20,15 +20,15 @@ from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import MATRIX_TOL, OperatorMeanSpec
 from .reports import InequalityReport
-from .sampling import sample_density, sample_spd, split_rng
+from .sampling import sample_atom_stacks, split_rng
 from .verify import (
-    MODE_MATRIX,
     MODE_SCALAR,
     SCALAR_TOL,
     Atom,
     FiniteJointSpace,
     construct_counterexample,
     space_to_jsonable,
+    stacked_space,
     verify_matrix,
     verify_numeric,
 )
@@ -201,12 +201,10 @@ def sample_scalar_space(
 def sample_operator_triple(
     rng: np.random.Generator, dims: tuple[int, int] = DEFAULT_DIMS
 ):
-    """Random (rho, A, B) with a density state and SPD observables."""
+    """Random (rho, A, B) with a density state and SPD observables: one atom's draw."""
     n = int(rng.integers(dims[0], dims[1] + 1))
-    rho = sample_density(n, rng)
-    a = sample_spd(n, rng)
-    b = sample_spd(n, rng)
-    return rho, a, b
+    rho, a, b = sample_atom_stacks(1, n, rng)
+    return rho[0], a[0], b[0]
 
 
 def sample_matrix_space(
@@ -214,17 +212,12 @@ def sample_matrix_space(
     dims: tuple[int, int] = DEFAULT_DIMS,
     atoms: tuple[int, int] = DEFAULT_ATOMS,
 ) -> FiniteJointSpace:
-    """Random matrix-mode space with a density matrix on every atom."""
+    """Random matrix-mode space with a density matrix on every atom, all atoms
+    drawn in one call."""
     n = int(rng.integers(dims[0], dims[1] + 1))
     k = int(rng.integers(atoms[0], atoms[1] + 1))
     p = _dirichlet_probs(rng, k)
-    atoms = []
-    for i in range(k):
-        rho = sample_density(n, rng)
-        x = sample_spd(n, rng)
-        y = sample_spd(n, rng)
-        atoms.append(Atom(float(p[i]), x, y, rho))
-    return FiniteJointSpace(MODE_MATRIX, tuple(atoms))
+    return stacked_space(p.tolist(), *sample_atom_stacks(k, n, rng))
 
 
 def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
@@ -234,7 +227,7 @@ def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
         return sample_scalar_space(rng, config.atoms)
     if config.mode == "op":
         rho, a, b = sample_operator_triple(rng, config.dims)
-        return FiniteJointSpace(MODE_MATRIX, (Atom(1.0, a, b, rho),))
+        return stacked_space([1.0], rho[None], a[None], b[None])
     return sample_matrix_space(rng, config.dims, config.atoms)
 
 

@@ -25,10 +25,6 @@ from .errors import DomainError, UsageError
 #: Default tolerance for scalar-path verdicts and axiom probes.
 SCALAR_TOL = 1e-10
 
-# Switch-over to the continuous extension of the logarithmic mean: when
-# |log(x/y)| falls below this, the 0/0 formula is replaced by its limit.
-LOG_MEAN_EXTENSION_CUTOFF = 1e-12
-
 # Default probe grid: 33 log-spaced points on [1/16, 16], symmetric about 1
 # under t -> 1/t so the functional equation t*f(1/t) = f(t) is exercised on
 # both tails.
@@ -95,10 +91,10 @@ def _harmonic(x: np.ndarray) -> np.ndarray:
 
 
 def _logarithmic(x: np.ndarray) -> np.ndarray:
-    lx = np.log(x)
-    near_one = np.abs(lx) < LOG_MEAN_EXTENSION_CUTOFF
-    safe = np.where(near_one, 1.0, lx)
-    return np.where(near_one, 1.0, (x - 1.0) / safe)
+    # (x - 1) / log x is accurate to an ulp right up to x = 1 +- 1 ulp; only
+    # x = 1 itself is 0/0 and takes the limit 1.
+    one = x == 1.0
+    return np.where(one, 1.0, (x - 1.0) / np.where(one, 1.0, np.log(x)))
 
 
 def _counterexample_g(x: np.ndarray) -> np.ndarray:

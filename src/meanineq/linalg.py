@@ -57,8 +57,9 @@ def sym_matrix(values) -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """(M + M^T) / 2 without checks; exactly symmetric inputs come back bit for bit."""
-    return (m + m.T) / 2.0
+    """(M + M^T) / 2 over the last two axes, without checks; exactly symmetric
+    inputs come back bit for bit."""
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def sym_eigen(a) -> SpectralDecomposition:
@@ -71,11 +72,12 @@ def sym_eigen(a) -> SpectralDecomposition:
 
 
 def spectrum(s: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a trusted symmetric array; solver failures raise NumericError."""
+    """Eigendecomposition of a trusted symmetric array or (..., n, n) stack of
+    them, one solve per slice; solver failures raise NumericError."""
     try:
         lam, q = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
-        off = float(np.linalg.norm(s - np.diag(np.diag(s))))
+        off = float(np.linalg.norm(np.where(np.eye(s.shape[-1], dtype=bool), 0.0, s)))
         raise NumericError(
             f"symmetric eigensolver failed to converge (off-diagonal norm {off:.3e})"
         ) from exc
@@ -135,18 +137,31 @@ def require_pd(
     lam: np.ndarray, label: str, pd_floor: float, cond_limit: float | None = None
 ) -> None:
     """Reject an ascending spectrum at or below the PD floor or, when a limit
-    is given, with condition number above it."""
-    low, high = float(lam[0]), float(lam[-1])
-    if low <= pd_floor:
-        raise NotPositiveDefiniteError(
-            f"{label} is not positive definite at floor {pd_floor!r} "
-            f"(min eigenvalue {low!r})",
-            min_eigenvalue=low,
-        )
-    if cond_limit is not None and high / low > cond_limit:
-        raise DomainError(
-            f"{label} condition number {high / low:.3e} exceeds the guard {cond_limit:.0e}"
-        )
+    is given, with condition number above it.
+
+    ``lam`` may be a (..., n) stack of spectra, one per atom; the first
+    offending atom (in C order) is reported, and when the stack holds more
+    than one spectrum the message names its index.
+    """
+    lows = lam[..., 0].ravel().tolist()
+    highs = lam[..., -1].ravel().tolist()
+    for i, (low, high) in enumerate(zip(lows, highs)):
+        if low <= pd_floor:
+            raise NotPositiveDefiniteError(
+                f"{atom_label(label, i, len(lows))} is not positive definite at "
+                f"floor {pd_floor!r} (min eigenvalue {low!r})",
+                min_eigenvalue=low,
+            )
+        if cond_limit is not None and high / low > cond_limit:
+            raise DomainError(
+                f"{atom_label(label, i, len(lows))} condition number {high / low:.3e} "
+                f"exceeds the guard {cond_limit:.0e}"
+            )
+
+
+def atom_label(label: str, i: int, count: int) -> str:
+    """``label``, naming atom ``i`` when a stack holds more than one atom."""
+    return f"{label} of atom {i}" if count > 1 else label
 
 
 def sqrt_pd(a, pd_floor: float = PD_FLOOR) -> np.ndarray:

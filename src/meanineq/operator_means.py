@@ -29,6 +29,7 @@ from .linalg import (
     CLAMP_TOL,
     COND_LIMIT,
     PD_FLOOR,
+    atom_label,
     congruence,
     frobenius,
     rebuild,
@@ -126,24 +127,34 @@ def perspective_kernel(
     fn: ScalarFn, sa: np.ndarray, sb: np.ndarray, pd_floor: float = PD_FLOOR
 ) -> np.ndarray:
     """P_f(A, B) for trusted symmetric A, B of one shape, B known PD within the
-    guard.  Two eigensolves: A's, which also checks A, and the inner matrix's."""
+    guard.  A and B may be (..., n, n) stacks, one pair per atom (a 2-D pair is
+    a stack of one); every slice gets the checks a single pair gets.  Two
+    stacked eigensolves, whatever the stack size: A's, which also checks A,
+    and the inner matrix's."""
     lam_a, q_a = spectrum(sa)
     require_pd(lam_a, "first argument", pd_floor, COND_LIMIT)
-    sqrt_a = symmetrize((q_a * np.sqrt(lam_a)) @ q_a.T)
-    inv_sqrt_a = symmetrize((q_a * (1.0 / np.sqrt(lam_a))) @ q_a.T)
+    root = np.sqrt(lam_a)[..., None, :]
+    q_at = q_a.swapaxes(-1, -2)
+    sqrt_a = symmetrize((q_a * root) @ q_at)
+    inv_sqrt_a = symmetrize((q_a * (1.0 / root)) @ q_at)
     lam_m, q_m = spectrum(symmetrize(inv_sqrt_a @ sb @ inv_sqrt_a))
-    low = float(lam_m[0])
-    if low <= 0.0:
-        if low <= -CLAMP_TOL:
-            raise DomainError(
-                f"inner perspective matrix has eigenvalue {low!r}; inputs are not "
-                "numerically positive definite"
-            )
-        lam_m = np.maximum(lam_m, CLAMP_TOL)
+    lows = lam_m[..., 0].ravel().tolist()
+    if min(lows) <= 0.0:
+        for i, low in enumerate(lows):
+            if low <= -CLAMP_TOL:
+                raise DomainError(
+                    f"{atom_label('inner perspective matrix', i, len(lows))} has "
+                    f"eigenvalue {low!r}; inputs are not numerically positive definite"
+                )
+        lam_m = np.where(lam_m[..., :1] <= 0.0, np.maximum(lam_m, CLAMP_TOL), lam_m)
     images = _eval_scalar_fn(fn, lam_m)
-    if not np.all(np.isfinite(images)):
-        raise DomainError("scalar function produced non-finite eigenvalue images")
-    f_inner = symmetrize((q_m * images) @ q_m.T)
+    if not np.isfinite(images).all():
+        i = int(np.flatnonzero(~np.isfinite(images).all(axis=-1))[0])
+        raise DomainError(
+            f"{atom_label('scalar function', i, len(lows))} produced non-finite "
+            "eigenvalue images"
+        )
+    f_inner = symmetrize((q_m * images[..., None, :]) @ q_m.swapaxes(-1, -2))
     return symmetrize(sqrt_a @ f_inner @ sqrt_a)
 
 

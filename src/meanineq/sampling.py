@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import MAX_DIM, sym_matrix
+from .linalg import MAX_DIM, sym_matrix, symmetrize
 
 #: Default Gaussian factor scale and diagonal shift for SPD sampling.
 DEFAULT_SPREAD = 1.0
@@ -29,17 +29,20 @@ def split_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_spd(
+def sample_spd_stack(
+    shape: tuple[int, ...],
     n: int,
     rng: np.random.Generator,
     spread: float = DEFAULT_SPREAD,
     floor: float = DEFAULT_FLOOR,
 ) -> np.ndarray:
-    """Sample G G^T + floor*I with iid N(0, spread^2) entries in G.
+    """Sample a ``shape + (n, n)`` stack of G G^T + floor*I, iid N(0, spread^2) entries in G.
 
-    The result is symmetric positive definite with min eigenvalue >= floor
-    by construction.  ``spread`` = 0 yields the deterministic floor*I (the
-    generator is still consumed, keeping streams aligned).
+    Every matrix is symmetric positive definite with min eigenvalue >= floor
+    by construction.  The Gaussian factors come from one draw in C order, so
+    a stack is bit for bit the matrices drawn one by one in that order.
+    ``spread`` = 0 yields the deterministic floor*I (the generator is still
+    consumed, keeping streams aligned).
     """
     if n < 1 or n > MAX_DIM:
         raise UsageError(f"dimension must be in [1, {MAX_DIM}], got {n}")
@@ -47,8 +50,26 @@ def sample_spd(
         raise UsageError(f"spread must be non-negative, got {spread!r}")
     if floor <= 0.0:
         raise UsageError(f"floor must be positive, got {floor!r}")
-    g = rng.normal(0.0, 1.0, size=(n, n)) * spread
-    return sym_matrix(g @ g.T + floor * np.eye(n))
+    g = rng.normal(0.0, 1.0, size=(*shape, n, n)) * spread
+    s = g @ g.swapaxes(-1, -2) + floor * np.eye(n)
+    if not np.isfinite(s).all():
+        raise DomainError("matrix entries must all be finite")
+    return symmetrize(s)
+
+
+def _unit_trace(s: np.ndarray) -> np.ndarray:
+    """Normalize an SPD matrix, or each of a (..., n, n) stack, to a density matrix."""
+    return s / np.trace(s, axis1=-2, axis2=-1)[..., None, None]
+
+
+def sample_spd(
+    n: int,
+    rng: np.random.Generator,
+    spread: float = DEFAULT_SPREAD,
+    floor: float = DEFAULT_FLOOR,
+) -> np.ndarray:
+    """Sample one SPD matrix: the one-matrix case of :func:`sample_spd_stack`."""
+    return sample_spd_stack((), n, rng, spread, floor)
 
 
 def sample_density(
@@ -58,8 +79,20 @@ def sample_density(
     floor: float = DEFAULT_FLOOR,
 ) -> np.ndarray:
     """Sample a random density matrix: a normalized SPD sample, valid by construction."""
-    rho = sample_spd(n, rng, spread=spread, floor=floor)
-    return rho / np.trace(rho)
+    return _unit_trace(sample_spd_stack((), n, rng, spread, floor))
+
+
+def sample_atom_stacks(
+    k: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, X, Y) stacks of shape (k, n, n): densities and SPD observables for
+    k atoms from one draw.
+
+    Stream contract: atom by atom, rho then X then Y, so the draw is bit for
+    bit ``sample_density, sample_spd, sample_spd`` called per atom.
+    """
+    s = sample_spd_stack((k, 3), n, rng)
+    return _unit_trace(s[:, 0]), s[:, 1], s[:, 2]
 
 
 def check_density(rho) -> np.ndarray:

@@ -16,7 +16,7 @@ verdicts (campaigns sample the *instances*, not the integrals).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .functions import SCALAR_TOL, RepresentingFunction, mean_num
 from .linalg import COND_LIMIT, PD_FLOOR, load_matrix, require_pd, sym_matrix
-from .operator_means import MATRIX_TOL, OperatorMeanSpec, expectation_state, perspective_kernel
+from .operator_means import MATRIX_TOL, OperatorMeanSpec, perspective_kernel
 from .reports import InequalityReport, inequality_report
 from .sampling import check_density
 
@@ -48,10 +48,20 @@ class FiniteJointSpace:
     """Finite probability space: the validated form that verifiers trust.
 
     Built by scalar_space/matrix_space/load_space, or by samplers whose
-    values are valid by construction."""
+    values are valid by construction.  A matrix-mode space with a density on
+    every atom also holds its (rho, X, Y) as (k, n, n) stacks, which the
+    matrix verifier runs on; they are stacked from the atoms unless given."""
 
     mode: str
     atoms: tuple[Atom, ...]
+    stacks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.stacks is None and self.has_densities:
+            stacks = tuple(np.stack([getattr(a, v) for a in self.atoms]) for v in ("rho", "x", "y"))
+            object.__setattr__(self, "stacks", stacks)
 
     @property
     def dims(self) -> int:
@@ -124,6 +134,12 @@ def matrix_space(entries) -> FiniteJointSpace:
         atoms.append(Atom(p, x, y, rho))
     _check_probabilities(probs)
     return FiniteJointSpace(MODE_MATRIX, tuple(atoms))
+
+
+def stacked_space(probabilities, rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> FiniteJointSpace:
+    """Trusted matrix-mode space over (k, n, n) stacks; atom i holds views of slice i."""
+    atoms = tuple(Atom(p, xi, yi, ri) for p, xi, yi, ri in zip(probabilities, x, y, rho))
+    return FiniteJointSpace(MODE_MATRIX, atoms, (rho, x, y))
 
 
 def expectation_scalar(space: FiniteJointSpace, which) -> float:
@@ -233,14 +249,19 @@ def verify_matrix(
     space with a density on every atom; ``mode`` labels the report."""
     if not isinstance(spec, OperatorMeanSpec):
         raise UsageError("matrix verification needs an OperatorMeanSpec")
+    rho, x, y = space.stacks
+    mean_xy = perspective_kernel(spec.f, x, y)
+    # Tr(rho M) for every atom at once, each bit for bit what
+    # operator_means.expectation_state gives; the weighted sums below stay
+    # sequential in atom order, which the golden outputs pin.
+    traces = zip(*(np.einsum("kij,kji->k", rho, m).tolist() for m in (mean_xy, x, y)))
     lhs = 0.0
     ex = 0.0
     ey = 0.0
-    for atom in space.atoms:
-        mean_xy = perspective_kernel(spec.f, atom.x, atom.y)
-        lhs += atom.probability * expectation_state(atom.rho, mean_xy)
-        ex += atom.probability * expectation_state(atom.rho, atom.x)
-        ey += atom.probability * expectation_state(atom.rho, atom.y)
+    for atom, (t_m, t_x, t_y) in zip(space.atoms, traces):
+        lhs += atom.probability * t_m
+        ex += atom.probability * t_x
+        ey += atom.probability * t_y
     if ex <= PD_FLOOR or ey <= PD_FLOOR:
         raise DomainError(
             f"averaged state expectations must be positive, got {ex!r}, {ey!r}"

@@ -44,6 +44,15 @@ def test_logarithmic_limit_at_one():
     assert eval_f(f, 1.0 + 1e-13) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("x", [1.0 - 1e-13, 1.0 + 1e-13, 1.0 + 1e-10])
+def test_logarithmic_near_one_matches_high_precision(x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        exact = (mpmath.mpf(x) - 1) / mpmath.log(mpmath.mpf(x))
+        rel = abs((mpmath.mpf(eval_f(get_function("logarithmic"), x)) - exact) / exact)
+    assert rel <= 1e-15
+
+
 def test_perspective_examples():
     assert perspective_num(get_function("geometric"), 4.0, 1.0) == 2.0
     assert perspective_num(get_function("arithmetic"), 3.0, 5.0) == 4.0

@@ -29,6 +29,7 @@ from meanineq import (
     sym_matrix,
     trace_perspective_check,
 )
+from meanineq.operator_means import perspective_kernel
 
 SPECS = ["arithmetic", "wyd:0.25", "wyd:0.5", "geometric", "harmonic", "logarithmic"]
 
@@ -81,6 +82,39 @@ def test_perspective_rejects_non_pd_and_ill_conditioned():
         operator_perspective(get_function("geometric"), np.diag([1e-9, 1e9]), np.eye(2))
     with pytest.raises(UsageError):
         operator_perspective(get_function("geometric"), np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_perspective_kernel_stack_equals_slices(n):
+    k = 5
+    a = np.stack([spd((41, n, i, 0), n) for i in range(k)])
+    b = np.stack([spd((41, n, i, 1), n) for i in range(k)])
+    for fid in SPECS:
+        f = get_function(fid)
+        stacked = perspective_kernel(f, a, b)
+        for i in range(k):
+            assert np.array_equal(stacked[i], perspective_kernel(f, a[i], b[i]))
+
+
+def test_perspective_kernel_stack_checks_every_slice():
+    f = get_function("geometric")
+    good = np.stack([np.eye(2)] * 4)
+    non_pd = good.copy()
+    non_pd[3] = np.diag([1.0, -1.0])
+    with pytest.raises(NotPositiveDefiniteError, match="^first argument of atom 3 is not positive definite"):
+        perspective_kernel(f, non_pd, good)
+    ill = good.copy()
+    ill[2] = np.diag([1e-9, 1e9])
+    with pytest.raises(DomainError, match="^first argument of atom 2 condition number") as exc:
+        perspective_kernel(f, ill, good)
+    assert not isinstance(exc.value, NotPositiveDefiniteError)
+    # One matrix, or a stack of one, keeps the unnumbered messages.
+    for a in (non_pd[3], non_pd[3:]):
+        with pytest.raises(NotPositiveDefiniteError, match="^first argument is not positive definite"):
+            perspective_kernel(f, a, np.eye(2))
+    for a in (ill[2], ill[2:3]):
+        with pytest.raises(DomainError, match="^first argument condition number"):
+            perspective_kernel(f, a, np.eye(2))
 
 
 def test_mean_fixed_point_and_examples():

@@ -9,6 +9,8 @@ from meanineq import (
     check_density,
     min_eigenvalue,
     sample_density,
+    sample_matrix_space,
+    sample_operator_triple,
     sample_spd,
     split_rng,
 )
@@ -76,6 +78,36 @@ def test_samplers_are_valid_by_construction(n):
         lam = np.linalg.eigvalsh(sample_spd(n, rng))
         assert lam[0] >= DEFAULT_FLOOR - 1e-12
         assert lam[-1] / lam[0] <= COND_LIMIT
+
+
+def _state(rng):
+    # Philox's state dict holds small arrays; its repr shows every element.
+    return repr(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_stacked_samplers_keep_the_per_atom_stream(n):
+    # Stream contract: all atoms come from one draw, bit for bit the same as
+    # sample_density, sample_spd, sample_spd per atom, leaving the same state.
+    rng, ref = split_rng(31, n), split_rng(31, n)
+    space = sample_matrix_space(rng, dims=(n, n), atoms=(4, 6))
+    ref.integers(n, n + 1)
+    k = int(ref.integers(4, 7))
+    ref.exponential(1.0, size=k)
+    assert len(space.atoms) == k
+    for atom in space.atoms:
+        assert np.array_equal(atom.rho, sample_density(n, ref))
+        assert np.array_equal(atom.x, sample_spd(n, ref))
+        assert np.array_equal(atom.y, sample_spd(n, ref))
+    assert _state(rng) == _state(ref)
+
+    rng, ref = split_rng(32, n), split_rng(32, n)
+    rho, a, b = sample_operator_triple(rng, dims=(n, n))
+    ref.integers(n, n + 1)
+    assert np.array_equal(rho, sample_density(n, ref))
+    assert np.array_equal(a, sample_spd(n, ref))
+    assert np.array_equal(b, sample_spd(n, ref))
+    assert _state(rng) == _state(ref)
 
 
 def test_check_density_rejects():
