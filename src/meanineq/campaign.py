@@ -7,6 +7,10 @@ counts and extremes.  Trial k of function j always receives the generator
 rebuilt from its (function, trial) coordinates rather than stored.  Samples
 are valid by construction, so samplers build trusted spaces directly.  Trials
 run in-process, in order: threads would serialize on the interpreter lock.
+
+Matrix trials draw all their atoms in one call, in per-atom (rho, X, Y)
+order, so the stream is the one of drawing them matrix by matrix; the atoms
+stay (k, n, n) stacks and the perspective kernel runs once per trial on them.
 """
 
 from __future__ import annotations

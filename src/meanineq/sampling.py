@@ -36,7 +36,8 @@ def sample_spd_stack(
     spread: float = DEFAULT_SPREAD,
     floor: float = DEFAULT_FLOOR,
 ) -> np.ndarray:
-    """Sample a ``shape + (n, n)`` stack of G G^T + floor*I, iid N(0, spread^2) entries in G.
+    """Sample a ``shape + (n, n)`` stack of G G^T + floor*I with iid
+    N(0, spread^2) entries in each G.
 
     Every matrix is symmetric positive definite with min eigenvalue >= floor
     by construction.  The Gaussian factors come from one draw in C order, so

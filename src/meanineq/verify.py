@@ -60,7 +60,7 @@ class FiniteJointSpace:
 
     def __post_init__(self):
         if self.stacks is None and self.has_densities:
-            stacks = tuple(np.stack([getattr(a, v) for a in self.atoms]) for v in ("rho", "x", "y"))
+            stacks = tuple([np.stack([getattr(a, v) for a in self.atoms]) for v in ("rho", "x", "y")])
             object.__setattr__(self, "stacks", stacks)
 
     @property
@@ -138,8 +138,11 @@ def matrix_space(entries) -> FiniteJointSpace:
 
 def stacked_space(probabilities, rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> FiniteJointSpace:
     """Trusted matrix-mode space over (k, n, n) stacks; atom i holds views of slice i."""
-    atoms = tuple(Atom(p, xi, yi, ri) for p, xi, yi, ri in zip(probabilities, x, y, rho))
-    return FiniteJointSpace(MODE_MATRIX, atoms, (rho, x, y))
+    # A list first: tuple() of a generator over-allocates and shrinks, which
+    # parks one tuple per call on CPython's per-size free lists (~2 MB at
+    # 1-12 atoms before they fill).
+    atoms = [Atom(p, xi, yi, ri) for p, xi, yi, ri in zip(probabilities, x, y, rho)]
+    return FiniteJointSpace(MODE_MATRIX, tuple(atoms), (rho, x, y))
 
 
 def expectation_scalar(space: FiniteJointSpace, which) -> float:
@@ -254,7 +257,7 @@ def verify_matrix(
     # Tr(rho M) for every atom at once, each bit for bit what
     # operator_means.expectation_state gives; the weighted sums below stay
     # sequential in atom order, which the golden outputs pin.
-    traces = zip(*(np.einsum("kij,kji->k", rho, m).tolist() for m in (mean_xy, x, y)))
+    traces = zip(*[np.einsum("kij,kji->k", rho, m).tolist() for m in (mean_xy, x, y)])
     lhs = 0.0
     ex = 0.0
     ey = 0.0
