@@ -19,6 +19,7 @@ FIXTURES = HERE / "fixtures"
 
 _COMMANDS = {
     "campaign-num": ["campaign", "--config", "campaign-num.cfg"],
+    "campaign-num-wyd": ["campaign", "--config", "campaign-num-wyd.cfg"],
     "campaign-op": ["campaign", "--config", "campaign-op.cfg"],
     "campaign-rm": ["campaign", "--config", "campaign-rm.cfg"],
     "campaign-rm-wide": ["campaign", "--config", "campaign-rm-wide.cfg"],
