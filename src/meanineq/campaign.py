@@ -8,9 +8,10 @@ rebuilt from its (function, trial) coordinates rather than stored.  Samples
 are valid by construction, so samplers build trusted spaces directly.  Trials
 run in-process, in order: threads would serialize on the interpreter lock.
 
-Matrix trials draw all their atoms in one call, in per-atom (rho, X, Y)
-order, so the stream is the one of drawing them matrix by matrix; the atoms
-stay (k, n, n) stacks and the perspective kernel runs once per trial on them.
+Samplers build each space from the arrays they draw: ``p``, ``x`` and ``y``
+vectors for scalar trials, and for matrix trials ``(k, n, n)`` stacks drawn in
+one call, in per-atom (rho, X, Y) order, so the stream is the one of drawing
+them matrix by matrix.  The perspective kernel runs once per trial on them.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from .operator_means import MATRIX_TOL, OperatorMeanSpec
 from .reports import InequalityReport
 from .sampling import sample_atom_stacks, split_rng
 from .verify import (
+    MODE_MATRIX,
     MODE_SCALAR,
     SCALAR_TOL,
-    Atom,
     FiniteJointSpace,
     construct_counterexample,
     space_to_jsonable,
-    stacked_space,
     verify_matrix,
     verify_numeric,
 )
@@ -198,8 +198,7 @@ def sample_scalar_space(
     p = _dirichlet_probs(rng, k)
     x = _log_uniform_values(rng, k)
     y = _log_uniform_values(rng, k)
-    atoms = (Atom(float(pi), float(xi), float(yi)) for pi, xi, yi in zip(p, x, y))
-    return FiniteJointSpace(MODE_SCALAR, tuple(atoms))
+    return FiniteJointSpace(MODE_SCALAR, p, x, y)
 
 
 def sample_operator_triple(
@@ -221,7 +220,8 @@ def sample_matrix_space(
     n = int(rng.integers(dims[0], dims[1] + 1))
     k = int(rng.integers(atoms[0], atoms[1] + 1))
     p = _dirichlet_probs(rng, k)
-    return stacked_space(p.tolist(), *sample_atom_stacks(k, n, rng))
+    rho, x, y = sample_atom_stacks(k, n, rng)
+    return FiniteJointSpace(MODE_MATRIX, p, x, y, rho)
 
 
 def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
@@ -231,7 +231,7 @@ def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
         return sample_scalar_space(rng, config.atoms)
     if config.mode == "op":
         rho, a, b = sample_operator_triple(rng, config.dims)
-        return stacked_space([1.0], rho[None], a[None], b[None])
+        return FiniteJointSpace(MODE_MATRIX, np.ones(1), a[None], b[None], rho[None])
     return sample_matrix_space(rng, config.dims, config.atoms)
 
 

@@ -10,13 +10,14 @@ Three settings share that shape:
 * random matrix: atom-wise state expectations averaged over a finite space.
 
 All sums are exact weighted sums over atoms; no Monte Carlo error enters the
-verdicts (campaigns sample the *instances*, not the integrals).
+verdicts (campaigns sample the *instances*, not the integrals).  A space holds
+its atoms as arrays, so a mean is evaluated on all atoms at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -43,35 +44,37 @@ class Atom:
     rho: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteJointSpace:
     """Finite probability space: the validated form that verifiers trust.
 
     Built by scalar_space/matrix_space/load_space, or by samplers whose
-    values are valid by construction.  A matrix-mode space with a density on
-    every atom also holds its (rho, X, Y) as (k, n, n) stacks, which the
-    matrix verifier runs on; they are stacked from the atoms unless given."""
+    values are valid by construction.  Atom i is (p[i], x[i], y[i], rho[i]):
+    x and y are (k,) in scalar mode and (k, n, n) in matrix mode, where rho
+    is a (k, n, n) stack of densities or None.  Equality is identity."""
 
     mode: str
-    atoms: tuple[Atom, ...]
-    stacks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    p: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    rho: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.stacks is None and self.has_densities:
-            stacks = tuple([np.stack([getattr(a, v) for a in self.atoms]) for v in ("rho", "x", "y")])
-            object.__setattr__(self, "stacks", stacks)
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """Per-atom view: floats in scalar mode, slices of the stacks in matrix mode."""
+        x, y = (self.x.tolist(), self.y.tolist()) if self.mode == MODE_SCALAR else (self.x, self.y)
+        rho = [None] * len(self.p) if self.rho is None else self.rho
+        return tuple([Atom(*a) for a in zip(self.p.tolist(), x, y, rho)])
 
     @property
     def dims(self) -> int:
         if self.mode == MODE_SCALAR:
             return 1
-        return int(self.atoms[0].x.shape[0])
+        return int(self.x.shape[-1])
 
     @property
     def has_densities(self) -> bool:
-        return self.mode == MODE_MATRIX and all(a.rho is not None for a in self.atoms)
+        return self.rho is not None
 
 
 def _check_probabilities(probs: list[float]) -> None:
@@ -87,17 +90,17 @@ def _check_probabilities(probs: list[float]) -> None:
 
 def scalar_space(entries) -> FiniteJointSpace:
     """Build a scalar-mode space from (probability, x, y) triples."""
-    atoms = []
-    probs = []
+    probs, xs, ys = [], [], []
     for entry in entries:
         p, x, y = entry
         p, x, y = float(p), float(x), float(y)
         if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
             raise DomainError(f"scalar atom values must be positive, got ({x!r}, {y!r})")
         probs.append(p)
-        atoms.append(Atom(p, x, y))
+        xs.append(x)
+        ys.append(y)
     _check_probabilities(probs)
-    return FiniteJointSpace(MODE_SCALAR, tuple(atoms))
+    return FiniteJointSpace(MODE_SCALAR, np.array(probs), np.array(xs), np.array(ys))
 
 
 def matrix_space(entries) -> FiniteJointSpace:
@@ -105,10 +108,10 @@ def matrix_space(entries) -> FiniteJointSpace:
 
     X and Y must be positive definite with condition number within the
     perspective guard; densities, when present, must pass the density-matrix
-    checks.  All atoms share one dimension.
+    checks.  All atoms share one dimension, and either every atom carries a
+    density or none does.
     """
-    atoms = []
-    probs = []
+    probs, xs, ys, rhos = [], [], [], []
     dim = None
     for entry in entries:
         if len(entry) == 3:
@@ -130,19 +133,24 @@ def matrix_space(entries) -> FiniteJointSpace:
             rho = check_density(rho)
             if rho.shape[0] != dim:
                 raise UsageError("atom density dimension differs from the observables")
+            rhos.append(rho)
         probs.append(p)
-        atoms.append(Atom(p, x, y, rho))
+        xs.append(x)
+        ys.append(y)
     _check_probabilities(probs)
-    return FiniteJointSpace(MODE_MATRIX, tuple(atoms))
+    if 0 < len(rhos) < len(probs):
+        raise UsageError("either every atom of a matrix space carries a density or none does")
+    rho = np.stack(rhos) if rhos else None
+    return FiniteJointSpace(MODE_MATRIX, np.array(probs), np.stack(xs), np.stack(ys), rho)
 
 
-def stacked_space(probabilities, rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> FiniteJointSpace:
-    """Trusted matrix-mode space over (k, n, n) stacks; atom i holds views of slice i."""
-    # A list first: tuple() of a generator over-allocates and shrinks, which
-    # parks one tuple per call on CPython's per-size free lists (~2 MB at
-    # 1-12 atoms before they fill).
-    atoms = [Atom(p, xi, yi, ri) for p, xi, yi, ri in zip(probabilities, x, y, rho)]
-    return FiniteJointSpace(MODE_MATRIX, tuple(atoms), (rho, x, y))
+def expectation(p: np.ndarray, v: np.ndarray) -> float:
+    """The weighted sum of p[i] * v[i], added left to right in atom order: the
+    order the golden outputs pin, which np.dot, math.fsum and sum() do not keep."""
+    total = 0.0
+    for pi, vi in zip(p.tolist(), v.tolist()):
+        total += pi * vi
+    return total
 
 
 def expectation_scalar(space: FiniteJointSpace, which) -> float:
@@ -153,23 +161,15 @@ def expectation_scalar(space: FiniteJointSpace, which) -> float:
     """
     if space.mode != MODE_SCALAR:
         raise UsageError(f"expectation_scalar needs a scalar-mode space, got {space.mode!r}")
-    total = 0.0
     if isinstance(which, RepresentingFunction):
         # Values were validated when the space was built, so y * f(x / y) is
-        # evaluated without mean_num's checks (on 0-d arrays, as mean_num does).
-        for a in space.atoms:
-            x, y = np.asarray(a.x, dtype=float), np.asarray(a.y, dtype=float)
-            total += a.probability * float(y * np.asarray(which.fn(x / y), dtype=float))
-        return total
-    if which == "x":
-        for a in space.atoms:
-            total += a.probability * a.x
-        return total
-    if which == "y":
-        for a in space.atoms:
-            total += a.probability * a.y
-        return total
-    raise UsageError(f"which must be 'x', 'y' or a representing function, got {which!r}")
+        # evaluated once on the atom arrays, without mean_num's checks.
+        values = space.y * np.asarray(which.fn(space.x / space.y), dtype=float)
+    elif isinstance(which, str) and which in ("x", "y"):
+        values = getattr(space, which)
+    else:
+        raise UsageError(f"which must be 'x', 'y' or a representing function, got {which!r}")
+    return expectation(space.p, values)
 
 
 def verify_numeric(
@@ -190,7 +190,7 @@ def verify_numeric(
         function=f.id,
         mode="num",
         dims=1,
-        atoms=len(space.atoms),
+        atoms=len(space.p),
         seed=seed,
     )
 
@@ -252,19 +252,13 @@ def verify_matrix(
     space with a density on every atom; ``mode`` labels the report."""
     if not isinstance(spec, OperatorMeanSpec):
         raise UsageError("matrix verification needs an OperatorMeanSpec")
-    rho, x, y = space.stacks
-    mean_xy = perspective_kernel(spec.f, x, y)
+    x, y = space.x, space.y
     # Tr(rho M) for every atom at once, each bit for bit what
-    # operator_means.expectation_state gives; the weighted sums below stay
-    # sequential in atom order, which the golden outputs pin.
-    traces = zip(*[np.einsum("kij,kji->k", rho, m).tolist() for m in (mean_xy, x, y)])
-    lhs = 0.0
-    ex = 0.0
-    ey = 0.0
-    for atom, (t_m, t_x, t_y) in zip(space.atoms, traces):
-        lhs += atom.probability * t_m
-        ex += atom.probability * t_x
-        ey += atom.probability * t_y
+    # operator_means.expectation_state gives.
+    lhs, ex, ey = [
+        expectation(space.p, np.einsum("kij,kji->k", space.rho, m))
+        for m in (perspective_kernel(spec.f, x, y), x, y)
+    ]
     if ex <= PD_FLOOR or ey <= PD_FLOOR:
         raise DomainError(
             f"averaged state expectations must be positive, got {ex!r}, {ey!r}"
@@ -277,7 +271,7 @@ def verify_matrix(
         function=spec.id,
         mode=mode,
         dims=space.dims,
-        atoms=len(space.atoms),
+        atoms=len(space.p),
         seed=seed,
     )
 
@@ -342,22 +336,18 @@ def save_space(path, space: FiniteJointSpace) -> None:
     if space.mode != MODE_SCALAR:
         raise UsageError("only scalar-mode spaces can be saved to the line format")
     lines = [
-        f"{a.probability:.17g} {a.x:.17g} {a.y:.17g}" for a in space.atoms
+        f"{p:.17g} {x:.17g} {y:.17g}"
+        for p, x, y in zip(space.p.tolist(), space.x.tolist(), space.y.tolist())
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def space_to_jsonable(space: FiniteJointSpace) -> dict:
     """Self-contained JSON structure for a space (campaign worst-case records)."""
+    p, x, y = space.p.tolist(), space.x.tolist(), space.y.tolist()
     if space.mode == MODE_SCALAR:
-        return {
-            "mode": MODE_SCALAR,
-            "atoms": [[a.probability, a.x, a.y] for a in space.atoms],
-        }
-    out = []
-    for a in space.atoms:
-        entry = {"p": a.probability, "x": a.x.tolist(), "y": a.y.tolist()}
-        if a.rho is not None:
-            entry["rho"] = a.rho.tolist()
-        out.append(entry)
+        return {"mode": MODE_SCALAR, "atoms": [list(a) for a in zip(p, x, y)]}
+    out = [{"p": pi, "x": xi, "y": yi} for pi, xi, yi in zip(p, x, y)]
+    for entry, ri in zip(out, [] if space.rho is None else space.rho.tolist()):
+        entry["rho"] = ri
     return {"mode": MODE_MATRIX, "atoms": out}

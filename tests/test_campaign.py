@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from meanineq import (
@@ -186,3 +187,17 @@ def test_worst_case_payload_reconstruction_is_deterministic():
         assert p1 == p2
         assert p1["space"]["mode"] == "matrix"
         assert "rho" in p1["space"]["atoms"][0]
+
+
+def test_sampled_scalar_space_views_match_its_arrays():
+    from meanineq import scalar_space, space_to_jsonable
+    from meanineq.campaign import sample_scalar_space
+
+    space = sample_scalar_space(split_rng(9, 0), atoms=(12, 12))
+    assert len(space.p) == len(space.atoms) == 12
+    atoms = space.atoms
+    for v, name in ((space.p, "probability"), (space.x, "x"), (space.y, "y")):
+        assert np.array_equal(np.array([getattr(a, name) for a in atoms]), v)
+    rebuilt = scalar_space(space_to_jsonable(space)["atoms"])
+    for v in ("p", "x", "y"):
+        assert np.array_equal(getattr(rebuilt, v), getattr(space, v))

@@ -327,3 +327,31 @@ def test_space_file_errors(tmp_path):
         load_space(bad)
     with pytest.raises(UsageError):
         load_space(tmp_path / "missing.txt")
+
+
+def test_mixed_densities_are_rejected(tmp_path):
+    from meanineq import save_matrix
+
+    rng = split_rng(41, 0)
+    a, b = sample_spd(2, rng), sample_spd(2, rng)
+    rho = sample_density(2, rng)
+    with pytest.raises(UsageError, match="density"):
+        matrix_space([(0.5, a, b, rho), (0.5, b, a)])
+    for name, m in (("a", a), ("b", b), ("rho", rho)):
+        save_matrix(tmp_path / f"{name}.txt", m)
+    (tmp_path / "space.txt").write_text("0.5 a.txt b.txt\n0.5 b.txt a.txt rho.txt\n")
+    with pytest.raises(UsageError, match="density"):
+        load_space(tmp_path / "space.txt")
+
+
+def test_matrix_space_stacks_its_atoms():
+    rng = split_rng(43, 0)
+    entries = [(p, sample_spd(3, rng), sample_spd(3, rng), sample_density(3, rng)) for p in (0.25, 0.75)]
+    space = matrix_space(entries)
+    assert space.x.shape == space.y.shape == space.rho.shape == (2, 3, 3)
+    assert space.p.tolist() == [0.25, 0.75]
+    for atom, (p, x, y, rho) in zip(space.atoms, entries):
+        assert atom.probability == p
+        assert np.array_equal(atom.x, x) and np.array_equal(atom.y, y)
+        assert np.array_equal(atom.rho, rho)
+    assert not matrix_space([e[:3] for e in entries]).has_densities
