@@ -103,8 +103,8 @@ def validate_config(config: CampaignConfig) -> None:
     lo, hi = config.atoms
     if not (1 <= lo <= hi):
         raise UsageError(f"atoms range must satisfy 1 <= min <= max, got {config.atoms!r}")
-    if config.tol is not None and config.tol <= 0.0:
-        raise UsageError(f"tol must be positive, got {config.tol!r}")
+    if config.tol is not None and not 0.0 < config.tol < float("inf"):
+        raise UsageError(f"tol must be finite and positive, got {config.tol!r}")
 
 
 def _parse_range(value: str, key: str) -> tuple[int, int]:

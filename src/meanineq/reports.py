@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
-from .errors import NumericError
+from .errors import NumericError, UsageError
 
 VERDICT_HOLDS = "holds"
 VERDICT_VIOLATED = "violated"
@@ -47,6 +47,9 @@ def inequality_report(
     atoms: int,
     seed: int | None = None,
 ) -> InequalityReport:
+    tol = float(tol)
+    if not (isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"tol must be finite and >= 0, got {tol!r}")
     lhs = float(lhs)
     rhs = float(rhs)
     if not (isfinite(lhs) and isfinite(rhs)):
@@ -56,8 +59,8 @@ def inequality_report(
         lhs=lhs,
         rhs=rhs,
         gap=gap,
-        tol=float(tol),
-        verdict=classify_gap(gap, float(tol)),
+        tol=tol,
+        verdict=classify_gap(gap, tol),
         function=function,
         mode=mode,
         dims=int(dims),

@@ -25,6 +25,8 @@ DENSITY_PSD_TOL = 1e-12
 
 def split_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic child generator for (seed, path); streams are independent per path."""
+    if int(seed) < 0:  # every seeded entry point derives its generators here
+        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 

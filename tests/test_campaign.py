@@ -189,6 +189,18 @@ def test_worst_case_payload_reconstruction_is_deterministic():
         assert "rho" in p1["space"]["atoms"][0]
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_validate_config_needs_finite_positive_tol(tol):
+    # A NaN tol would classify every gap as holding: counterexample-g has 48
+    # violations at 1e-10 here, and none would be reported.
+    cfg = CampaignConfig(mode="num", functions=("counterexample-g",), trials=50, seed=1)
+    assert run_campaign(cfg).violations == 48
+    with pytest.raises(UsageError, match="tol"):
+        validate_config(dataclasses.replace(cfg, tol=tol))
+    with pytest.raises(UsageError, match="tol"):
+        run_campaign(dataclasses.replace(cfg, tol=tol))
+
+
 def test_sampled_scalar_space_views_match_its_arrays():
     from meanineq import scalar_space, space_to_jsonable
     from meanineq.campaign import sample_scalar_space

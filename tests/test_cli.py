@@ -271,3 +271,28 @@ def test_argparse_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-num"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # Exit 1 means a violated verdict, so a bad seed must exit 2.
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text("mode = num\nfunctions = geometric\ntrials = 5\nseed = -1\n")
+    ok = tmp_path / "ok.cfg"
+    ok.write_text("mode = num\nfunctions = geometric\ntrials = 5\n")
+    for argv in (
+        ["campaign", "--config", str(cfg)],
+        ["campaign", "--config", str(ok), "--seed", "-1"],
+        ["search", "--function", "geometric", "--seed", "-1", "--trials", "5"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "seed" in err and err.count("\n") == 1
+
+
+def test_nan_tol_is_a_usage_error(tmp_path, capsys):
+    space = write_two_atom_space(tmp_path)
+    code, out, err = run_cli(
+        capsys, "verify-num", "--function", "geometric", "--space", str(space), "--tol", "nan"
+    )
+    assert code == 2 and out == ""
+    assert "tol" in err and err.count("\n") == 1

@@ -329,6 +329,13 @@ def test_space_file_errors(tmp_path):
         load_space(tmp_path / "missing.txt")
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+def test_verify_numeric_rejects_bad_tol(tol):
+    space = construct_counterexample(G, 0.5, 2.0, 0.5)
+    with pytest.raises(UsageError, match="tol"):
+        verify_numeric(space, G, tol=tol)
+
+
 def test_mixed_densities_are_rejected(tmp_path):
     from meanineq import save_matrix
 
