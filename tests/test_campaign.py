@@ -189,16 +189,16 @@ def test_worst_case_payload_reconstruction_is_deterministic():
         assert "rho" in p1["space"]["atoms"][0]
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
-def test_validate_config_needs_finite_positive_tol(tol):
-    # A NaN tol would classify every gap as holding: counterexample-g has 48
-    # violations at 1e-10 here, and none would be reported.
+def test_validate_config_needs_finite_positive_tol():
+    # A NaN tol classifies every gap as holding: this campaign has 48
+    # violations at the default tol and reported none at tol = nan.
     cfg = CampaignConfig(mode="num", functions=("counterexample-g",), trials=50, seed=1)
     assert run_campaign(cfg).violations == 48
-    with pytest.raises(UsageError, match="tol"):
-        validate_config(dataclasses.replace(cfg, tol=tol))
-    with pytest.raises(UsageError, match="tol"):
-        run_campaign(dataclasses.replace(cfg, tol=tol))
+    for tol in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(UsageError, match="tol"):
+            validate_config(dataclasses.replace(cfg, tol=tol))
+        with pytest.raises(UsageError, match="tol"):
+            parse_campaign_config(f"mode = num\nfunctions = geometric\ntrials = 5\ntol = {tol}\n")
 
 
 def test_sampled_scalar_space_views_match_its_arrays():

@@ -353,7 +353,9 @@ def test_mixed_densities_are_rejected(tmp_path):
 
 def test_matrix_space_stacks_its_atoms():
     rng = split_rng(43, 0)
-    entries = [(p, sample_spd(3, rng), sample_spd(3, rng), sample_density(3, rng)) for p in (0.25, 0.75)]
+    entries = [
+        (p, sample_spd(3, rng), sample_spd(3, rng), sample_density(3, rng)) for p in (0.25, 0.75)
+    ]
     space = matrix_space(entries)
     assert space.x.shape == space.y.shape == space.rho.shape == (2, 3, 3)
     assert space.p.tolist() == [0.25, 0.75]
@@ -362,3 +364,24 @@ def test_matrix_space_stacks_its_atoms():
         assert np.array_equal(atom.x, x) and np.array_equal(atom.y, y)
         assert np.array_equal(atom.rho, rho)
     assert not matrix_space([e[:3] for e in entries]).has_densities
+
+
+@pytest.mark.parametrize("fid", SPECS + ["counterexample-g"])
+def test_array_means_match_the_per_atom_loop(fid):
+    # Reference: f evaluated atom by atom on 0-d arrays. Only wyd's power may
+    # round differently there (libm pow on scalars, numpy's loop on arrays),
+    # by a few ulp of the sum.
+    from meanineq.campaign import sample_scalar_space
+
+    f = get_function(fid)
+    for t in range(50):
+        space = sample_scalar_space(split_rng(61, t))
+        ref = 0.0
+        for p, x, y in zip(space.p.tolist(), space.x.tolist(), space.y.tolist()):
+            x, y = np.asarray(x), np.asarray(y)
+            ref += p * float(y * f.fn(x / y))
+        got = expectation_scalar(space, f)
+        if fid.startswith("wyd"):
+            assert abs(got - ref) <= 4 * math.ulp(ref)
+        else:
+            assert got == ref
