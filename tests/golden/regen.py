@@ -23,6 +23,7 @@ _COMMANDS = {
     "campaign-op": ["campaign", "--config", "campaign-op.cfg"],
     "campaign-rm": ["campaign", "--config", "campaign-rm.cfg"],
     "campaign-rm-wide": ["campaign", "--config", "campaign-rm-wide.cfg"],
+    "campaign-rm-wyd": ["campaign", "--config", "campaign-rm-wyd.cfg"],
     "search": ["search", "--function", "counterexample-g", "--seed", "3", "--trials", "200"],
     "counterexample": ["counterexample", "--function", "wyd:0.25", "--x1", "0.3", "--x2", "5", "--p", "0.4"],
     "verify-num": ["verify-num", "--function", "logarithmic", "--space", "num-space.txt"],
