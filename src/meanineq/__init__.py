@@ -39,11 +39,9 @@ from .functions import (
     CATALOG_IDS,
     RepresentingFunction,
     default_grid,
-    eval_f,
     function_from_mean,
     get_function,
     mean_num,
-    perspective_num,
     wyd_function,
 )
 from .linalg import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .functions import SCALAR_TOL, RepresentingFunction, default_grid
+from .functions import SCALAR_TOL, RepresentingFunction, default_grid, mean_num
 
 _JUMP_DELTA = 1e-7
 _HOMOGENEITY_SCALES = (0.5, 2.0, 10.0)
@@ -73,11 +73,6 @@ def _prepare_grid(grid) -> np.ndarray:
     return arr
 
 
-def _mean_on(f: RepresentingFunction, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """mean(x, y) = y * f(x / y), broadcast over array arguments."""
-    return ys * f.eval_array(xs / ys)
-
-
 def _jump_estimate(spread_small: np.ndarray, spread_big: np.ndarray) -> np.ndarray:
     return (10.0 * spread_small - spread_big) / 9.0
 
@@ -113,16 +108,16 @@ def check_axioms(
         v = float(violation)
         checks.append(AxiomCheck(name, v, witness, v <= tol))
 
-    fg = f.eval_array(g)
+    fg = f(g)
     d1, d2 = _JUMP_DELTA, 10.0 * _JUMP_DELTA
 
     # Conditions on f itself.
     k = int(np.argmin(fg))
     add("f-positivity", -fg[k], (float(g[k]),))
 
-    add("f-normalization", abs(float(f(1.0)) - 1.0), (1.0,))
+    add("f-normalization", abs(f(1.0) - 1.0), (1.0,))
 
-    sym = np.abs(g * f.eval_array(1.0 / g) - fg) / np.abs(fg)
+    sym = np.abs(g * f(1.0 / g) - fg) / np.abs(fg)
     k = int(np.argmax(sym))
     add("f-symmetry", sym[k], (float(g[k]),))
 
@@ -133,15 +128,15 @@ def check_axioms(
     else:
         add("f-increasing", 0.0, (float(g[0]),))
 
-    e1 = np.abs(f.eval_array(g * (1.0 + d1)) - f.eval_array(g * (1.0 - d1)))
-    e2 = np.abs(f.eval_array(g * (1.0 + d2)) - f.eval_array(g * (1.0 - d2)))
+    e1 = np.abs(f(g * (1.0 + d1)) - f(g * (1.0 - d1)))
+    e2 = np.abs(f(g * (1.0 + d2)) - f(g * (1.0 - d2)))
     jump = _jump_estimate(e1, e2) / np.abs(fg)
     k = int(np.argmax(jump))
     add("f-continuity", jump[k], (float(g[k]),))
 
     # Axioms of the induced mean, probed on all grid pairs.
     xs, ys = np.meshgrid(g, g, indexing="ij")
-    m = _mean_on(f, xs, ys)
+    m = mean_num(f, xs, ys)
 
     diag = np.abs(np.diag(m) - g) / g
     k = int(np.argmax(diag))
@@ -171,8 +166,8 @@ def check_axioms(
         add("mean-betweenness", 0.0, (float(g[0]), float(g[0])))
         add("mean-monotonicity", 0.0, (float(g[0]), float(g[0])))
 
-    e1 = np.abs(_mean_on(f, xs * (1.0 + d1), ys) - _mean_on(f, xs * (1.0 - d1), ys))
-    e2 = np.abs(_mean_on(f, xs * (1.0 + d2), ys) - _mean_on(f, xs * (1.0 - d2), ys))
+    e1 = np.abs(mean_num(f, xs * (1.0 + d1), ys) - mean_num(f, xs * (1.0 - d1), ys))
+    e2 = np.abs(mean_num(f, xs * (1.0 + d2), ys) - mean_num(f, xs * (1.0 - d2), ys))
     jump = _jump_estimate(e1, e2) / np.abs(m)
     i, j = np.unravel_index(int(np.argmax(jump)), jump.shape)
     add("mean-continuity", jump[i, j], (float(g[i]), float(g[j])))
@@ -180,7 +175,7 @@ def check_axioms(
     worst_h = -np.inf
     witness_h: tuple[float, ...] = (float(g[0]), float(g[0]), _HOMOGENEITY_SCALES[0])
     for c in _HOMOGENEITY_SCALES:
-        hv = np.abs(_mean_on(f, c * xs, c * ys) - c * m) / (c * m)
+        hv = np.abs(mean_num(f, c * xs, c * ys) - c * m) / (c * m)
         i, j = np.unravel_index(int(np.argmax(hv)), hv.shape)
         if hv[i, j] > worst_h:
             worst_h = float(hv[i, j])
@@ -211,7 +206,7 @@ def concavity_probe(
         raise UsageError("concavity probe needs a grid with at least 2 points")
     a = g[:, None]
     b = g[None, :]
-    defect = (f.eval_array(a) + f.eval_array(b)) / 2.0 - f.eval_array((a + b) / 2.0)
+    defect = (f(a) + f(b)) / 2.0 - f((a + b) / 2.0)
     i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
     worst = float(defect[i, j])
     concave = worst <= tol

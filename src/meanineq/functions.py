@@ -10,6 +10,11 @@ recovered as ``f(t) = mean(1, t)``.  This module holds the function
 catalog (arithmetic, WYD family, geometric, harmonic, logarithmic, and a
 deliberately non-concave piecewise-affine entry) plus the scalar-side
 operations; the operator-side analogues live in :mod:`.operator_means`.
+
+``f(t)`` and :func:`mean_num` are the validating scalar entry points.  Every
+mean, whether one pair or all the atoms of a space, is evaluated by the one
+trusted kernel :func:`means`, so the two sides of the expectation inequality
+are computed the same way.
 """
 
 from __future__ import annotations
@@ -66,16 +71,12 @@ class RepresentingFunction:
     claims_operator_monotone: bool = True
 
     def __call__(self, t: ArrayLike) -> ArrayLike:
+        """f(t) for t > 0, elementwise; a float for scalar t.  This is the mean
+        of (t, 1), which the kernel computes exactly: t / 1 and 1 * f add no
+        rounding, so f(t) has the bits of f on an array holding t."""
         arr = _require_positive(t, "t")
-        out = np.asarray(self.fn(arr), dtype=float)
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    def eval_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation without scalar unwrapping (functional calculus)."""
-        arr = _require_positive(t, "t")
-        return np.asarray(self.fn(arr), dtype=float)
+        out = means(self, np.atleast_1d(arr), 1.0)
+        return float(out[0]) if arr.ndim == 0 else out
 
 
 def _arithmetic(x: np.ndarray) -> np.ndarray:
@@ -161,24 +162,22 @@ def get_function(fid: str) -> RepresentingFunction:
     )
 
 
-def eval_f(f: RepresentingFunction, t: float) -> float:
-    """Evaluate the representing function at t > 0."""
-    return float(f(float(t)))
-
-
-def perspective_num(f: RepresentingFunction, x: ArrayLike, t: ArrayLike) -> ArrayLike:
-    """Scalar perspective t * f(x / t) for x, t > 0 (broadcasts)."""
-    xa = _require_positive(x, "x")
-    ta = _require_positive(t, "t")
-    out = ta * np.asarray(f.fn(xa / ta), dtype=float)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def means(f: RepresentingFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The trusted mean kernel: y * f(x / y) on positive arrays of at least one
+    dimension.  Every scalar mean goes through here, so a mean has the same
+    bits alone as inside an array (numpy takes other routines on 0-d values)."""
+    return y * f.fn(x / y)
 
 
 def mean_num(f: RepresentingFunction, x: ArrayLike, y: ArrayLike) -> ArrayLike:
-    """The mean generated by f: y * f(x / y), equal to perspective_num(f, x, y)."""
-    return perspective_num(f, x, y)
+    """The mean generated by f: y * f(x / y) for x, y > 0 (broadcasts); a float
+    when both arguments are scalars."""
+    xa = _require_positive(x, "x")
+    ya = _require_positive(y, "t")
+    out = means(f, np.atleast_1d(xa), np.atleast_1d(ya))
+    if xa.ndim == 0 and ya.ndim == 0:
+        return float(out[0])
+    return out
 
 
 def function_from_mean(mean: Callable[[float, float], float], t: float) -> float:

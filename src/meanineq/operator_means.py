@@ -19,12 +19,12 @@ below the mean of the compressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError, PreconditionError, UsageError
-from .functions import RepresentingFunction, get_function, perspective_num
+from .functions import RepresentingFunction, get_function, mean_num, means
 from .linalg import (
     CLAMP_TOL,
     COND_LIMIT,
@@ -53,9 +53,6 @@ PARTITION_TOL = 1e-10
 #: Relative smallest singular value below which a square factor is treated
 #: as non-invertible for the equality case.
 INVERTIBLE_RTOL = 1e-10
-
-ScalarFn = Union[RepresentingFunction, Callable[[np.ndarray], np.ndarray]]
-
 
 @dataclass(frozen=True)
 class OperatorMeanSpec:
@@ -101,14 +98,8 @@ class TransformerReport:
         return self.verdict == "holds"
 
 
-def _eval_scalar_fn(fn: ScalarFn, lam: np.ndarray) -> np.ndarray:
-    if isinstance(fn, RepresentingFunction):
-        return np.asarray(fn.fn(lam), dtype=float)
-    return np.asarray(fn(lam), dtype=float)
-
-
 def operator_perspective(
-    fn: ScalarFn, a, b, pd_floor: float = PD_FLOOR
+    f: RepresentingFunction, a, b, pd_floor: float = PD_FLOOR
 ) -> np.ndarray:
     """Evaluate the non-commutative perspective P_f(A, B).
 
@@ -116,15 +107,17 @@ def operator_perspective(
     the guard; the inner matrix A^(-1/2) B A^(-1/2) gets the usual roundoff
     clamp before the functional calculus.
     """
+    if not isinstance(f, RepresentingFunction):
+        raise UsageError("operator_perspective needs a RepresentingFunction")
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
     require_pd(spectrum(sb).eigenvalues, "second argument", pd_floor, COND_LIMIT)
-    return perspective_kernel(fn, sa, sb, pd_floor)
+    return perspective_kernel(f, sa, sb, pd_floor)
 
 
 def perspective_kernel(
-    fn: ScalarFn, sa: np.ndarray, sb: np.ndarray, pd_floor: float = PD_FLOOR
+    f: RepresentingFunction, sa: np.ndarray, sb: np.ndarray, pd_floor: float = PD_FLOOR
 ) -> np.ndarray:
     """P_f(A, B) for trusted symmetric A, B of one shape, B known PD within the
     guard.  A and B may be (..., n, n) stacks, one pair per atom (a 2-D pair is
@@ -147,7 +140,7 @@ def perspective_kernel(
                     f"eigenvalue {low!r}; inputs are not numerically positive definite"
                 )
         lam_m = np.where(lam_m[..., :1] <= 0.0, np.maximum(lam_m, CLAMP_TOL), lam_m)
-    images = _eval_scalar_fn(fn, lam_m)
+    images = f.fn(lam_m)
     if not np.isfinite(images).all():
         i = int(np.flatnonzero(~np.isfinite(images).all(axis=-1))[0])
         raise DomainError(
@@ -224,8 +217,7 @@ def commuting_oracle(
         raise UsageError("commuting_oracle needs an OperatorMeanSpec")
     q, da, db = _commuting_pd_pair(a, b, tol, "commuting oracle")
     # Scalar reduction of the perspective: a * f(b / a) per joint eigenvalue.
-    vals = perspective_num(spec.f, db, da)
-    return rebuild(np.asarray(vals, dtype=float), q)
+    return rebuild(means(spec.f, db, da), q)
 
 
 def expectation_state(rho, a) -> float:
@@ -343,8 +335,8 @@ def trace_perspective_check(
     computed via the commuting scalar reduction, not the matrix perspective.
     """
     _, da, db = _commuting_pd_pair(a, b, COMMUTE_TOL, "trace perspective check")
-    trace_side = float(np.sum(perspective_num(f, db, da)))
-    scalar_side = float(perspective_num(f, float(np.sum(db)), float(np.sum(da))))
+    trace_side = float(np.sum(means(f, db, da)))
+    scalar_side = mean_num(f, float(np.sum(db)), float(np.sum(da)))
     if f.claims_concave:
         lhs, rhs = trace_side, scalar_side
     else:

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .functions import SCALAR_TOL, RepresentingFunction, mean_num
+from .functions import SCALAR_TOL, RepresentingFunction, means
 from .linalg import COND_LIMIT, PD_FLOOR, load_matrix, require_pd, sym_matrix
 from .operator_means import MATRIX_TOL, OperatorMeanSpec, perspective_kernel
 from .reports import InequalityReport, inequality_report
@@ -162,14 +162,22 @@ def expectation_scalar(space: FiniteJointSpace, which) -> float:
     if space.mode != MODE_SCALAR:
         raise UsageError(f"expectation_scalar needs a scalar-mode space, got {space.mode!r}")
     if isinstance(which, RepresentingFunction):
-        # Values were validated when the space was built, so y * f(x / y) is
-        # evaluated once on the atom arrays, without mean_num's checks.
-        values = space.y * np.asarray(which.fn(space.x / space.y), dtype=float)
+        # Values were validated when the space was built.
+        values = means(which, space.x, space.y)
     elif isinstance(which, str) and which in ("x", "y"):
         values = getattr(space, which)
     else:
         raise UsageError(f"which must be 'x', 'y' or a representing function, got {which!r}")
     return expectation(space.p, values)
+
+
+def _mean_of_expectations(f: RepresentingFunction, ex: float, ey: float, floor: float) -> float:
+    """The rhs m_f(E X, E Y), evaluated as the atoms' means are.  A sum over
+    valid atoms can still underflow, so both must be finite and above floor."""
+    for name, v in (("E X", ex), ("E Y", ey)):
+        if not floor < v < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {v!r}")
+    return float(means(f, np.array([ex]), np.array([ey]))[0])
 
 
 def verify_numeric(
@@ -182,7 +190,7 @@ def verify_numeric(
     lhs = expectation_scalar(space, f)
     ex = expectation_scalar(space, "x")
     ey = expectation_scalar(space, "y")
-    rhs = float(mean_num(f, ex, ey))
+    rhs = _mean_of_expectations(f, ex, ey, 0.0)
     return inequality_report(
         lhs=lhs,
         rhs=rhs,
@@ -259,11 +267,7 @@ def verify_matrix(
         expectation(space.p, np.einsum("kij,kji->k", space.rho, m))
         for m in (perspective_kernel(spec.f, x, y), x, y)
     ]
-    if ex <= PD_FLOOR or ey <= PD_FLOOR:
-        raise DomainError(
-            f"averaged state expectations must be positive, got {ex!r}, {ey!r}"
-        )
-    rhs = float(mean_num(spec.f, ex, ey))
+    rhs = _mean_of_expectations(spec.f, ex, ey, PD_FLOOR)
     return inequality_report(
         lhs=lhs,
         rhs=rhs,

@@ -296,3 +296,12 @@ def test_nan_tol_is_a_usage_error(tmp_path, capsys):
     )
     assert code == 2 and out == ""
     assert "tol" in err and err.count("\n") == 1
+
+
+def test_underflowing_expectation_is_a_domain_error(tmp_path, capsys):
+    # 0.5 * 5e-324 rounds to 0, so E X is 0 although every atom is positive.
+    space = tmp_path / "underflow.txt"
+    space.write_text("0.5 5e-324 1\n0.5 5e-324 1\n")
+    code, out, err = run_cli(capsys, "verify-num", "--function", "geometric", "--space", str(space))
+    assert code == 2 and out == ""
+    assert "positive" in err and "got 0.0" in err and err.count("\n") == 1

@@ -11,11 +11,9 @@ from meanineq import (
     DomainError,
     UsageError,
     default_grid,
-    eval_f,
     function_from_mean,
     get_function,
     mean_num,
-    perspective_num,
     wyd_function,
 )
 
@@ -27,21 +25,21 @@ CONCAVE = [fid for fid in CATALOG if fid != "counterexample-g"]
 
 
 def test_eval_examples():
-    assert eval_f(get_function("geometric"), 4.0) == 2.0
-    assert eval_f(get_function("arithmetic"), 1.0) == 1.0
+    assert get_function("geometric")(4.0) == 2.0
+    assert get_function("arithmetic")(1.0) == 1.0
     # direct evaluation of the upper affine branch (3*2 + 1) / 4
-    assert eval_f(get_function("counterexample-g"), 2.0) == 1.75
+    assert get_function("counterexample-g")(2.0) == 1.75
     # lower branch (0.5 + 3) / 4
-    assert eval_f(get_function("counterexample-g"), 0.5) == 0.875
+    assert get_function("counterexample-g")(0.5) == 0.875
     # both branches agree at the kink
-    assert eval_f(get_function("counterexample-g"), 1.0) == 1.0
+    assert get_function("counterexample-g")(1.0) == 1.0
 
 
 def test_logarithmic_limit_at_one():
     f = get_function("logarithmic")
-    assert eval_f(f, 1.0) == 1.0
+    assert f(1.0) == 1.0
     # continuous extension engages just off 1, stays within the branch cut error
-    assert eval_f(f, 1.0 + 1e-13) == pytest.approx(1.0, abs=1e-12)
+    assert f(1.0 + 1e-13) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("x", [1.0 - 1e-13, 1.0 + 1e-13, 1.0 + 1e-10])
@@ -49,15 +47,15 @@ def test_logarithmic_near_one_matches_high_precision(x):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         exact = (mpmath.mpf(x) - 1) / mpmath.log(mpmath.mpf(x))
-        rel = abs((mpmath.mpf(eval_f(get_function("logarithmic"), x)) - exact) / exact)
+        rel = abs((mpmath.mpf(get_function("logarithmic")(x)) - exact) / exact)
     assert rel <= 1e-15
 
 
 def test_perspective_examples():
-    assert perspective_num(get_function("geometric"), 4.0, 1.0) == 2.0
-    assert perspective_num(get_function("arithmetic"), 3.0, 5.0) == 4.0
+    assert mean_num(get_function("geometric"), 4.0, 1.0) == 2.0
+    assert mean_num(get_function("arithmetic"), 3.0, 5.0) == 4.0
     # 3 * harmonic_f(1/3) = 3 * (2/3) / (4/3) = 1.5
-    assert perspective_num(get_function("harmonic"), 1.0, 3.0) == pytest.approx(1.5, abs=1e-15)
+    assert mean_num(get_function("harmonic"), 1.0, 3.0) == pytest.approx(1.5, abs=1e-15)
 
 
 def test_mean_examples():
@@ -83,7 +81,16 @@ def test_bijection_round_trip(fid):
     f = get_function(fid)
     for t in default_grid():
         recovered = function_from_mean(lambda x, y: mean_num(f, x, y), float(t))
-        assert recovered == pytest.approx(eval_f(f, float(t)), abs=1e-12)
+        assert recovered == pytest.approx(f(float(t)), abs=1e-12)
+
+
+@pytest.mark.parametrize("fid", CATALOG + ["wyd:0.1", "wyd:0.75"])
+def test_scalar_mean_has_the_bits_of_the_array_mean(fid):
+    f = get_function(fid)
+    xs, ys = 2.0 ** np.random.default_rng(11).uniform(-20.0, 20.0, size=(2, 2000))
+    alone = [mean_num(f, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert alone == mean_num(f, xs, ys).tolist()
+    assert [f(x) for x in xs.tolist()] == f(xs).tolist()
 
 
 # --- invariants over the probe grid ---
@@ -92,17 +99,17 @@ def test_bijection_round_trip(fid):
 @pytest.mark.parametrize("fid", CATALOG)
 def test_normalization_and_symmetry_equation(fid):
     f = get_function(fid)
-    assert abs(eval_f(f, 1.0) - 1.0) <= 1e-12
+    assert abs(f(1.0) - 1.0) <= 1e-12
     for t in default_grid():
         t = float(t)
-        lhs = t * eval_f(f, 1.0 / t)
-        rhs = eval_f(f, t)
+        lhs = t * f(1.0 / t)
+        rhs = f(t)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 @pytest.mark.parametrize("fid", CATALOG)
 def test_strictly_increasing_on_grid(fid):
-    vals = get_function(fid).eval_array(default_grid())
+    vals = get_function(fid)(default_grid())
     assert np.all(np.diff(vals) > 0.0)
 
 
@@ -156,15 +163,15 @@ def test_joint_concavity_of_concave_means(fid):
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_eval_rejects_nonpositive(bad):
     with pytest.raises(DomainError):
-        eval_f(get_function("geometric"), bad)
+        get_function("geometric")(bad)
 
 
 def test_perspective_rejects_nonpositive():
     f = get_function("geometric")
     with pytest.raises(DomainError):
-        perspective_num(f, -1.0, 2.0)
+        mean_num(f, -1.0, 2.0)
     with pytest.raises(DomainError):
-        perspective_num(f, 1.0, 0.0)
+        mean_num(f, 1.0, 0.0)
     with pytest.raises(DomainError):
         mean_num(f, 1.0, -2.0)
     with pytest.raises(DomainError):

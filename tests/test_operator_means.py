@@ -10,6 +10,7 @@ from meanineq import (
     NotPositiveDefiniteError,
     OperatorMeanSpec,
     PreconditionError,
+    RepresentingFunction,
     UsageError,
     check_jensen_sum,
     check_transformer,
@@ -58,7 +59,7 @@ def test_spec_admission():
 
 
 def test_perspective_identity_function_returns_b():
-    p = operator_perspective(lambda x: x, A22, B22)
+    p = operator_perspective(RepresentingFunction("identity", lambda x: x), A22, B22)
     assert frobenius(p - B22) <= 1e-8 * frobenius(B22)
 
 

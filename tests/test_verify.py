@@ -385,3 +385,21 @@ def test_array_means_match_the_per_atom_loop(fid):
             assert abs(got - ref) <= 4 * math.ulp(ref)
         else:
             assert got == ref
+
+
+def test_underflowing_expectation_is_rejected():
+    # Every atom is positive, but 0.5 * 5e-324 rounds to 0, so E X is 0.
+    space = scalar_space([(0.5, 5e-324, 1.0), (0.5, 5e-324, 1.0)])
+    with pytest.raises(DomainError, match=r"positive.*got 0\.0"):
+        verify_numeric(space, GEO)
+
+
+@pytest.mark.parametrize("fid", SPECS + ["wyd:0.1", "wyd:0.75", "counterexample-g"])
+def test_one_atom_space_has_zero_gap(fid):
+    # With one atom, lhs and rhs are the same mean of the same numbers.
+    from meanineq.campaign import sample_scalar_space
+
+    f = get_function(fid)
+    rng = np.random.default_rng(5)
+    gaps = [verify_numeric(sample_scalar_space(rng, (1, 1)), f).gap for _ in range(900)]
+    assert gaps == [0.0] * 900
