@@ -73,6 +73,12 @@ def _prepare_grid(grid) -> np.ndarray:
     return arr
 
 
+def _require_tol(tol) -> float:
+    if not (isinstance(tol, (int, float)) and 0.0 < tol < float("inf")):
+        raise UsageError(f"tol must be finite and positive, got {tol!r}")
+    return float(tol)
+
+
 def _jump_estimate(spread_small: np.ndarray, spread_big: np.ndarray) -> np.ndarray:
     return (10.0 * spread_small - spread_big) / 9.0
 
@@ -98,8 +104,7 @@ def check_axioms(
     increase, continuity).  Violations are relative wherever a natural
     scale exists, so a single tolerance is meaningful across checks.
     """
-    if not (isinstance(tol, (int, float)) and tol > 0.0):
-        raise UsageError(f"tol must be positive, got {tol!r}")
+    tol = _require_tol(tol)
     g = _prepare_grid(grid)
     n = g.size
     checks: list[AxiomCheck] = []
@@ -184,7 +189,7 @@ def check_axioms(
 
     return AxiomReport(
         function=f.id,
-        tol=float(tol),
+        tol=tol,
         grid_lo=float(g[0]),
         grid_hi=float(g[-1]),
         grid_points=n,
@@ -201,6 +206,7 @@ def concavity_probe(
     the witness is the worst such pair.  A "concave" verdict only means no
     violation was found at this grid resolution.
     """
+    tol = _require_tol(tol)
     g = _prepare_grid(grid)
     if g.size < 2:
         raise UsageError("concavity probe needs a grid with at least 2 points")
@@ -212,5 +218,5 @@ def concavity_probe(
     concave = worst <= tol
     witness = None if concave else (float(min(g[i], g[j])), float(max(g[i], g[j])))
     return ConcavityVerdict(
-        function=f.id, concave=concave, defect=worst, witness=witness, tol=float(tol)
+        function=f.id, concave=concave, defect=worst, witness=witness, tol=tol
     )

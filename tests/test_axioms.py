@@ -94,3 +94,13 @@ def test_concavity_default_grid_labels_only_g():
 def test_concavity_needs_two_points():
     with pytest.raises(UsageError):
         concavity_probe(get_function("geometric"), [1.0])
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
+def test_probes_need_a_finite_positive_tol(tol):
+    # With tol = inf a non-symmetric f would pass every check, and
+    # counterexample-g would read as concave.
+    with pytest.raises(UsageError, match="tol"):
+        check_axioms(RepresentingFunction("bad", lambda x: x), tol=tol)
+    with pytest.raises(UsageError, match="tol"):
+        concavity_probe(get_function("counterexample-g"), tol=tol)

@@ -298,6 +298,12 @@ def test_nan_tol_is_a_usage_error(tmp_path, capsys):
     assert "tol" in err and err.count("\n") == 1
 
 
+def test_axioms_inf_tol_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "axioms", "--function", "geometric", "--tol", "inf")
+    assert code == 2 and out == ""
+    assert "tol" in err and err.count("\n") == 1
+
+
 def test_underflowing_expectation_is_a_domain_error(tmp_path, capsys):
     # 0.5 * 5e-324 rounds to 0, so E X is 0 although every atom is positive.
     space = tmp_path / "underflow.txt"
