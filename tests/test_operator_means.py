@@ -63,6 +63,11 @@ def test_perspective_identity_function_returns_b():
     assert frobenius(p - B22) <= 1e-8 * frobenius(B22)
 
 
+def test_perspective_needs_a_representing_function():
+    with pytest.raises(UsageError, match="RepresentingFunction"):
+        operator_perspective(lambda x: x, A22, B22)
+
+
 def test_perspective_identity_first_argument():
     p = operator_perspective(get_function("geometric"), np.eye(2), B22)
     assert np.allclose(p, sqrt_pd(B22), atol=1e-12)
