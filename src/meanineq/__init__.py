@@ -46,19 +46,15 @@ from .functions import (
 )
 from .linalg import (
     SpectralDecomposition,
-    apply_function,
     congruence,
     frobenius,
-    inv_sqrt_pd,
     load_matrix,
     loewner_leq,
-    matmul,
     min_eigenvalue,
     save_matrix,
     sqrt_pd,
     sym_eigen,
     sym_matrix,
-    trace,
 )
 from .operator_means import (
     OperatorMeanSpec,
@@ -81,7 +77,6 @@ from .verify import (
     expectation_scalar,
     load_space,
     matrix_space,
-    save_space,
     scalar_space,
     space_to_jsonable,
     verify_numeric,

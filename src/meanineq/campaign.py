@@ -24,7 +24,7 @@ from .errors import UsageError
 from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import MATRIX_TOL, OperatorMeanSpec
-from .reports import InequalityReport
+from .reports import VERDICT_VIOLATED, InequalityReport
 from .sampling import sample_atom_stacks, split_rng
 from .verify import (
     MODE_MATRIX,
@@ -91,7 +91,9 @@ def validate_config(config: CampaignConfig) -> None:
         raise UsageError(f"mode must be one of {MODES}, got {config.mode!r}")
     if not config.functions:
         raise UsageError("campaign needs at least one function id")
-    for fid in config.functions:
+    for i, fid in enumerate(config.functions):
+        if fid in config.functions[:i]:
+            raise UsageError(f"function id {fid!r} is listed more than once")
         f = get_function(fid)
         if config.mode in ("op", "rm"):
             OperatorMeanSpec(f)
@@ -261,15 +263,16 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
         for fi, fid in enumerate(config.functions)
         for t in range(config.trials)
     ]
-    gaps = [_run_trial(config, fid, fi, t).gap for fid, fi, t in tasks]
+    reports = [_run_trial(config, fid, fi, t) for fid, fi, t in tasks]
 
     tol = config.resolved_tol()
     per_function: dict[str, FunctionStats] = {}
     violations = 0
     worst: tuple[float, int, int] | None = None
     for fi, fid in enumerate(config.functions):
-        chunk = gaps[fi * config.trials : (fi + 1) * config.trials]
-        fviol = sum(1 for g in chunk if g < -tol)
+        block = reports[fi * config.trials : (fi + 1) * config.trials]
+        chunk = [r.gap for r in block]
+        fviol = sum(1 for r in block if r.verdict == VERDICT_VIOLATED)
         violations += fviol
         per_function[fid] = FunctionStats(
             trials=len(chunk),

@@ -173,7 +173,7 @@ def mean_num(f: RepresentingFunction, x: ArrayLike, y: ArrayLike) -> ArrayLike:
     """The mean generated by f: y * f(x / y) for x, y > 0 (broadcasts); a float
     when both arguments are scalars."""
     xa = _require_positive(x, "x")
-    ya = _require_positive(y, "t")
+    ya = _require_positive(y, "y")
     out = means(f, np.atleast_1d(xa), np.atleast_1d(ya))
     if xa.ndim == 0 and ya.ndim == 0:
         return float(out[0])

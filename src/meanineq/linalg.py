@@ -1,18 +1,19 @@
-"""Dense real symmetric linear algebra: eigen-calculus and order tests.
+"""Dense real symmetric linear algebra: eigensolves, square roots and order tests.
 
 Matrices are plain float64 ``numpy`` arrays; :func:`sym_matrix` is the
 validating constructor used at every public boundary (it enforces squareness,
 finiteness, the supported dimension range and exact symmetry by averaging).
 The eigensolver is LAPACK's symmetric driver via ``numpy.linalg.eigh``,
 wrapped so that eigenvalues are ascending and failures surface as package
-errors; everything downstream (functional calculus, square roots, Loewner
-comparisons) goes through it.
+errors.  :func:`rebuild` is the one reconstruction Q diag(lam) Q^T from a
+spectrum: square roots, the perspective kernel and the commuting oracle all
+assemble their matrices through it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,8 @@ MAX_DIM = 64
 #: Condition-number guard for perspective computations.
 COND_LIMIT = 1e8
 
-#: Roundoff protection: eigenvalues this far below a positive domain floor
-#: are clamped up instead of rejected (see apply_function).
+#: Roundoff protection: inner perspective eigenvalues this far below zero are
+#: clamped up instead of rejected (see operator_means.perspective_kernel).
 CLAMP_TOL = 1e-12
 
 #: Largest symmetry violation accepted by the text-format loader.
@@ -85,52 +86,9 @@ def spectrum(s: np.ndarray) -> SpectralDecomposition:
 
 
 def rebuild(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Assemble Q diag(lam) Q^T, re-symmetrized to absorb roundoff."""
-    return sym_matrix((q * lam) @ q.T)
-
-
-def apply_function(
-    a,
-    fn: Callable[[np.ndarray], np.ndarray],
-    domain_floor: float | None = None,
-    clamp_tol: float = 0.0,
-) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix via its eigenvalues.
-
-    Parameters
-    ----------
-    a : array_like
-        Symmetric input matrix.
-    fn : callable
-        Vectorized scalar function applied to the eigenvalue array.
-    domain_floor : float, optional
-        Every eigenvalue must exceed this (0 for functions on the open
-        positive half-line).  Violations raise a domain error carrying the
-        offending eigenvalue.
-    clamp_tol : float
-        Roundoff protection for matrices that are positive (semi)definite by
-        construction: eigenvalues within ``clamp_tol`` below ``domain_floor``
-        are clamped up to ``domain_floor + clamp_tol`` instead of rejected.
-
-    Returns
-    -------
-    numpy.ndarray
-        Q diag(fn(lam)) Q^T, re-symmetrized.
-    """
-    lam, q = sym_eigen(a)
-    if domain_floor is not None:
-        low = float(lam[0])
-        if low <= domain_floor:
-            if clamp_tol > 0.0 and low > domain_floor - clamp_tol:
-                lam = np.maximum(lam, domain_floor + clamp_tol)
-            else:
-                raise DomainError(
-                    f"eigenvalue {low!r} at or below domain floor {domain_floor!r}"
-                )
-    out = np.asarray(fn(lam), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("scalar function produced non-finite eigenvalue images")
-    return rebuild(out, q)
+    """Q diag(lam) Q^T, re-symmetrized to absorb roundoff, for a trusted
+    spectrum: lam and q may be (..., n) and (..., n, n) stacks, one per slice."""
+    return symmetrize((q * lam[..., None, :]) @ q.swapaxes(-1, -2))
 
 
 def require_pd(
@@ -171,13 +129,6 @@ def sqrt_pd(a, pd_floor: float = PD_FLOOR) -> np.ndarray:
     return rebuild(np.sqrt(lam), q)
 
 
-def inv_sqrt_pd(a, pd_floor: float = PD_FLOOR) -> np.ndarray:
-    """Inverse positive-definite square root; same domain policy as sqrt_pd."""
-    lam, q = sym_eigen(a)
-    require_pd(lam, "matrix", pd_floor)
-    return rebuild(1.0 / np.sqrt(lam), q)
-
-
 def min_eigenvalue(a) -> float:
     return float(np.linalg.eigvalsh(sym_matrix(a))[0])
 
@@ -190,23 +141,8 @@ def loewner_leq(a, b, tol: float = 1e-12) -> bool:
     return min_eigenvalue(sb - sa) >= -tol
 
 
-def trace(a) -> float:
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise UsageError(f"trace needs a square matrix, got shape {m.shape}")
-    return float(np.trace(m))
-
-
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
-
-
-def matmul(a, b) -> np.ndarray:
-    ma = np.asarray(a, dtype=float)
-    mb = np.asarray(b, dtype=float)
-    if ma.ndim != 2 or mb.ndim != 2 or ma.shape[1] != mb.shape[0]:
-        raise UsageError(f"incompatible shapes for matmul: {ma.shape} and {mb.shape}")
-    return ma @ mb
 
 
 def congruence(c, a) -> np.ndarray:

@@ -126,10 +126,9 @@ def perspective_kernel(
     and the inner matrix's."""
     lam_a, q_a = spectrum(sa)
     require_pd(lam_a, "first argument", pd_floor, COND_LIMIT)
-    root = np.sqrt(lam_a)[..., None, :]
-    q_at = q_a.swapaxes(-1, -2)
-    sqrt_a = symmetrize((q_a * root) @ q_at)
-    inv_sqrt_a = symmetrize((q_a * (1.0 / root)) @ q_at)
+    root = np.sqrt(lam_a)
+    sqrt_a = rebuild(root, q_a)
+    inv_sqrt_a = rebuild(1.0 / root, q_a)
     lam_m, q_m = spectrum(symmetrize(inv_sqrt_a @ sb @ inv_sqrt_a))
     lows = lam_m[..., 0].ravel().tolist()
     if min(lows) <= 0.0:
@@ -147,8 +146,7 @@ def perspective_kernel(
             f"{atom_label('scalar function', i, len(lows))} produced non-finite "
             "eigenvalue images"
         )
-    f_inner = symmetrize((q_m * images[..., None, :]) @ q_m.swapaxes(-1, -2))
-    return symmetrize(sqrt_a @ f_inner @ sqrt_a)
+    return symmetrize(sqrt_a @ rebuild(images, q_m) @ sqrt_a)
 
 
 def operator_mean(spec: OperatorMeanSpec, a, b) -> np.ndarray:
@@ -217,7 +215,10 @@ def commuting_oracle(
         raise UsageError("commuting_oracle needs an OperatorMeanSpec")
     q, da, db = _commuting_pd_pair(a, b, tol, "commuting oracle")
     # Scalar reduction of the perspective: a * f(b / a) per joint eigenvalue.
-    return rebuild(means(spec.f, db, da), q)
+    images = means(spec.f, db, da)
+    if not np.isfinite(images).all():
+        raise DomainError("commuting oracle: scalar means are not all finite")
+    return rebuild(images, q)
 
 
 def expectation_state(rho, a) -> float:

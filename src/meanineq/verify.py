@@ -92,8 +92,9 @@ def scalar_space(entries) -> FiniteJointSpace:
     """Build a scalar-mode space from (probability, x, y) triples."""
     probs, xs, ys = [], [], []
     for entry in entries:
-        p, x, y = entry
-        p, x, y = float(p), float(x), float(y)
+        if len(entry) != 3:
+            raise UsageError("scalar atoms are (p, x, y) triples")
+        p, x, y = map(float, entry)
         if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
             raise DomainError(f"scalar atom values must be positive, got ({x!r}, {y!r})")
         probs.append(p)
@@ -333,17 +334,6 @@ def load_space(path) -> FiniteJointSpace:
         else:
             entries.append((prob, x, y))
     return matrix_space(entries)
-
-
-def save_space(path, space: FiniteJointSpace) -> None:
-    """Write a scalar-mode space in the line format with 17-digit values."""
-    if space.mode != MODE_SCALAR:
-        raise UsageError("only scalar-mode spaces can be saved to the line format")
-    lines = [
-        f"{p:.17g} {x:.17g} {y:.17g}"
-        for p, x, y in zip(space.p.tolist(), space.x.tolist(), space.y.tolist())
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def space_to_jsonable(space: FiniteJointSpace) -> dict:

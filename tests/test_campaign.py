@@ -15,6 +15,7 @@ from meanineq import (
     split_rng,
     validate_config,
 )
+from meanineq.campaign import _run_trial
 
 CFG_TEXT = """
 # scalar sanity campaign
@@ -69,6 +70,9 @@ def test_validate_config_direct():
         validate_config(CampaignConfig(mode="num", functions=(), trials=1))
     with pytest.raises(UsageError):
         validate_config(CampaignConfig(mode="num", functions=("geometric",), trials=-1))
+    twice = ("counterexample-g", "counterexample-g")
+    with pytest.raises(UsageError, match="'counterexample-g'"):
+        validate_config(CampaignConfig(mode="num", functions=twice, trials=20))
 
 
 def test_zero_trials_empty_summary():
@@ -106,6 +110,18 @@ def test_scalar_campaign_counterexample_violates():
     space = scalar_space([tuple(a) for a in wc["space"]["atoms"]])
     rep = verify_numeric(space, get_function("counterexample-g"))
     assert rep.gap == summary.worst_gap
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.05])
+def test_violations_count_the_trial_verdicts(tol):
+    cfg = CampaignConfig(
+        mode="num", functions=("geometric", "counterexample-g"), trials=40, tol=tol, seed=5
+    )
+    summary = run_campaign(cfg)
+    for fi, fid in enumerate(cfg.functions):
+        verdicts = [_run_trial(cfg, fid, fi, t).verdict for t in range(cfg.trials)]
+        assert summary.per_function[fid].violations == verdicts.count("violated")
+    assert summary.per_function["counterexample-g"].violations > 0
 
 
 def test_campaign_determinism_and_parallel_equivalence():

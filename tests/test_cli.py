@@ -289,6 +289,14 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
         assert "seed" in err and err.count("\n") == 1
 
 
+def test_duplicate_function_id_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text("mode = num\nfunctions = counterexample-g, counterexample-g\ntrials = 20\n")
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "counterexample-g" in err and err.count("\n") == 1
+
+
 def test_nan_tol_is_a_usage_error(tmp_path, capsys):
     space = write_two_atom_space(tmp_path)
     code, out, err = run_cli(

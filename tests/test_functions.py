@@ -168,11 +168,11 @@ def test_eval_rejects_nonpositive(bad):
 
 def test_perspective_rejects_nonpositive():
     f = get_function("geometric")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="x must be"):
         mean_num(f, -1.0, 2.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="y must be"):
         mean_num(f, 1.0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="y must be"):
         mean_num(f, 1.0, -2.0)
     with pytest.raises(DomainError):
         function_from_mean(lambda x, y: x, 0.0)

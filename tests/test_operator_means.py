@@ -204,6 +204,13 @@ def test_oracle_rejects_non_commuting():
         commuting_oracle(spec, A22, B22)
 
 
+def test_oracle_rejects_non_finite_images():
+    blowup = RepresentingFunction("blowup", lambda x: np.where(x > 1.5, np.inf, x))
+    spec = OperatorMeanSpec(blowup)
+    with pytest.raises(DomainError):
+        commuting_oracle(spec, np.eye(2), np.diag([1.0, 2.0]))
+
+
 def test_oracle_handles_degenerate_spectrum():
     spec = operator_mean_spec("geometric")
     b = spd((53, 0), 3)

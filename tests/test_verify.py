@@ -17,7 +17,6 @@ from meanineq import (
     operator_mean_spec,
     sample_density,
     sample_spd,
-    save_space,
     scalar_space,
     split_rng,
     verify_numeric,
@@ -41,6 +40,9 @@ def test_space_validation():
         scalar_space([(1.0, -1.0, 1.0)])
     with pytest.raises(DomainError):
         scalar_space([(1.0, 1.0, float("nan"))])
+    for entry in [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)]:
+        with pytest.raises(UsageError, match=r"scalar atoms are \(p, x, y\) triples"):
+            scalar_space([entry])
 
 
 def test_matrix_space_validation():
@@ -287,9 +289,8 @@ def test_random_matrix_requires_densities():
 
 
 def test_space_file_round_trip(tmp_path):
-    space = scalar_space([(0.25, 0.5, 1.5), (0.75, 2.0, 1.0)])
     path = tmp_path / "space.txt"
-    save_space(path, space)
+    path.write_text("0.25 0.5 1.5\n0.75 2 1\n")
     loaded = load_space(path)
     assert loaded.mode == "scalar"
     assert [(a.probability, a.x, a.y) for a in loaded.atoms] == [
