@@ -71,10 +71,8 @@ from .operator_means import (
 from .reports import InequalityReport, classify_gap, inequality_report
 from .sampling import check_density, sample_density, sample_spd, split_rng
 from .verify import (
-    Atom,
     FiniteJointSpace,
     construct_counterexample,
-    expectation_scalar,
     load_space,
     matrix_space,
     scalar_space,

@@ -27,8 +27,6 @@ from .operator_means import MATRIX_TOL, OperatorMeanSpec
 from .reports import VERDICT_VIOLATED, InequalityReport
 from .sampling import sample_atom_stacks, split_rng
 from .verify import (
-    MODE_MATRIX,
-    MODE_SCALAR,
     SCALAR_TOL,
     FiniteJointSpace,
     construct_counterexample,
@@ -110,12 +108,13 @@ def validate_config(config: CampaignConfig) -> None:
 
 
 def _parse_range(value: str, key: str) -> tuple[int, int]:
-    parts = value.split("-") if "-" in value else [value, value]
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except (ValueError, IndexError):
-        raise UsageError(f"config key {key!r} needs 'min-max' or a single integer, got {value!r}") from None
-    return lo, hi
+    parts = value.split("-")
+    if len(parts) <= 2:
+        try:
+            return int(parts[0]), int(parts[-1])
+        except ValueError:
+            pass
+    raise UsageError(f"config key {key!r} needs 'min-max' or a single integer, got {value!r}")
 
 
 def parse_campaign_config(text: str) -> CampaignConfig:
@@ -200,7 +199,7 @@ def sample_scalar_space(
     p = _dirichlet_probs(rng, k)
     x = _log_uniform_values(rng, k)
     y = _log_uniform_values(rng, k)
-    return FiniteJointSpace(MODE_SCALAR, p, x, y)
+    return FiniteJointSpace(p, x, y)
 
 
 def sample_operator_triple(
@@ -223,7 +222,7 @@ def sample_matrix_space(
     k = int(rng.integers(atoms[0], atoms[1] + 1))
     p = _dirichlet_probs(rng, k)
     rho, x, y = sample_atom_stacks(k, n, rng)
-    return FiniteJointSpace(MODE_MATRIX, p, x, y, rho)
+    return FiniteJointSpace(p, x, y, rho)
 
 
 def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
@@ -233,7 +232,7 @@ def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
         return sample_scalar_space(rng, config.atoms)
     if config.mode == "op":
         rho, a, b = sample_operator_triple(rng, config.dims)
-        return FiniteJointSpace(MODE_MATRIX, np.ones(1), a[None], b[None], rho[None])
+        return FiniteJointSpace(np.ones(1), a[None], b[None], rho[None])
     return sample_matrix_space(rng, config.dims, config.atoms)
 
 

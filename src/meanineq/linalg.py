@@ -122,10 +122,10 @@ def atom_label(label: str, i: int, count: int) -> str:
     return f"{label} of atom {i}" if count > 1 else label
 
 
-def sqrt_pd(a, pd_floor: float = PD_FLOOR) -> np.ndarray:
-    """Positive-definite square root; rejects matrices with min eigenvalue <= floor."""
+def sqrt_pd(a) -> np.ndarray:
+    """Positive-definite square root; rejects matrices with min eigenvalue <= PD_FLOOR."""
     lam, q = sym_eigen(a)
-    require_pd(lam, "matrix", pd_floor)
+    require_pd(lam, "matrix", PD_FLOOR)
     return rebuild(np.sqrt(lam), q)
 
 

@@ -98,9 +98,7 @@ class TransformerReport:
         return self.verdict == "holds"
 
 
-def operator_perspective(
-    f: RepresentingFunction, a, b, pd_floor: float = PD_FLOOR
-) -> np.ndarray:
+def operator_perspective(f: RepresentingFunction, a, b) -> np.ndarray:
     """Evaluate the non-commutative perspective P_f(A, B).
 
     Both arguments must be positive definite with condition number within
@@ -112,20 +110,18 @@ def operator_perspective(
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
-    require_pd(spectrum(sb).eigenvalues, "second argument", pd_floor, COND_LIMIT)
-    return perspective_kernel(f, sa, sb, pd_floor)
+    require_pd(spectrum(sb).eigenvalues, "second argument", PD_FLOOR, COND_LIMIT)
+    return perspective_kernel(f, sa, sb)
 
 
-def perspective_kernel(
-    f: RepresentingFunction, sa: np.ndarray, sb: np.ndarray, pd_floor: float = PD_FLOOR
-) -> np.ndarray:
+def perspective_kernel(f: RepresentingFunction, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """P_f(A, B) for trusted symmetric A, B of one shape, B known PD within the
     guard.  A and B may be (..., n, n) stacks, one pair per atom (a 2-D pair is
     a stack of one); every slice gets the checks a single pair gets.  Two
     stacked eigensolves, whatever the stack size: A's, which also checks A,
     and the inner matrix's."""
     lam_a, q_a = spectrum(sa)
-    require_pd(lam_a, "first argument", pd_floor, COND_LIMIT)
+    require_pd(lam_a, "first argument", PD_FLOOR, COND_LIMIT)
     root = np.sqrt(lam_a)
     sqrt_a = rebuild(root, q_a)
     inv_sqrt_a = rebuild(1.0 / root, q_a)
@@ -299,10 +295,11 @@ def check_jensen_sum(
     if len(triples) == 0:
         raise UsageError("check_jensen_sum needs at least one (c, A, B) triple")
     cs = [np.asarray(c, dtype=float) for c, _, _ in triples]
-    n = cs[0].shape[0]
-    if any(c.ndim != 2 or c.shape[0] != n for c in cs):
+    if any(c.ndim != 2 for c in cs):
+        raise UsageError("congruence factors must be 2-D matrices")
+    n, k = cs[0].shape
+    if any(c.shape[0] != n for c in cs):
         raise UsageError("all congruence factors must share the same row dimension")
-    k = cs[0].shape[1]
     if any(c.shape[1] != k for c in cs):
         raise UsageError("all congruence factors must share the same column dimension")
     total = sum(c.T @ c for c in cs)

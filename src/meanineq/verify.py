@@ -10,8 +10,10 @@ Three settings share that shape:
 * random matrix: atom-wise state expectations averaged over a finite space.
 
 All sums are exact weighted sums over atoms; no Monte Carlo error enters the
-verdicts (campaigns sample the *instances*, not the integrals).  A space holds
-its atoms as arrays, so a mean is evaluated on all atoms at once.
+verdicts (campaigns sample the *instances*, not the integrals).  A space is
+its arrays, and its mode is the rank of x.  Each verifier turns a space into
+per-atom values of the mean, X and Y and hands them to one tail, which forms
+the three weighted sums and applies the mean to E X and E Y.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -36,14 +37,6 @@ MODE_SCALAR = "scalar"
 MODE_MATRIX = "matrix"
 
 
-@dataclass(frozen=True)
-class Atom:
-    probability: float
-    x: Union[float, np.ndarray]
-    y: Union[float, np.ndarray]
-    rho: np.ndarray | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteJointSpace:
     """Finite probability space: the validated form that verifiers trust.
@@ -51,30 +44,21 @@ class FiniteJointSpace:
     Built by scalar_space/matrix_space/load_space, or by samplers whose
     values are valid by construction.  Atom i is (p[i], x[i], y[i], rho[i]):
     x and y are (k,) in scalar mode and (k, n, n) in matrix mode, where rho
-    is a (k, n, n) stack of densities or None.  Equality is identity."""
+    is a (k, n, n) stack of densities or None.  The mode is read from the
+    rank of x.  Equality is identity."""
 
-    mode: str
     p: np.ndarray
     x: np.ndarray
     y: np.ndarray
     rho: np.ndarray | None = None
 
     @property
-    def atoms(self) -> tuple[Atom, ...]:
-        """Per-atom view: floats in scalar mode, slices of the stacks in matrix mode."""
-        x, y = (self.x.tolist(), self.y.tolist()) if self.mode == MODE_SCALAR else (self.x, self.y)
-        rho = [None] * len(self.p) if self.rho is None else self.rho
-        return tuple([Atom(*a) for a in zip(self.p.tolist(), x, y, rho)])
+    def mode(self) -> str:
+        return MODE_SCALAR if self.x.ndim == 1 else MODE_MATRIX
 
     @property
     def dims(self) -> int:
-        if self.mode == MODE_SCALAR:
-            return 1
-        return int(self.x.shape[-1])
-
-    @property
-    def has_densities(self) -> bool:
-        return self.rho is not None
+        return 1 if self.x.ndim == 1 else int(self.x.shape[-1])
 
 
 def _check_probabilities(probs: list[float]) -> None:
@@ -101,7 +85,7 @@ def scalar_space(entries) -> FiniteJointSpace:
         xs.append(x)
         ys.append(y)
     _check_probabilities(probs)
-    return FiniteJointSpace(MODE_SCALAR, np.array(probs), np.array(xs), np.array(ys))
+    return FiniteJointSpace(np.array(probs), np.array(xs), np.array(ys))
 
 
 def matrix_space(entries) -> FiniteJointSpace:
@@ -142,7 +126,7 @@ def matrix_space(entries) -> FiniteJointSpace:
     if 0 < len(rhos) < len(probs):
         raise UsageError("either every atom of a matrix space carries a density or none does")
     rho = np.stack(rhos) if rhos else None
-    return FiniteJointSpace(MODE_MATRIX, np.array(probs), np.stack(xs), np.stack(ys), rho)
+    return FiniteJointSpace(np.array(probs), np.stack(xs), np.stack(ys), rho)
 
 
 def expectation(p: np.ndarray, v: np.ndarray) -> float:
@@ -154,33 +138,6 @@ def expectation(p: np.ndarray, v: np.ndarray) -> float:
     return total
 
 
-def expectation_scalar(space: FiniteJointSpace, which) -> float:
-    """Exact expectation over a scalar space.
-
-    ``which`` selects the integrand: "x", "y", or a representing function f
-    for the atom-wise mean m_f(x, y).
-    """
-    if space.mode != MODE_SCALAR:
-        raise UsageError(f"expectation_scalar needs a scalar-mode space, got {space.mode!r}")
-    if isinstance(which, RepresentingFunction):
-        # Values were validated when the space was built.
-        values = means(which, space.x, space.y)
-    elif isinstance(which, str) and which in ("x", "y"):
-        values = getattr(space, which)
-    else:
-        raise UsageError(f"which must be 'x', 'y' or a representing function, got {which!r}")
-    return expectation(space.p, values)
-
-
-def _mean_of_expectations(f: RepresentingFunction, ex: float, ey: float, floor: float) -> float:
-    """The rhs m_f(E X, E Y), evaluated as the atoms' means are.  A sum over
-    valid atoms can still underflow, so both must be finite and above floor."""
-    for name, v in (("E X", ex), ("E Y", ey)):
-        if not floor < v < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {v!r}")
-    return float(means(f, np.array([ex]), np.array([ey]))[0])
-
-
 def verify_numeric(
     space: FiniteJointSpace,
     f: RepresentingFunction,
@@ -188,20 +145,13 @@ def verify_numeric(
     seed: int | None = None,
 ) -> InequalityReport:
     """Scalar expectation inequality: E(m_f(X,Y)) vs m_f(E X, E Y), exact sums."""
-    lhs = expectation_scalar(space, f)
-    ex = expectation_scalar(space, "x")
-    ey = expectation_scalar(space, "y")
-    rhs = _mean_of_expectations(f, ex, ey, 0.0)
-    return inequality_report(
-        lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        function=f.id,
-        mode="num",
-        dims=1,
-        atoms=len(space.p),
-        seed=seed,
-    )
+    if space.mode != MODE_SCALAR:
+        raise UsageError(f"verify_numeric needs a scalar-mode space, got {space.mode!r}")
+    if not isinstance(f, RepresentingFunction):
+        raise UsageError("scalar verification needs a RepresentingFunction")
+    # Values were validated when the space was built.
+    x, y = space.x, space.y
+    return _verify(space, f, (means(f, x, y), x, y), tol, seed, "num")
 
 
 def construct_counterexample(
@@ -245,7 +195,7 @@ def verify_random_matrix(
     against the scalar mean of the atom-averaged state expectations."""
     if space.mode != MODE_MATRIX:
         raise UsageError(f"verify_random_matrix needs a matrix-mode space, got {space.mode!r}")
-    if not space.has_densities:
+    if space.rho is None:
         raise UsageError("verify_random_matrix needs a density matrix on every atom")
     return verify_matrix(space, spec, tol, seed, "rm")
 
@@ -264,16 +214,31 @@ def verify_matrix(
     x, y = space.x, space.y
     # Tr(rho M) for every atom at once, each bit for bit what
     # operator_means.expectation_state gives.
-    lhs, ex, ey = [
-        expectation(space.p, np.einsum("kij,kji->k", space.rho, m))
-        for m in (perspective_kernel(spec.f, x, y), x, y)
+    values = [
+        np.einsum("kij,kji->k", space.rho, m) for m in (perspective_kernel(spec.f, x, y), x, y)
     ]
-    rhs = _mean_of_expectations(spec.f, ex, ey, PD_FLOOR)
+    return _verify(space, spec.f, values, tol, seed, mode)
+
+
+def _verify(
+    space: FiniteJointSpace, f: RepresentingFunction, values, tol: float, seed: int | None, mode: str
+) -> InequalityReport:
+    """The tail both verifiers share.  ``values`` holds three (k,) vectors: the
+    atoms' means, X and Y, or in matrix mode their Tr(rho M).  lhs is the first
+    one's expectation; rhs m_f(E X, E Y) is evaluated as the atoms' means are.
+    A sum over valid atoms can still underflow, so E X and E Y must be finite
+    and above the floor of the space's mode: 0 for scalars, PD_FLOOR otherwise."""
+    lhs, ex, ey = [expectation(space.p, v) for v in values]
+    floor = 0.0 if space.mode == MODE_SCALAR else PD_FLOOR
+    for name, v in (("E X", ex), ("E Y", ey)):
+        if not floor < v < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {v!r}")
+    rhs = float(means(f, np.array([ex]), np.array([ey]))[0])
     return inequality_report(
         lhs=lhs,
         rhs=rhs,
         tol=tol,
-        function=spec.id,
+        function=f.id,
         mode=mode,
         dims=space.dims,
         atoms=len(space.p),

@@ -5,7 +5,6 @@ module-scoped fixtures so the suite stays inside its runtime budgets.
 """
 
 import json
-import math
 import time
 
 import numpy as np

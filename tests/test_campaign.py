@@ -55,6 +55,8 @@ def test_parse_config_single_value_ranges():
         "mode = num\nfunctions = geometric\ntrials = 5\nwat = 1\n",
         "mode = num\nfunctions = geometric\ntrials = x\n",
         "mode = num\nfunctions = geometric\ntrials = 5\ndims = 0-3\n",
+        "mode = op\nfunctions = geometric\ntrials = 5\ndims = 2-3-9\n",
+        "mode = num\nfunctions = geometric\ntrials = 5\natoms = 1-2-x\n",
         "mode = num\nfunctions = geometric\ntrials = 5\nmode = op\n",
         "mode = num\nfunctions = geometric\ntrials = 5\ntol = -1\n",
         "just a line\n",
@@ -222,10 +224,8 @@ def test_sampled_scalar_space_views_match_its_arrays():
     from meanineq.campaign import sample_scalar_space
 
     space = sample_scalar_space(split_rng(9, 0), atoms=(12, 12))
-    assert len(space.p) == len(space.atoms) == 12
-    atoms = space.atoms
-    for v, name in ((space.p, "probability"), (space.x, "x"), (space.y, "y")):
-        assert np.array_equal(np.array([getattr(a, name) for a in atoms]), v)
+    assert space.p.shape == space.x.shape == space.y.shape == (12,)
+    assert space.mode == "scalar" and space.rho is None
     rebuilt = scalar_space(space_to_jsonable(space)["atoms"])
     for v in ("p", "x", "y"):
         assert np.array_equal(getattr(rebuilt, v), getattr(space, v))

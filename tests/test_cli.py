@@ -253,6 +253,28 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2  # scalar space fed to the matrix verifier
 
 
+def test_verify_num_rejects_a_matrix_space_file(tmp_path, capsys):
+    rng = split_rng(3, 0)
+    save_matrix(tmp_path / "x.txt", sample_spd(2, rng))
+    save_matrix(tmp_path / "y.txt", sample_spd(2, rng))
+    space = tmp_path / "space.txt"
+    space.write_text("1 x.txt y.txt\n")
+    code, out, err = run_cli(
+        capsys, "verify-num", "--function", "geometric", "--space", str(space)
+    )
+    assert code == 2 and out == ""
+    assert "space.txt" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["dims = 2-3-9", "atoms = 1-2-x"])
+def test_malformed_range_is_a_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text(f"mode = op\nfunctions = geometric\ntrials = 5\n{text}\n")
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert text.split(" = ")[1] in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("x", [np.diag([1e-9, 1e9]), np.diag([1.0, -1.0])], ids=["ill-conditioned", "non-pd"])
 def test_verify_rm_rejects_bad_observable_file(tmp_path, capsys, x):
     save_matrix(tmp_path / "x.txt", x)

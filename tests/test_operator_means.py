@@ -331,6 +331,13 @@ def test_jensen_sum_rejects_super_unital():
         check_jensen_sum(spec, [])
 
 
+@pytest.mark.parametrize("c", [np.float64(1.0), np.ones(2)], ids=["0-d", "1-d"])
+def test_jensen_sum_needs_matrix_factors(c):
+    spec = operator_mean_spec("geometric")
+    with pytest.raises(UsageError, match="2-D"):
+        check_jensen_sum(spec, [(c, A22, B22)])
+
+
 def test_trace_perspective_examples():
     f = get_function("geometric")
     rep = trace_perspective_check(f, np.diag([1.0, 4.0]), np.diag([4.0, 1.0]))

@@ -94,11 +94,11 @@ def test_stacked_samplers_keep_the_per_atom_stream(n):
     ref.integers(n, n + 1)
     k = int(ref.integers(4, 7))
     ref.exponential(1.0, size=k)
-    assert len(space.atoms) == k
-    for atom in space.atoms:
-        assert np.array_equal(atom.rho, sample_density(n, ref))
-        assert np.array_equal(atom.x, sample_spd(n, ref))
-        assert np.array_equal(atom.y, sample_spd(n, ref))
+    assert len(space.p) == k
+    for i in range(k):
+        assert np.array_equal(space.rho[i], sample_density(n, ref))
+        assert np.array_equal(space.x[i], sample_spd(n, ref))
+        assert np.array_equal(space.y[i], sample_spd(n, ref))
     assert _state(rng) == _state(ref)
 
     rng, ref = split_rng(32, n), split_rng(32, n)

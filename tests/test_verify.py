@@ -10,7 +10,6 @@ from meanineq import (
     NotPositiveDefiniteError,
     UsageError,
     construct_counterexample,
-    expectation_scalar,
     get_function,
     load_space,
     matrix_space,
@@ -23,6 +22,7 @@ from meanineq import (
     verify_operator,
     verify_random_matrix,
 )
+from meanineq.verify import expectation
 
 GEO = get_function("geometric")
 G = get_function("counterexample-g")
@@ -50,7 +50,7 @@ def test_matrix_space_validation():
     a = sample_spd(2, rng)
     rho = sample_density(2, rng)
     ok = matrix_space([(1.0, a, a, rho)])
-    assert ok.dims == 2 and ok.has_densities
+    assert ok.dims == 2 and ok.rho is not None
     with pytest.raises(DomainError):
         matrix_space([(1.0, np.diag([1.0, -1.0]), a, rho)])
     with pytest.raises(UsageError):
@@ -77,14 +77,14 @@ def test_matrix_space_rejects_ill_conditioned_and_non_pd_observables():
 
 def test_expectation_scalar_examples():
     single = scalar_space([(1.0, 3.0, 5.0)])
-    assert expectation_scalar(single, "x") == 3.0
+    assert expectation(single.p, single.x) == 3.0
     two = scalar_space([(0.5, 1.0, 1.0), (0.5, 3.0, 1.0)])
-    assert expectation_scalar(two, "x") == 2.0
+    assert expectation(two.p, two.x) == 2.0
     # per-atom geometric mean then average: (sqrt(1) + sqrt(3)) / 2
     expected = (math.sqrt(1.0) + math.sqrt(3.0)) / 2.0
-    assert expectation_scalar(two, GEO) == pytest.approx(expected, rel=1e-15)
+    assert verify_numeric(two, GEO).lhs == pytest.approx(expected, rel=1e-15)
     with pytest.raises(UsageError):
-        expectation_scalar(two, "z")
+        verify_numeric(two, "z")
 
 
 def test_verify_numeric_arithmetic_equality():
@@ -288,12 +288,21 @@ def test_random_matrix_requires_densities():
         verify_random_matrix(scal, operator_mean_spec("geometric"))
 
 
+def test_verify_numeric_needs_a_scalar_space():
+    rng = split_rng(31, 1)
+    a = sample_spd(2, rng)
+    for space in (matrix_space([(1.0, a, a)]), matrix_space([(1.0, a, a, sample_density(2, rng))])):
+        assert space.mode == "matrix"
+        with pytest.raises(UsageError, match="scalar-mode"):
+            verify_numeric(space, GEO)
+
+
 def test_space_file_round_trip(tmp_path):
     path = tmp_path / "space.txt"
     path.write_text("0.25 0.5 1.5\n0.75 2 1\n")
     loaded = load_space(path)
     assert loaded.mode == "scalar"
-    assert [(a.probability, a.x, a.y) for a in loaded.atoms] == [
+    assert list(zip(loaded.p.tolist(), loaded.x.tolist(), loaded.y.tolist())) == [
         (0.25, 0.5, 1.5),
         (0.75, 2.0, 1.0),
     ]
@@ -311,8 +320,8 @@ def test_space_file_matrix_mode(tmp_path):
     save_matrix(tmp_path / "rho.txt", rho)
     (tmp_path / "space.txt").write_text("# one atom\n1.0 a.txt b.txt rho.txt\n")
     space = load_space(tmp_path / "space.txt")
-    assert space.mode == "matrix" and space.has_densities
-    assert np.array_equal(space.atoms[0].x, a)
+    assert space.mode == "matrix" and space.rho is not None
+    assert np.array_equal(space.x[0], a)
 
 
 def test_space_file_errors(tmp_path):
@@ -360,11 +369,11 @@ def test_matrix_space_stacks_its_atoms():
     space = matrix_space(entries)
     assert space.x.shape == space.y.shape == space.rho.shape == (2, 3, 3)
     assert space.p.tolist() == [0.25, 0.75]
-    for atom, (p, x, y, rho) in zip(space.atoms, entries):
-        assert atom.probability == p
-        assert np.array_equal(atom.x, x) and np.array_equal(atom.y, y)
-        assert np.array_equal(atom.rho, rho)
-    assert not matrix_space([e[:3] for e in entries]).has_densities
+    for i, (p, x, y, rho) in enumerate(entries):
+        assert space.p[i] == p
+        assert np.array_equal(space.x[i], x) and np.array_equal(space.y[i], y)
+        assert np.array_equal(space.rho[i], rho)
+    assert matrix_space([e[:3] for e in entries]).rho is None
 
 
 @pytest.mark.parametrize("fid", SPECS + ["counterexample-g"])
@@ -381,7 +390,7 @@ def test_array_means_match_the_per_atom_loop(fid):
         for p, x, y in zip(space.p.tolist(), space.x.tolist(), space.y.tolist()):
             x, y = np.asarray(x), np.asarray(y)
             ref += p * float(y * f.fn(x / y))
-        got = expectation_scalar(space, f)
+        got = verify_numeric(space, f).lhs
         if fid.startswith("wyd"):
             assert abs(got - ref) <= 4 * math.ulp(ref)
         else:
