@@ -11,7 +11,15 @@ run in-process, in order: threads would serialize on the interpreter lock.
 Samplers build each space from the arrays they draw: ``p``, ``x`` and ``y``
 vectors for scalar trials, and for matrix trials ``(k, n, n)`` stacks drawn in
 one call, in per-atom (rho, X, Y) order, so the stream is the one of drawing
-them matrix by matrix.  The perspective kernel runs once per trial on them.
+them matrix by matrix.
+
+Trials are evaluated in blocks of consecutive trials of one function; a block
+ends at the function's last trial or once its spaces hold BLOCK_ELEMENTS
+values of x.  Sampling is unchanged (each trial still draws from its own
+generator), but ``verify.atom_values`` evaluates the whole block at once: one
+perspective kernel per matrix dimension in the block, or one scalar-mean call.
+Each trial's sums, rhs and verdict are then formed on its own slice, so every
+report has the bits of verifying that trial's space alone.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import MeanIneqError, UsageError, located
 from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import MATRIX_TOL, OperatorMeanSpec
@@ -29,9 +37,10 @@ from .sampling import sample_atom_stacks, split_rng
 from .verify import (
     SCALAR_TOL,
     FiniteJointSpace,
+    _verify,
+    atom_values,
     construct_counterexample,
     space_to_jsonable,
-    verify_matrix,
     verify_numeric,
 )
 
@@ -39,6 +48,10 @@ MODES = ("num", "op", "rm")
 
 #: Scalar-instance sampler range: values are log-uniform on [1/16, 16].
 VALUE_LOG2_RANGE = 4.0
+
+#: A block of trials is evaluated once its spaces hold this many values of x
+#: (one 64 x 64 matrix), which bounds the memory of its stacks.
+BLOCK_ELEMENTS = 4096
 
 DEFAULT_DIMS = (2, 6)
 DEFAULT_ATOMS = (1, 12)
@@ -236,13 +249,31 @@ def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
     return sample_matrix_space(rng, config.dims, config.atoms)
 
 
-def _run_trial(config: CampaignConfig, fid: str, fi: int, t: int) -> InequalityReport:
-    space = _sample_space(config, fi, t)
-    tol = config.resolved_tol()
-    if config.mode == "num":
-        return verify_numeric(space, get_function(fid), tol, seed=config.seed)
-    spec = OperatorMeanSpec(get_function(fid))
-    return verify_matrix(space, spec, tol, config.seed, config.mode)
+def _run_trial(
+    config: CampaignConfig, f: RepresentingFunction, space: FiniteJointSpace, values
+) -> InequalityReport:
+    """The per-trial tail, from the trial's space and its atom values: the
+    weighted sums, the E X / E Y floor check, the rhs and the report."""
+    return _verify(space, f, values, config.resolved_tol(), config.seed, config.mode)
+
+
+def _run_block(
+    config: CampaignConfig, fid: str, first: int, spaces: list[FiniteJointSpace]
+) -> list[InequalityReport]:
+    """Trials first, first + 1, ... of function fid: one atom_values call for
+    the block, then each trial's tail.  When the block's kernel fails, the
+    trials are re-run one at a time so the error names the first failing one."""
+    f = get_function(fid)
+    try:
+        values = atom_values(f, spaces)
+    except MeanIneqError:
+        for t, space in enumerate(spaces, first):
+            try:
+                atom_values(f, [space])
+            except MeanIneqError as exc:
+                raise located(exc, f"function {fid!r}, trial {t}") from None
+        raise
+    return [_run_trial(config, f, space, v) for space, v in zip(spaces, values)]
 
 
 def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> dict:
@@ -253,16 +284,25 @@ def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> di
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every (function, trial) pair and aggregate.
 
-    Trials run in this process, in order, at any ``workers`` value; the
+    Each function's trials are sampled in order and evaluated in blocks: a
+    block ends at the function's last trial or once its spaces hold
+    BLOCK_ELEMENTS values of x, and its atom values come from one
+    ``atom_values`` call.  The tail runs once per trial, in order, through
+    ``_run_trial``.  Trials run in this process at any ``workers`` value; the
     parameter is kept for existing callers and does not change the summary.
     """
     validate_config(config)
-    tasks = [
-        (fid, fi, t)
-        for fi, fid in enumerate(config.functions)
-        for t in range(config.trials)
-    ]
-    reports = [_run_trial(config, fid, fi, t) for fid, fi, t in tasks]
+    reports: list[InequalityReport] = []
+    for fi, fid in enumerate(config.functions):
+        block: list[FiniteJointSpace] = []
+        size = 0
+        for t in range(config.trials):
+            space = _sample_space(config, fi, t)
+            block.append(space)
+            size += space.x.size
+            if size >= BLOCK_ELEMENTS or t == config.trials - 1:
+                reports += _run_block(config, fid, t + 1 - len(block), block)
+                block, size = [], 0
 
     tol = config.resolved_tol()
     per_function: dict[str, FunctionStats] = {}
@@ -291,7 +331,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     return CampaignSummary(
         mode=config.mode,
         functions=config.functions,
-        trials=len(tasks),
+        trials=len(reports),
         violations=violations,
         worst_gap=worst_gap,
         worst_case=worst_case,

@@ -4,6 +4,8 @@ Callers can catch :class:`MeanIneqError` to handle any failure raised by
 this package; the CLI maps the whole hierarchy to exit code 2.
 """
 
+import copy
+
 
 class MeanIneqError(Exception):
     """Base class for all errors raised by meanineq."""
@@ -31,3 +33,11 @@ class PreconditionError(MeanIneqError):
 
 class NumericError(MeanIneqError):
     """A numerical kernel failed to converge or produced non-finite output."""
+
+
+def located(exc: MeanIneqError, where: str) -> MeanIneqError:
+    """A copy of ``exc`` (same class and attributes) whose message starts with
+    ``where``: the file and line, or the campaign trial, it came from."""
+    out = copy.copy(exc)
+    out.args = (f"{where}: {exc}",)
+    return out

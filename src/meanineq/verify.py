@@ -12,8 +12,10 @@ Three settings share that shape:
 All sums are exact weighted sums over atoms; no Monte Carlo error enters the
 verdicts (campaigns sample the *instances*, not the integrals).  A space is
 its arrays, and its mode is the rank of x.  Each verifier turns a space into
-per-atom values of the mean, X and Y and hands them to one tail, which forms
-the three weighted sums and applies the mean to E X and E Y.
+per-atom values of the mean, X and Y with :func:`atom_values` and hands them to
+one tail, which forms the three weighted sums and applies the mean to E X and
+E Y.  Campaigns call :func:`atom_values` on a block of trials' spaces at once
+and run the tail per trial, with the same bits as verifying each space alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, MeanIneqError, UsageError, located
 from .functions import SCALAR_TOL, RepresentingFunction, means
 from .linalg import COND_LIMIT, PD_FLOOR, load_matrix, require_pd, sym_matrix
 from .operator_means import MATRIX_TOL, OperatorMeanSpec, perspective_kernel
@@ -72,20 +74,22 @@ def _check_probabilities(probs: list[float]) -> None:
         raise DomainError(f"atom probabilities sum to {total!r}, not 1")
 
 
+def _scalar_atom(entry) -> tuple[float, float, float]:
+    """One (p, x, y) atom with positive, finite values; probabilities are
+    checked together, by the space."""
+    if len(entry) != 3:
+        raise UsageError("scalar atoms are (p, x, y) triples")
+    p, x, y = map(float, entry)
+    if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
+        raise DomainError(f"scalar atom values must be positive, got ({x!r}, {y!r})")
+    return p, x, y
+
+
 def scalar_space(entries) -> FiniteJointSpace:
     """Build a scalar-mode space from (probability, x, y) triples."""
-    probs, xs, ys = [], [], []
-    for entry in entries:
-        if len(entry) != 3:
-            raise UsageError("scalar atoms are (p, x, y) triples")
-        p, x, y = map(float, entry)
-        if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
-            raise DomainError(f"scalar atom values must be positive, got ({x!r}, {y!r})")
-        probs.append(p)
-        xs.append(x)
-        ys.append(y)
-    _check_probabilities(probs)
-    return FiniteJointSpace(np.array(probs), np.array(xs), np.array(ys))
+    atoms = [_scalar_atom(entry) for entry in entries]
+    _check_probabilities([a[0] for a in atoms])
+    return FiniteJointSpace(*(np.array(column) for column in zip(*atoms)))
 
 
 def matrix_space(entries) -> FiniteJointSpace:
@@ -150,8 +154,7 @@ def verify_numeric(
     if not isinstance(f, RepresentingFunction):
         raise UsageError("scalar verification needs a RepresentingFunction")
     # Values were validated when the space was built.
-    x, y = space.x, space.y
-    return _verify(space, f, (means(f, x, y), x, y), tol, seed, "num")
+    return _verify(space, f, atom_values(f, [space])[0], tol, seed, "num")
 
 
 def construct_counterexample(
@@ -211,13 +214,37 @@ def verify_matrix(
     space with a density on every atom; ``mode`` labels the report."""
     if not isinstance(spec, OperatorMeanSpec):
         raise UsageError("matrix verification needs an OperatorMeanSpec")
-    x, y = space.x, space.y
-    # Tr(rho M) for every atom at once, each bit for bit what
-    # operator_means.expectation_state gives.
-    values = [
-        np.einsum("kij,kji->k", space.rho, m) for m in (perspective_kernel(spec.f, x, y), x, y)
-    ]
-    return _verify(space, spec.f, values, tol, seed, mode)
+    return _verify(space, spec.f, atom_values(spec.f, [space])[0], tol, seed, mode)
+
+
+def atom_values(f: RepresentingFunction, spaces) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-atom (mean, X, Y) value vectors of each trusted space, all of one
+    mode: in scalar mode the means m_f(x, y), x and y; in matrix mode
+    Tr(rho M) for M in (P_f(X, Y), X, Y), where every space carries densities.
+
+    Spaces with one atom shape share one kernel call: their atoms are stacked,
+    evaluated together and split back, and every atom gets the bits it gets
+    alone, because the kernels work slice by slice.  Kernel errors name the
+    offending atom by its index in that stack."""
+    values: list = [None] * len(spaces)
+    buckets: dict[tuple, list[int]] = {}
+    for i, space in enumerate(spaces):
+        buckets.setdefault(space.x.shape[1:], []).append(i)
+    for members in buckets.values():
+        group = [spaces[i] for i in members]
+        x = np.concatenate([s.x for s in group])
+        y = np.concatenate([s.y for s in group])
+        if x.ndim == 1:
+            stacks = (means(f, x, y), x, y)
+        else:
+            # Tr(rho M) for every atom at once, each bit for bit what
+            # operator_means.expectation_state gives.
+            rho = np.concatenate([s.rho for s in group])
+            stacks = [np.einsum("kij,kji->k", rho, m) for m in (perspective_kernel(f, x, y), x, y)]
+        ends = np.cumsum([len(s.p) for s in group]).tolist()
+        for i, lo, hi in zip(members, [0, *ends], ends):
+            values[i] = tuple(v[lo:hi] for v in stacks)
+    return values
 
 
 def _verify(
@@ -253,52 +280,48 @@ def _try_float(token: str) -> float | None:
         return None
 
 
+def _space_line(fields: list[str], scalar: bool, base: Path) -> tuple:
+    """One atom line of a space file, in the file's mode."""
+    if scalar:
+        values = [_try_float(v) for v in fields]
+        if len(fields) != 3 or None in values:
+            raise UsageError(f"scalar atoms need 'p x y' with three numbers, got {' '.join(fields)!r}")
+        return _scalar_atom(values)
+    if len(fields) not in (3, 4):
+        raise UsageError("matrix atoms need 'p x_path y_path [rho_path]'")
+    prob = _try_float(fields[0])
+    if prob is None:
+        raise UsageError(f"bad probability {fields[0]!r}")
+    return (prob, *(load_matrix(base / name) for name in fields[1:]))
+
+
 def load_space(path) -> FiniteJointSpace:
     """Read a space file: one atom per line.
 
     Scalar mode lines are ``p x y``; matrix mode lines are ``p x_path y_path``
     or ``p x_path y_path rho_path`` with paths resolved relative to the space
-    file.  Blank lines and ``#`` comments are skipped.
+    file.  The first atom line sets the mode: scalar when its x and y are
+    numbers.  Blank lines and ``#`` comments are skipped, and errors on an
+    atom line name the file and the line's 1-based number.
     """
     p = Path(path)
     try:
         raw = p.read_text()
     except OSError as exc:
         raise UsageError(f"cannot read space file {p}: {exc}") from None
-    lines = [ln.strip() for ln in raw.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    rows = [(i, ln.split()) for i, ln in enumerate(raw.splitlines(), 1)]
+    rows = [(i, r) for i, r in rows if r and not r[0].startswith("#")]
+    if not rows:
         raise UsageError(f"space file {p} has no atoms")
-    rows = [ln.split() for ln in lines]
-    scalar = all(
-        len(r) == 3 and _try_float(r[1]) is not None and _try_float(r[2]) is not None
-        for r in rows
-    )
-    if scalar:
-        entries = []
-        for r in rows:
-            prob = _try_float(r[0])
-            if prob is None:
-                raise UsageError(f"space file {p}: bad probability {r[0]!r}")
-            entries.append((prob, float(r[1]), float(r[2])))
-        return scalar_space(entries)
-    base = p.parent
+    first = rows[0][1]
+    scalar = len(first) == 3 and None not in (_try_float(first[1]), _try_float(first[2]))
     entries = []
-    for r in rows:
-        if len(r) not in (3, 4):
-            raise UsageError(
-                f"space file {p}: matrix atoms need 'p x_path y_path [rho_path]'"
-            )
-        prob = _try_float(r[0])
-        if prob is None:
-            raise UsageError(f"space file {p}: bad probability {r[0]!r}")
-        x = load_matrix(base / r[1])
-        y = load_matrix(base / r[2])
-        if len(r) == 4:
-            entries.append((prob, x, y, load_matrix(base / r[3])))
-        else:
-            entries.append((prob, x, y))
-    return matrix_space(entries)
+    for lineno, fields in rows:
+        try:
+            entries.append(_space_line(fields, scalar, p.parent))
+        except MeanIneqError as exc:
+            raise located(exc, f"space file {p}, line {lineno}") from None
+    return scalar_space(entries) if scalar else matrix_space(entries)
 
 
 def space_to_jsonable(space: FiniteJointSpace) -> dict:

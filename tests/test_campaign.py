@@ -14,8 +14,9 @@ from meanineq import (
     search_violation,
     split_rng,
     validate_config,
+    verify_numeric,
 )
-from meanineq.campaign import _run_trial
+from meanineq.campaign import _sample_space
 
 CFG_TEXT = """
 # scalar sanity campaign
@@ -121,7 +122,8 @@ def test_violations_count_the_trial_verdicts(tol):
     )
     summary = run_campaign(cfg)
     for fi, fid in enumerate(cfg.functions):
-        verdicts = [_run_trial(cfg, fid, fi, t).verdict for t in range(cfg.trials)]
+        f = get_function(fid)
+        verdicts = [verify_numeric(_sample_space(cfg, fi, t), f, tol).verdict for t in range(cfg.trials)]
         assert summary.per_function[fid].violations == verdicts.count("violated")
     assert summary.per_function["counterexample-g"].violations > 0
 
@@ -229,3 +231,92 @@ def test_sampled_scalar_space_views_match_its_arrays():
     rebuilt = scalar_space(space_to_jsonable(space)["atoms"])
     for v in ("p", "x", "y"):
         assert np.array_equal(getattr(rebuilt, v), getattr(space, v))
+
+
+def _recorded_reports(cfg, monkeypatch):
+    """run_campaign's summary, its per-trial reports (read off its calls to
+    _run_trial) and the number of spaces in each block it evaluated."""
+    from meanineq import campaign
+
+    reports, blocks = [], []
+    run_trial, atom_values = campaign._run_trial, campaign.atom_values
+
+    def record(*args):
+        reports.append(run_trial(*args))
+        return reports[-1]
+
+    def record_block(f, spaces):
+        blocks.append(len(spaces))
+        return atom_values(f, spaces)
+
+    monkeypatch.setattr(campaign, "_run_trial", record)
+    monkeypatch.setattr(campaign, "atom_values", record_block)
+    summary = run_campaign(cfg)
+    monkeypatch.undo()
+    return summary, reports, blocks
+
+
+def _bits(report):
+    return (report.lhs.hex(), report.rhs.hex(), report.gap.hex(), report.verdict, report.atoms, report.dims)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CampaignConfig(mode="num", functions=("geometric", "wyd:0.25", "counterexample-g"), trials=60, seed=201),
+        CampaignConfig(mode="op", functions=("logarithmic", "wyd:0.75"), trials=40, dims=(2, 6), seed=202),
+        CampaignConfig(mode="rm", functions=("harmonic", "geometric"), trials=15, dims=(2, 6), seed=203),
+        # Every 48-64 matrix holds over half of BLOCK_ELEMENTS, so blocks
+        # flush every one or two trials, partway through each function.
+        CampaignConfig(mode="op", functions=("geometric", "arithmetic"), trials=5, dims=(48, 64), seed=201),
+    ],
+    ids=["num", "op-2-6", "rm-2-6", "op-48-64"],
+)
+def test_blocked_trials_match_verifying_each_space_alone(cfg, monkeypatch):
+    from meanineq import OperatorMeanSpec
+    from meanineq.verify import verify_matrix
+
+    _, reports, blocks = _recorded_reports(cfg, monkeypatch)
+    assert sum(blocks) == len(cfg.functions) * cfg.trials
+    if cfg.dims == (48, 64):
+        assert len(blocks) > len(cfg.functions)
+    expected = []
+    for fi, fid in enumerate(cfg.functions):
+        f = get_function(fid)
+        for t in range(cfg.trials):
+            space = _sample_space(cfg, fi, t)
+            if cfg.mode == "num":
+                expected.append(verify_numeric(space, f, cfg.resolved_tol(), seed=cfg.seed))
+            else:
+                expected.append(verify_matrix(space, OperatorMeanSpec(f), cfg.resolved_tol(), cfg.seed, cfg.mode))
+    assert [_bits(r) for r in reports] == [_bits(r) for r in expected]
+    assert [r.function for r in reports] == [fid for fid in cfg.functions for _ in range(cfg.trials)]
+
+
+@pytest.mark.parametrize("mode", ["num", "op", "rm"])
+def test_run_trial_is_called_once_per_trial(mode, monkeypatch):
+    # The benchmark trace counts trials by these calls and atoms by their reports.
+    cfg = CampaignConfig(mode=mode, functions=("geometric", "harmonic"), trials=7, dims=(2, 4), atoms=(1, 5), seed=9)
+    summary, reports, _ = _recorded_reports(cfg, monkeypatch)
+    assert len(reports) == summary.trials == 14
+    atoms = sum(len(_sample_space(cfg, fi, t).p) for fi in range(2) for t in range(7))
+    assert sum(r.atoms for r in reports) == atoms
+
+
+def test_kernel_errors_name_the_trial(monkeypatch):
+    from meanineq import NotPositiveDefiniteError, campaign
+
+    sample = campaign._sample_space
+
+    def sample_with_a_bad_trial(config, fi, t):
+        space = sample(config, fi, t)
+        if t == 3:
+            space.x[0] = np.diag(np.arange(space.dims) - 1.0)
+        return space
+
+    monkeypatch.setattr(campaign, "_sample_space", sample_with_a_bad_trial)
+    cfg = CampaignConfig(mode="op", functions=("harmonic",), trials=6, dims=(2, 4), seed=3)
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        run_campaign(cfg)
+    assert str(exc.value).startswith("function 'harmonic', trial 3: first argument is not positive definite")
+    assert exc.value.min_eigenvalue == -1.0

@@ -341,3 +341,17 @@ def test_underflowing_expectation_is_a_domain_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify-num", "--function", "geometric", "--space", str(space))
     assert code == 2 and out == ""
     assert "positive" in err and "got 0.0" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [("0.5 1 1\n0.5 3 1x\n", "three numbers"), ("0.5 1 1\n0.5 -2 1\n", "must be positive")],
+    ids=["malformed-value", "negative-value"],
+)
+def test_bad_scalar_space_line_exits_2_naming_it(tmp_path, capsys, text, detail):
+    space = tmp_path / "space.txt"
+    space.write_text(text)
+    code, out, err = run_cli(capsys, "verify-num", "--function", "geometric", "--space", str(space))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: space file {space}, line 2: ") and detail in err
+    assert err.count("\n") == 1

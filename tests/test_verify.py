@@ -339,6 +339,29 @@ def test_space_file_errors(tmp_path):
         load_space(tmp_path / "missing.txt")
 
 
+@pytest.mark.parametrize(
+    "text, line, error, detail",
+    [
+        ("0.5 1 1\n0.5 3 1x\n", 2, UsageError, "'0.5 3 1x'"),
+        ("# two atoms\n\n0.5 1 1\n0.5 3 1x\n", 4, UsageError, "three numbers"),
+        ("0.5 1 1\n0.5 1 1 r.txt\n", 2, UsageError, "three numbers"),
+        ("0.5 1 1\n0.5 -2 1\n", 2, DomainError, "must be positive, got (-2.0, 1.0)"),
+        ("1 -2 1\n", 1, DomainError, "must be positive"),
+        ("# matrix atoms\n0.5 missing.txt y.txt\n", 2, UsageError, "cannot read matrix file"),
+    ],
+    ids=["malformed-value", "after-comments", "extra-field", "negative-value", "one-atom", "missing-matrix"],
+)
+def test_space_file_errors_name_the_line(tmp_path, text, line, error, detail):
+    # The first atom line sets the mode; a later line that does not fit it is
+    # an error on that line, not a reason to read the file in the other mode.
+    path = tmp_path / "space.txt"
+    path.write_text(text)
+    with pytest.raises(error) as exc:
+        load_space(path)
+    assert str(exc.value).startswith(f"space file {path}, line {line}: ")
+    assert detail in str(exc.value)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
 def test_verify_numeric_rejects_bad_tol(tol):
     space = construct_counterexample(G, 0.5, 2.0, 0.5)
