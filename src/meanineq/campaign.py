@@ -2,11 +2,15 @@
 
 A campaign draws instances (finite spaces, state/observable triples, or
 random-matrix spaces), runs the matching verifier on each, and aggregates
-counts and extremes.  Trial k of function j always receives the generator
+counts and extremes.  Trial k of function j always draws the stream of
 ``split_rng(seed, j, k)``, so replays are bit-identical, and the worst case is
-rebuilt from its (function, trial) coordinates rather than stored.  Samples
-are valid by construction, so samplers build trusted spaces directly.  Trials
-run in-process, in order: threads would serialize on the interpreter lock.
+rebuilt from its (function, trial) coordinates rather than stored.  A campaign
+does not build that generator per trial: it keeps one Philox generator and,
+before each trial's draw, reseeds it with the trial's exact ``SeedSequence``
+key, derived for up to KEY_CHUNK consecutive (function, trial) pairs at once
+by ``sampling.philox_keys``.  Samples are valid by construction, so samplers
+build trusted spaces directly.  Trials run in-process, in order: threads would
+serialize on the interpreter lock.
 
 Samplers build each space from the arrays they draw: ``p``, ``x`` and ``y``
 vectors for scalar trials, and for matrix trials ``(k, n, n)`` stacks drawn in
@@ -16,7 +20,7 @@ them matrix by matrix.
 Trials are evaluated in blocks of consecutive trials of one function; a block
 ends at the function's last trial or once its spaces hold BLOCK_ELEMENTS
 values of x.  Sampling is unchanged (each trial still draws from its own
-generator), but ``verify.atom_values`` evaluates the whole block at once: one
+stream), but ``verify.atom_values`` evaluates the whole block at once: one
 perspective kernel per matrix dimension in the block, or one scalar-mean call.
 Each trial's sums, rhs and verdict are then formed on its own slice, so every
 report has the bits of verifying that trial's space alone.
@@ -33,7 +37,7 @@ from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import MATRIX_TOL, OperatorMeanSpec
 from .reports import VERDICT_VIOLATED, InequalityReport
-from .sampling import sample_atom_stacks, split_rng
+from .sampling import philox_keys, reseed, sample_atom_stacks, split_rng
 from .verify import (
     SCALAR_TOL,
     FiniteJointSpace,
@@ -52,6 +56,10 @@ VALUE_LOG2_RANGE = 4.0
 #: A block of trials is evaluated once its spaces hold this many values of x
 #: (one 64 x 64 matrix), which bounds the memory of its stacks.
 BLOCK_ELEMENTS = 4096
+
+#: Trial keys are derived this many (function, trial) pairs at a time, in
+#: campaign order and across function boundaries: 64 KB of keys.
+KEY_CHUNK = 4096
 
 DEFAULT_DIMS = (2, 6)
 DEFAULT_ATOMS = (1, 12)
@@ -110,6 +118,8 @@ def validate_config(config: CampaignConfig) -> None:
             OperatorMeanSpec(f)
     if config.trials < 0:
         raise UsageError(f"trials must be >= 0, got {config.trials!r}")
+    if config.seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {config.seed!r}")
     lo, hi = config.dims
     if not (1 <= lo <= hi <= MAX_DIM):
         raise UsageError(f"dims range must satisfy 1 <= min <= max <= {MAX_DIM}, got {config.dims!r}")
@@ -210,9 +220,9 @@ def sample_scalar_space(
     """Random scalar space: Dirichlet probabilities, log-uniform values."""
     k = int(rng.integers(atoms[0], atoms[1] + 1))
     p = _dirichlet_probs(rng, k)
-    x = _log_uniform_values(rng, k)
-    y = _log_uniform_values(rng, k)
-    return FiniteJointSpace(p, x, y)
+    # One draw for x then y: the same doubles, in order, as two draws of k.
+    values = _log_uniform_values(rng, 2 * k)
+    return FiniteJointSpace(p, values[:k], values[k:])
 
 
 def sample_operator_triple(
@@ -238,9 +248,14 @@ def sample_matrix_space(
     return FiniteJointSpace(p, x, y, rho)
 
 
-def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
-    """The instance of trial t of function fi, as a trusted space (op: one atom)."""
-    rng = split_rng(config.seed, fi, t)
+def _sample_space(
+    config: CampaignConfig, fi: int, t: int, rng: np.random.Generator | None = None
+) -> FiniteJointSpace:
+    """The instance of trial t of function fi, as a trusted space (op: one atom),
+    drawn from ``rng`` when the caller has keyed it for (fi, t) and otherwise
+    from ``split_rng(seed, fi, t)``."""
+    if rng is None:
+        rng = split_rng(config.seed, fi, t)
     if config.mode == "num":
         return sample_scalar_space(rng, config.atoms)
     if config.mode == "op":
@@ -276,6 +291,15 @@ def _run_block(
     return [_run_trial(config, f, space, v) for space, v in zip(spaces, values)]
 
 
+def _trial_keys(config: CampaignConfig):
+    """The split_rng keys of every (function, trial) pair in campaign order,
+    derived KEY_CHUNK pairs per ``philox_keys`` call."""
+    total = len(config.functions) * config.trials
+    for lo in range(0, total, KEY_CHUNK):
+        pair = np.arange(lo, min(lo + KEY_CHUNK, total), dtype=np.uint64)
+        yield from philox_keys(config.seed, pair // config.trials, pair % config.trials)
+
+
 def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> dict:
     space = _sample_space(config, fi, t)
     return {"function": fid, "trial": t, "space": space_to_jsonable(space)}
@@ -284,7 +308,8 @@ def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> di
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every (function, trial) pair and aggregate.
 
-    Each function's trials are sampled in order and evaluated in blocks: a
+    Each function's trials are sampled in order, each from the campaign's one
+    Philox generator reseeded with the trial's key, and evaluated in blocks: a
     block ends at the function's last trial or once its spaces hold
     BLOCK_ELEMENTS values of x, and its atom values come from one
     ``atom_values`` call.  The tail runs once per trial, in order, through
@@ -293,11 +318,13 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """
     validate_config(config)
     reports: list[InequalityReport] = []
+    rng = np.random.Generator(np.random.Philox(0))  # reseeded before every draw
+    keys = _trial_keys(config)
     for fi, fid in enumerate(config.functions):
         block: list[FiniteJointSpace] = []
         size = 0
         for t in range(config.trials):
-            space = _sample_space(config, fi, t)
+            space = _sample_space(config, fi, t, reseed(rng, next(keys)))
             block.append(space)
             size += space.x.size
             if size >= BLOCK_ELEMENTS or t == config.trials - 1:

@@ -1,10 +1,14 @@
 """Seeded sampling of SPD matrices and density matrices.
 
 Reproducibility contract: every sampler takes an explicit generator and no
-global state is touched.  :func:`split_rng` derives independent streams from
-a campaign seed and an integer path (counter-based Philox keyed through
-``SeedSequence`` spawn keys), so a campaign can hand trial k its own
-generator and produce bit-identical results at any parallelism degree.
+global state is touched.  :func:`split_rng` defines the stream: path (j, k)
+of a campaign seed is counter-based Philox keyed by
+``SeedSequence(entropy=seed, spawn_key=(j, k))``, so a campaign can hand trial
+k of function j its own generator and produce bit-identical results at any
+parallelism degree.  Campaigns get the same generators more cheaply:
+:func:`philox_keys` derives the keys of many paths at once, with numpy's
+``SeedSequence`` arithmetic on arrays, and :func:`reseed` resets one Philox
+generator to the fresh state of a key.
 """
 
 from __future__ import annotations
@@ -22,6 +26,17 @@ DEFAULT_FLOOR = 1e-3
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_PSD_TOL = 1e-12
 
+# numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx): a pool of
+# four 32-bit words, hashed with the multiplier streams A (while mixing
+# entropy in) and B (while generating state).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_DST = np.arange(_POOL)[:, None]
+_ZERO = np.zeros(4, dtype=np.uint64)
+
 
 def split_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic child generator for (seed, path); streams are independent per path."""
@@ -29,6 +44,92 @@ def split_rng(seed: int, *path: int) -> np.random.Generator:
         raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return h
+
+
+def _hashmix(v, h, h_next):
+    """SeedSequence's hashmix of word v, where h is the hash constant before
+    the call and h_next after it.  Works on ints and on uint64 arrays holding
+    32-bit words: a product of two words fits in 64 bits."""
+    v = ((v ^ h) * h_next) & _MASK32
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+_GEN_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL), dtype=np.uint64)[:, None]
+
+
+def philox_keys(seed: int, fi, t) -> np.ndarray:
+    """The (N, 2) uint64 Philox keys of ``split_rng(seed, fi[i], t[i])``:
+    ``SeedSequence(entropy=seed, spawn_key=(fi[i], t[i])).generate_state(2,
+    np.uint64)`` for every pair, bit for bit.
+
+    Trusted: seed is a non-negative int and fi, t are equal-length arrays of
+    non-negative integers below 2**64.  The seed's words are mixed into the
+    pool once per call, with Python ints; each spawn-key word (one per 32 bits
+    of fi and of t, at least one each) is then mixed into the N pools as
+    uint64 arrays holding 32-bit words, one row per pool word.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # With a spawn key, SeedSequence pads the seed's words to the pool size.
+    words += [0] * (_POOL - len(words))
+    # One hash per pool word, 12 while mixing the pool, then one per pool word
+    # for each word beyond it: the seed's, and at most four of the spawn key.
+    h = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(words) + _POOL))
+    pool = [_hashmix(w, h[i], h[i + 1]) for i, w in enumerate(words[:_POOL])]
+    k = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k], h[k + 1]))
+                k += 1
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(w, h[k], h[k + 1]))
+            k += 1
+
+    # Every further word is mixed into each pool word in turn, taking the
+    # next hash constants; k is the index of the next one, per pair once a
+    # pair's word count differs from another's.
+    h = np.array(h, dtype=np.uint64)
+    mixer = np.array(pool, dtype=np.uint64)[:, None]
+    for v in (np.asarray(fi, dtype=np.uint64), np.asarray(t, dtype=np.uint64)):
+        mixer = _mix(mixer, _hashmix(v & _MASK32, h[k + _DST], h[k + _DST + 1]))
+        k = k + _POOL
+        high = v >> 32
+        if high.any():
+            live = high != 0
+            mixed = _mix(mixer, _hashmix(high, h[k + _DST], h[k + _DST + 1]))
+            mixer = np.where(live, mixed, mixer)
+            k = k + _POOL * live
+    state = _hashmix(mixer, _GEN_CONSTS[:-1], _GEN_CONSTS[1:])
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+def reseed(rng: np.random.Generator, key) -> np.random.Generator:
+    """Reset a Philox-backed generator to the state a fresh ``Philox`` keyed
+    by ``key`` starts in: zero counter, empty buffer, no spare 32-bit word.
+    With a key from :func:`philox_keys`, rng then draws what the matching
+    :func:`split_rng` generator draws."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO, "key": key},
+        "buffer": _ZERO,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def sample_spd_stack(

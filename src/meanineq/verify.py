@@ -92,36 +92,49 @@ def scalar_space(entries) -> FiniteJointSpace:
     return FiniteJointSpace(*(np.array(column) for column in zip(*atoms)))
 
 
-def matrix_space(entries) -> FiniteJointSpace:
+def _matrix_atom(entry, dim: int | None) -> tuple:
+    """One (p, X, Y, rho) atom, rho None when absent: X and Y positive definite
+    within the condition guard and of dimension ``dim`` when one is set, rho a
+    density of theirs.  Probabilities are checked together, by the space."""
+    if len(entry) == 3:
+        p, x, y = entry
+        rho = None
+    elif len(entry) == 4:
+        p, x, y, rho = entry
+    else:
+        raise UsageError("matrix atoms are (p, X, Y) or (p, X, Y, rho) tuples")
+    x, y = sym_matrix(x), sym_matrix(y)
+    if dim is None:
+        dim = x.shape[0]
+    if x.shape[0] != dim or y.shape[0] != dim:
+        raise UsageError("all atoms of a matrix space must share one dimension")
+    for label, m in (("X", x), ("Y", y)):
+        require_pd(np.linalg.eigvalsh(m), f"matrix atom {label}", PD_FLOOR, COND_LIMIT)
+    if rho is not None:
+        rho = check_density(rho)
+        if rho.shape[0] != dim:
+            raise UsageError("atom density dimension differs from the observables")
+    return float(p), x, y, rho
+
+
+def matrix_space(entries, where=None) -> FiniteJointSpace:
     """Build a matrix-mode space from (p, X, Y) or (p, X, Y, rho) tuples.
 
     X and Y must be positive definite with condition number within the
     perspective guard; densities, when present, must pass the density-matrix
     checks.  All atoms share one dimension, and either every atom carries a
-    density or none does.
+    density or none does.  ``where``, when given, maps the 0-based index of
+    the atom an error is found in to the location its message starts with.
     """
     probs, xs, ys, rhos = [], [], [], []
-    dim = None
-    for entry in entries:
-        if len(entry) == 3:
-            p, x, y = entry
-            rho = None
-        elif len(entry) == 4:
-            p, x, y, rho = entry
-        else:
-            raise UsageError("matrix atoms are (p, X, Y) or (p, X, Y, rho) tuples")
-        p = float(p)
-        x, y = sym_matrix(x), sym_matrix(y)
-        if dim is None:
-            dim = x.shape[0]
-        if x.shape[0] != dim or y.shape[0] != dim:
-            raise UsageError("all atoms of a matrix space must share one dimension")
-        for label, m in (("X", x), ("Y", y)):
-            require_pd(np.linalg.eigvalsh(m), f"matrix atom {label}", PD_FLOOR, COND_LIMIT)
+    for i, entry in enumerate(entries):
+        try:
+            p, x, y, rho = _matrix_atom(entry, xs[0].shape[0] if xs else None)
+        except MeanIneqError as exc:
+            if where is None:
+                raise
+            raise located(exc, where(i)) from None
         if rho is not None:
-            rho = check_density(rho)
-            if rho.shape[0] != dim:
-                raise UsageError("atom density dimension differs from the observables")
             rhos.append(rho)
         probs.append(p)
         xs.append(x)
@@ -301,8 +314,9 @@ def load_space(path) -> FiniteJointSpace:
     Scalar mode lines are ``p x y``; matrix mode lines are ``p x_path y_path``
     or ``p x_path y_path rho_path`` with paths resolved relative to the space
     file.  The first atom line sets the mode: scalar when its x and y are
-    numbers.  Blank lines and ``#`` comments are skipped, and errors on an
-    atom line name the file and the line's 1-based number.
+    numbers.  Blank lines and ``#`` comments are skipped, and errors found in
+    one atom, while its line is read or once its matrices are checked, name
+    the file and the line's 1-based number.
     """
     p = Path(path)
     try:
@@ -321,7 +335,9 @@ def load_space(path) -> FiniteJointSpace:
             entries.append(_space_line(fields, scalar, p.parent))
         except MeanIneqError as exc:
             raise located(exc, f"space file {p}, line {lineno}") from None
-    return scalar_space(entries) if scalar else matrix_space(entries)
+    if scalar:
+        return scalar_space(entries)
+    return matrix_space(entries, lambda i: f"space file {p}, line {rows[i][0]}")
 
 
 def space_to_jsonable(space: FiniteJointSpace) -> dict:

@@ -60,6 +60,7 @@ def test_parse_config_single_value_ranges():
         "mode = num\nfunctions = geometric\ntrials = 5\natoms = 1-2-x\n",
         "mode = num\nfunctions = geometric\ntrials = 5\nmode = op\n",
         "mode = num\nfunctions = geometric\ntrials = 5\ntol = -1\n",
+        "mode = num\nfunctions = geometric\ntrials = 0\nseed = -5\n",
         "just a line\n",
     ],
 )
@@ -308,8 +309,8 @@ def test_kernel_errors_name_the_trial(monkeypatch):
 
     sample = campaign._sample_space
 
-    def sample_with_a_bad_trial(config, fi, t):
-        space = sample(config, fi, t)
+    def sample_with_a_bad_trial(config, fi, t, rng=None):
+        space = sample(config, fi, t, rng)
         if t == 3:
             space.x[0] = np.diag(np.arange(space.dims) - 1.0)
         return space
@@ -320,3 +321,51 @@ def test_kernel_errors_name_the_trial(monkeypatch):
         run_campaign(cfg)
     assert str(exc.value).startswith("function 'harmonic', trial 3: first argument is not positive definite")
     assert exc.value.min_eigenvalue == -1.0
+
+
+def _campaign_spaces(cfg, monkeypatch):
+    """Every space run_campaign draws from its reseeded generator, with its
+    (function, trial) coordinates; the worst-case rebuild goes through
+    split_rng and is left out."""
+    from meanineq import campaign
+
+    drawn = []
+    sample = campaign._sample_space
+
+    def record(config, fi, t, rng=None):
+        space = sample(config, fi, t, rng)
+        if rng is not None:
+            drawn.append((fi, t, space))
+        return space
+
+    monkeypatch.setattr(campaign, "_sample_space", record)
+    run_campaign(cfg)
+    monkeypatch.undo()
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "cfg, chunk",
+    [
+        (CampaignConfig(mode="num", functions=("geometric", "counterexample-g"), trials=25, seed=7), None),
+        (CampaignConfig(mode="op", functions=("harmonic", "wyd:0.5"), trials=12, dims=(1, 6), seed=2**64 + 3), None),
+        (CampaignConfig(mode="rm", functions=("geometric", "logarithmic"), trials=6, dims=(2, 5), seed=2**128 + 9), None),
+        # Chunks of 7 pairs end inside every function's 5 trials.
+        (CampaignConfig(mode="num", functions=("geometric", "harmonic", "arithmetic"), trials=5, seed=2**64 + 3), 7),
+        (CampaignConfig(mode="rm", functions=("geometric", "harmonic"), trials=5, dims=(2, 4), seed=11), 3),
+    ],
+    ids=["num", "op-seed-2^64", "rm-seed-2^128", "num-chunk-7", "rm-chunk-3"],
+)
+def test_campaign_spaces_are_the_split_rng_spaces(cfg, chunk, monkeypatch):
+    from meanineq import campaign
+
+    if chunk is not None:
+        monkeypatch.setattr(campaign, "KEY_CHUNK", chunk)
+    drawn = _campaign_spaces(cfg, monkeypatch)
+    assert [(fi, t) for fi, t, _ in drawn] == [(fi, t) for fi in range(len(cfg.functions)) for t in range(cfg.trials)]
+    for fi, t, space in drawn:
+        ref = _sample_space(cfg, fi, t)
+        for name in ("p", "x", "y"):
+            assert np.array_equal(getattr(space, name), getattr(ref, name)), (fi, t, name)
+        assert (space.rho is None) == (ref.rho is None)
+        assert space.rho is None or np.array_equal(space.rho, ref.rho)

@@ -289,6 +289,27 @@ def test_verify_rm_rejects_bad_observable_file(tmp_path, capsys, x):
     assert "matrix atom X" in err
 
 
+@pytest.mark.parametrize(
+    "x, rho, detail",
+    [
+        (np.diag([1.0, -1.0]), np.eye(2) / 2.0, "matrix atom X is not positive definite"),
+        (np.eye(2), np.eye(2) * 0.6, "density matrix trace"),
+    ],
+    ids=["non-pd", "trace"],
+)
+def test_verify_rm_names_the_space_line_of_a_bad_atom(tmp_path, capsys, x, rho, detail):
+    save_matrix(tmp_path / "bad-x.txt", x)
+    save_matrix(tmp_path / "bad-rho.txt", rho)
+    save_matrix(tmp_path / "eye.txt", np.eye(2))
+    save_matrix(tmp_path / "rho.txt", np.eye(2) / 2.0)
+    space = tmp_path / "space.txt"
+    space.write_text("# two atoms\n0.5 eye.txt eye.txt rho.txt\n\n0.5 bad-x.txt eye.txt bad-rho.txt\n")
+    code, out, err = run_cli(capsys, "verify-rm", "--function", "geometric", "--space", str(space))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: space file {space}, line 4: ") and detail in err
+    assert err.count("\n") == 1
+
+
 def test_argparse_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-num"])  # missing required flags
@@ -301,8 +322,12 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     cfg.write_text("mode = num\nfunctions = geometric\ntrials = 5\nseed = -1\n")
     ok = tmp_path / "ok.cfg"
     ok.write_text("mode = num\nfunctions = geometric\ntrials = 5\n")
+    # No trial runs here, so only the config check can reject the seed.
+    idle = tmp_path / "idle.cfg"
+    idle.write_text("mode = num\nfunctions = geometric\ntrials = 0\nseed = -5\n")
     for argv in (
         ["campaign", "--config", str(cfg)],
+        ["campaign", "--config", str(idle)],
         ["campaign", "--config", str(ok), "--seed", "-1"],
         ["search", "--function", "geometric", "--seed", "-1", "--trials", "5"],
     ):

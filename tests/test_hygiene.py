@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and the package
+touches numpy's random module only through explicit generators."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,38 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+SRC = sorted((ROOT / "src").rglob("*.py"))
+#: Campaigns reseed one Philox generator per trial, which is only sound when
+#: no draw comes from numpy's global random state or another bit generator.
+RANDOM_NAMES = {"Generator", "Philox", "SeedSequence"}
+
+
+def _numpy_random_uses(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            inner = node.value
+            if inner.attr == "random" and isinstance(inner.value, ast.Name) and inner.value.id in ("np", "numpy"):
+                if node.attr not in RANDOM_NAMES:
+                    found.append(f"line {node.lineno}: {inner.value.id}.random.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            found += [f"line {node.lineno}: numpy.random.{a.name}" for a in node.names if a.name not in RANDOM_NAMES]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"line {node.lineno}: from numpy import random" for a in node.names if a.name == "random"]
+    return found
+
+
+def test_random_scan_catches_global_state():
+    tree = ast.parse("import numpy as np\nnp.random.seed(1)\nx = np.random.normal()\nfrom numpy.random import default_rng\n")
+    assert sorted(_numpy_random_uses(tree)) == [
+        "line 2: np.random.seed",
+        "line 3: np.random.normal",
+        "line 4: numpy.random.default_rng",
+    ]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_uses_only_explicit_generators(path):
+    assert _numpy_random_uses(ast.parse(path.read_text())) == []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanineq import (
     DomainError,
@@ -15,7 +17,7 @@ from meanineq import (
     split_rng,
 )
 from meanineq.linalg import COND_LIMIT
-from meanineq.sampling import DEFAULT_FLOOR
+from meanineq.sampling import DEFAULT_FLOOR, philox_keys, reseed
 
 
 def test_spd_floor_guarantee():
@@ -123,3 +125,66 @@ def test_split_paths_are_independent():
     z = split_rng(5, 1, 0).normal(size=8)
     assert not np.allclose(x, y)
     assert not np.allclose(x, z)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 9]
+SPAWN = [0, 1, 7, 2**32 - 1, 2**32, 2**33]
+TRIALS = [0, 1, 99, 2**32 - 1, 2**32, 2**32 + 5, 2**40]
+
+
+def _seed_sequence_key(seed, fi, t):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(fi, t)).generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_philox_keys_are_the_seed_sequence_keys(seed):
+    # Pairs with one- and two-word fi and t share a call, so pairs whose
+    # spawn keys have different lengths are mixed side by side.
+    pairs = [(fi, t) for fi in SPAWN for t in TRIALS]
+    keys = philox_keys(seed, [fi for fi, _ in pairs], [t for _, t in pairs])
+    assert keys.shape == (len(pairs), 2) and keys.dtype == np.uint64
+    for key, (fi, t) in zip(keys, pairs):
+        assert np.array_equal(key, _seed_sequence_key(seed, fi, t)), (fi, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**160),
+    pairs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**64 - 1)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_philox_keys_match_seed_sequence_property(seed, pairs):
+    keys = philox_keys(seed, [fi for fi, _ in pairs], [t for _, t in pairs])
+    for key, (fi, t) in zip(keys, pairs):
+        assert np.array_equal(key, _seed_sequence_key(seed, fi, t))
+
+
+def test_reseeded_generator_draws_the_split_rng_stream():
+    rng = split_rng(0, 0)
+    for seed, fi, t in [(3, 0, 0), (3, 1, 4), (2**64 + 3, 2, 9)]:
+        key = philox_keys(seed, [fi], [t])[0]
+        assert _state(reseed(rng, key)) == _state(split_rng(seed, fi, t))
+        ref = split_rng(seed, fi, t)
+        assert np.array_equal(rng.normal(size=7), ref.normal(size=7))
+        assert np.array_equal(rng.integers(0, 10, size=5), ref.integers(0, 10, size=5))
+
+
+@pytest.mark.parametrize("spare", [1, 3, 5])
+def test_reseed_leaves_no_buffered_words(spare):
+    # Integers in [0, 2**32) are raw 32-bit halves of 64-bit draws; an odd
+    # number of them leaves a spare half (and Philox a partly used buffer)
+    # that the next trial must not see.
+    def words(g, n):
+        return g.integers(0, 2**32, size=n, dtype=np.uint64)
+
+    rng = reseed(split_rng(0, 0), philox_keys(8, [1], [1])[0])
+    words(rng, spare)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    reseed(rng, philox_keys(8, [1], [2])[0])
+    ref = split_rng(8, 1, 2)
+    assert np.array_equal(words(rng, 3), words(ref, 3))
+    assert np.array_equal(rng.uniform(size=3), ref.uniform(size=3))
+    assert _state(rng) == _state(ref)

@@ -16,6 +16,7 @@ from meanineq import (
     operator_mean_spec,
     sample_density,
     sample_spd,
+    save_matrix,
     scalar_space,
     split_rng,
     verify_numeric,
@@ -360,6 +361,32 @@ def test_space_file_errors_name_the_line(tmp_path, text, line, error, detail):
         load_space(path)
     assert str(exc.value).startswith(f"space file {path}, line {line}: ")
     assert detail in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "x, rho, error, detail",
+    [
+        (np.diag([1.0, -1.0]), None, NotPositiveDefiniteError, "matrix atom X is not positive definite"),
+        (np.diag([1e-9, 1e9]), None, DomainError, "matrix atom X condition number"),
+        (np.eye(2), np.eye(2) * 0.6, DomainError, "density matrix trace 1.2"),
+        (np.eye(3), None, UsageError, "share one dimension"),
+    ],
+    ids=["non-pd", "ill-conditioned", "trace", "dimension"],
+)
+def test_space_file_matrix_errors_name_the_line(tmp_path, x, rho, error, detail):
+    # Atom checks run once every line is read; the atom's index maps back to
+    # its line, counting blank and comment lines.
+    save_matrix(tmp_path / "eye.txt", np.eye(2))
+    save_matrix(tmp_path / "rho.txt", np.eye(2) / 2.0)
+    save_matrix(tmp_path / "x.txt", x)
+    save_matrix(tmp_path / "bad-rho.txt", np.eye(2) / 2.0 if rho is None else rho)
+    path = tmp_path / "space.txt"
+    path.write_text("# atoms\n0.25 eye.txt eye.txt rho.txt\n\n# the bad one\n0.75 x.txt eye.txt bad-rho.txt\n")
+    with pytest.raises(error) as exc:
+        load_space(path)
+    assert str(exc.value).startswith(f"space file {path}, line 5: ")
+    assert detail in str(exc.value)
+
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
