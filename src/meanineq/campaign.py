@@ -20,10 +20,12 @@ them matrix by matrix.
 Trials are evaluated in blocks of consecutive trials of one function; a block
 ends at the function's last trial or once its spaces hold BLOCK_ELEMENTS
 values of x.  Sampling is unchanged (each trial still draws from its own
-stream), but ``verify.atom_values`` evaluates the whole block at once: one
-perspective kernel per matrix dimension in the block, or one scalar-mean call.
-Each trial's sums, rhs and verdict are then formed on its own slice, so every
-report has the bits of verifying that trial's space alone.
+stream), but ``verify.block_sides`` evaluates the whole block at once: one
+perspective kernel per matrix dimension in the block, or one scalar-mean call,
+then the weighted sums of all its trials as padded arrays, one rhs call and
+array-wide floor and finiteness checks.  Every trial's lhs and rhs have the
+bits of verifying its space alone.  The aggregation keeps each trial's gap as
+a float and its verdict from ``classify_gap``; no per-trial report is built.
 """
 
 from __future__ import annotations
@@ -32,17 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeanIneqError, UsageError, located
+from .errors import UsageError
 from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import MATRIX_TOL, OperatorMeanSpec
-from .reports import VERDICT_VIOLATED, InequalityReport
+from .reports import VERDICT_VIOLATED, InequalityReport, classify_gap
 from .sampling import philox_keys, reseed, sample_atom_stacks, split_rng
 from .verify import (
     SCALAR_TOL,
     FiniteJointSpace,
-    _verify,
-    atom_values,
+    block_sides,
     construct_counterexample,
     space_to_jsonable,
     verify_numeric,
@@ -264,31 +265,10 @@ def _sample_space(
     return sample_matrix_space(rng, config.dims, config.atoms)
 
 
-def _run_trial(
-    config: CampaignConfig, f: RepresentingFunction, space: FiniteJointSpace, values
-) -> InequalityReport:
-    """The per-trial tail, from the trial's space and its atom values: the
-    weighted sums, the E X / E Y floor check, the rhs and the report."""
-    return _verify(space, f, values, config.resolved_tol(), config.seed, config.mode)
-
-
-def _run_block(
-    config: CampaignConfig, fid: str, first: int, spaces: list[FiniteJointSpace]
-) -> list[InequalityReport]:
-    """Trials first, first + 1, ... of function fid: one atom_values call for
-    the block, then each trial's tail.  When the block's kernel fails, the
-    trials are re-run one at a time so the error names the first failing one."""
-    f = get_function(fid)
-    try:
-        values = atom_values(f, spaces)
-    except MeanIneqError:
-        for t, space in enumerate(spaces, first):
-            try:
-                atom_values(f, [space])
-            except MeanIneqError as exc:
-                raise located(exc, f"function {fid!r}, trial {t}") from None
-        raise
-    return [_run_trial(config, f, space, v) for space, v in zip(spaces, values)]
+def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key) -> FiniteJointSpace:
+    """Trial t of function fi's own work, run once per trial in campaign order:
+    its draw from ``rng`` reseeded with the trial's key."""
+    return _sample_space(config, fi, t, reseed(rng, key))
 
 
 def _trial_keys(config: CampaignConfig):
@@ -311,34 +291,32 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     Each function's trials are sampled in order, each from the campaign's one
     Philox generator reseeded with the trial's key, and evaluated in blocks: a
     block ends at the function's last trial or once its spaces hold
-    BLOCK_ELEMENTS values of x, and its atom values come from one
-    ``atom_values`` call.  The tail runs once per trial, in order, through
-    ``_run_trial``.  Trials run in this process at any ``workers`` value; the
-    parameter is kept for existing callers and does not change the summary.
+    BLOCK_ELEMENTS values of x, and its gaps rhs - lhs come from one
+    ``block_sides`` call, whose errors name the first failing trial.  Trials
+    run in this process at any ``workers`` value; the parameter is kept for
+    existing callers and does not change the summary.
     """
     validate_config(config)
-    reports: list[InequalityReport] = []
-    rng = np.random.Generator(np.random.Philox(0))  # reseeded before every draw
-    keys = _trial_keys(config)
-    for fi, fid in enumerate(config.functions):
-        block: list[FiniteJointSpace] = []
-        size = 0
-        for t in range(config.trials):
-            space = _sample_space(config, fi, t, reseed(rng, next(keys)))
-            block.append(space)
-            size += space.x.size
-            if size >= BLOCK_ELEMENTS or t == config.trials - 1:
-                reports += _run_block(config, fid, t + 1 - len(block), block)
-                block, size = [], 0
-
     tol = config.resolved_tol()
     per_function: dict[str, FunctionStats] = {}
     violations = 0
     worst: tuple[float, int, int] | None = None
+    rng = np.random.Generator(np.random.Philox(0))  # reseeded before every draw
+    keys = _trial_keys(config)
     for fi, fid in enumerate(config.functions):
-        block = reports[fi * config.trials : (fi + 1) * config.trials]
-        chunk = [r.gap for r in block]
-        fviol = sum(1 for r in block if r.verdict == VERDICT_VIOLATED)
+        f = get_function(fid)
+        chunk: list[float] = []
+        block: list[FiniteJointSpace] = []
+        size = 0
+        for t in range(config.trials):
+            block.append(_run_trial(config, fi, t, rng, next(keys)))
+            size += block[-1].x.size
+            if size >= BLOCK_ELEMENTS or t == config.trials - 1:
+                first = t + 1 - len(block)
+                lhs, rhs = block_sides(f, block, lambda i: f"function {fid!r}, trial {first + i}")
+                chunk += (rhs - lhs).tolist()
+                block, size = [], 0
+        fviol = sum(1 for g in chunk if classify_gap(g, tol) == VERDICT_VIOLATED)
         violations += fviol
         per_function[fid] = FunctionStats(
             trials=len(chunk),
@@ -358,7 +336,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     return CampaignSummary(
         mode=config.mode,
         functions=config.functions,
-        trials=len(reports),
+        trials=len(config.functions) * config.trials,
         violations=violations,
         worst_gap=worst_gap,
         worst_case=worst_case,

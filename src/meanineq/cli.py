@@ -173,34 +173,11 @@ def _report_csv(report: InequalityReport) -> str:
 
 
 def _campaign_csv(summary: CampaignSummary) -> str:
+    per = summary.per_function
+    rows = [(fid, st.trials, st.violations, st.worst_gap, st.max_abs_gap) for fid, st in per.items()]
+    rows.append(("(total)", summary.trials, summary.violations, summary.worst_gap, None))
     lines = ["schema_version,mode,function,trials,violations,worst_gap,max_abs_gap"]
-    for fid, st in summary.per_function.items():
-        lines.append(
-            ",".join(
-                [
-                    str(SCHEMA_VERSION),
-                    summary.mode,
-                    fid,
-                    str(st.trials),
-                    str(st.violations),
-                    _csv_cell(st.worst_gap),
-                    _csv_cell(st.max_abs_gap),
-                ]
-            )
-        )
-    lines.append(
-        ",".join(
-            [
-                str(SCHEMA_VERSION),
-                summary.mode,
-                "(total)",
-                str(summary.trials),
-                str(summary.violations),
-                _csv_cell(summary.worst_gap),
-                "",
-            ]
-        )
-    )
+    lines += [",".join(_csv_cell(v) for v in (SCHEMA_VERSION, summary.mode, *row)) for row in rows]
     return "\n".join(lines)
 
 

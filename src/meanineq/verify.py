@@ -11,22 +11,24 @@ Three settings share that shape:
 
 All sums are exact weighted sums over atoms; no Monte Carlo error enters the
 verdicts (campaigns sample the *instances*, not the integrals).  A space is
-its arrays, and its mode is the rank of x.  Each verifier turns a space into
-per-atom values of the mean, X and Y with :func:`atom_values` and hands them to
-one tail, which forms the three weighted sums and applies the mean to E X and
-E Y.  Campaigns call :func:`atom_values` on a block of trials' spaces at once
-and run the tail per trial, with the same bits as verifying each space alone.
+its arrays, and its mode is the rank of x.  Verification runs on blocks of
+spaces: :func:`atom_values` lays out their atoms' probabilities and values of
+the mean, X and Y as padded arrays, one row per space, and :func:`block_sides`
+forms every row's weighted sums at once and the rhs in one call.  The verifiers
+pass one space; campaigns a block of trials, with the bits of each alone.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, MeanIneqError, UsageError, located
+from .errors import DomainError, MeanIneqError, NumericError, UsageError, located
 from .functions import SCALAR_TOL, RepresentingFunction, means
 from .linalg import COND_LIMIT, PD_FLOOR, load_matrix, require_pd, sym_matrix
 from .operator_means import MATRIX_TOL, OperatorMeanSpec, perspective_kernel
@@ -62,40 +64,64 @@ class FiniteJointSpace:
     def dims(self) -> int:
         return 1 if self.x.ndim == 1 else int(self.x.shape[-1])
 
+    @property
+    def atoms(self) -> int:
+        return len(self.p)
 
-def _check_probabilities(probs: list[float]) -> None:
+
+def _probability(p) -> float:
+    p = float(p)
+    if not (math.isfinite(p) and p >= 0.0):
+        raise DomainError(f"atom probability must be finite and >= 0, got {p!r}")
+    return p
+
+
+def _check_total(probs: list[float]) -> None:
     if not probs:
         raise UsageError("a finite joint space needs at least one atom")
-    for p in probs:
-        if not (math.isfinite(p) and p >= 0.0):
-            raise DomainError(f"atom probability must be finite and >= 0, got {p!r}")
     total = math.fsum(probs)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise DomainError(f"atom probabilities sum to {total!r}, not 1")
 
 
+@contextmanager
+def _located(where, i: int | None):
+    """Errors raised inside are about item i (an atom or a trial; None: the
+    whole space); prefix them with ``where(i)`` when ``where`` is given."""
+    try:
+        yield
+    except MeanIneqError as exc:
+        if where is None:
+            raise
+        raise located(exc, where(i)) from None
+
+
 def _scalar_atom(entry) -> tuple[float, float, float]:
-    """One (p, x, y) atom with positive, finite values; probabilities are
-    checked together, by the space."""
+    """One (p, x, y) atom: p finite and >= 0, x and y positive and finite."""
     if len(entry) != 3:
         raise UsageError("scalar atoms are (p, x, y) triples")
     p, x, y = map(float, entry)
     if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
         raise DomainError(f"scalar atom values must be positive, got ({x!r}, {y!r})")
-    return p, x, y
+    return _probability(p), x, y
 
 
-def scalar_space(entries) -> FiniteJointSpace:
-    """Build a scalar-mode space from (probability, x, y) triples."""
-    atoms = [_scalar_atom(entry) for entry in entries]
-    _check_probabilities([a[0] for a in atoms])
+def scalar_space(entries, where=None) -> FiniteJointSpace:
+    """Build a scalar-mode space from (probability, x, y) triples; ``where``
+    locates errors as in :func:`matrix_space`."""
+    atoms = []
+    for i, entry in enumerate(entries):
+        with _located(where, i):
+            atoms.append(_scalar_atom(entry))
+    with _located(where, None):
+        _check_total([a[0] for a in atoms])
     return FiniteJointSpace(*(np.array(column) for column in zip(*atoms)))
 
 
 def _matrix_atom(entry, dim: int | None) -> tuple:
-    """One (p, X, Y, rho) atom, rho None when absent: X and Y positive definite
-    within the condition guard and of dimension ``dim`` when one is set, rho a
-    density of theirs.  Probabilities are checked together, by the space."""
+    """One (p, X, Y, rho) atom, rho None when absent: p finite and >= 0, X and
+    Y positive definite within the condition guard and of dimension ``dim``
+    when one is set, rho a density of theirs."""
     if len(entry) == 3:
         p, x, y = entry
         rho = None
@@ -114,7 +140,7 @@ def _matrix_atom(entry, dim: int | None) -> tuple:
         rho = check_density(rho)
         if rho.shape[0] != dim:
             raise UsageError("atom density dimension differs from the observables")
-    return float(p), x, y, rho
+    return _probability(p), x, y, rho
 
 
 def matrix_space(entries, where=None) -> FiniteJointSpace:
@@ -124,35 +150,24 @@ def matrix_space(entries, where=None) -> FiniteJointSpace:
     perspective guard; densities, when present, must pass the density-matrix
     checks.  All atoms share one dimension, and either every atom carries a
     density or none does.  ``where``, when given, maps the 0-based index of
-    the atom an error is found in to the location its message starts with.
+    the atom an error is found in, or None for an error of the whole space, to
+    the location its message starts with.
     """
     probs, xs, ys, rhos = [], [], [], []
     for i, entry in enumerate(entries):
-        try:
+        with _located(where, i):
             p, x, y, rho = _matrix_atom(entry, xs[0].shape[0] if xs else None)
-        except MeanIneqError as exc:
-            if where is None:
-                raise
-            raise located(exc, where(i)) from None
         if rho is not None:
             rhos.append(rho)
         probs.append(p)
         xs.append(x)
         ys.append(y)
-    _check_probabilities(probs)
-    if 0 < len(rhos) < len(probs):
-        raise UsageError("either every atom of a matrix space carries a density or none does")
+    with _located(where, None):
+        _check_total(probs)
+        if 0 < len(rhos) < len(probs):
+            raise UsageError("either every atom of a matrix space carries a density or none does")
     rho = np.stack(rhos) if rhos else None
     return FiniteJointSpace(np.array(probs), np.stack(xs), np.stack(ys), rho)
-
-
-def expectation(p: np.ndarray, v: np.ndarray) -> float:
-    """The weighted sum of p[i] * v[i], added left to right in atom order: the
-    order the golden outputs pin, which np.dot, math.fsum and sum() do not keep."""
-    total = 0.0
-    for pi, vi in zip(p.tolist(), v.tolist()):
-        total += pi * vi
-    return total
 
 
 def verify_numeric(
@@ -167,7 +182,7 @@ def verify_numeric(
     if not isinstance(f, RepresentingFunction):
         raise UsageError("scalar verification needs a RepresentingFunction")
     # Values were validated when the space was built.
-    return _verify(space, f, atom_values(f, [space])[0], tol, seed, "num")
+    return _verify(space, f, tol, seed, "num")
 
 
 def construct_counterexample(
@@ -227,63 +242,92 @@ def verify_matrix(
     space with a density on every atom; ``mode`` labels the report."""
     if not isinstance(spec, OperatorMeanSpec):
         raise UsageError("matrix verification needs an OperatorMeanSpec")
-    return _verify(space, spec.f, atom_values(spec.f, [space])[0], tol, seed, mode)
+    return _verify(space, spec.f, tol, seed, mode)
 
 
-def atom_values(f: RepresentingFunction, spaces) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-atom (mean, X, Y) value vectors of each trusted space, all of one
-    mode: in scalar mode the means m_f(x, y), x and y; in matrix mode
-    Tr(rho M) for M in (P_f(X, Y), X, Y), where every space carries densities.
+def atom_values(f: RepresentingFunction, spaces) -> tuple[np.ndarray, np.ndarray]:
+    """The block layout of trusted spaces of one mode: P, (T, K + 1), holds
+    space t's probabilities in row t, columns 1 to its atom count, and V,
+    (3, T, K + 1), the atoms' values of the mean, X and Y in the same places:
+    m_f(x, y), x and y, or in matrix mode Tr(rho M) for M in (P_f(X, Y), X, Y).
+    Column 0 and the pads after a row's last atom hold p = 0 and value 0.
 
-    Spaces with one atom shape share one kernel call: their atoms are stacked,
-    evaluated together and split back, and every atom gets the bits it gets
-    alone, because the kernels work slice by slice.  Kernel errors name the
-    offending atom by its index in that stack."""
-    values: list = [None] * len(spaces)
+    Spaces with one atom shape share one kernel call, and every atom gets the
+    bits it gets alone, because the kernels work slice by slice.  Kernel
+    errors name the offending atom by its index in that stack."""
+    counts = [s.atoms for s in spaces]
+    atom = np.arange(max(counts) + 1) <= np.array(counts)[:, None]
+    atom[:, 0] = False
     buckets: dict[tuple, list[int]] = {}
     for i, space in enumerate(spaces):
         buckets.setdefault(space.x.shape[1:], []).append(i)
+    parts = []
     for members in buckets.values():
         group = [spaces[i] for i in members]
+        p = np.concatenate([s.p for s in group])
         x = np.concatenate([s.x for s in group])
         y = np.concatenate([s.y for s in group])
         if x.ndim == 1:
-            stacks = (means(f, x, y), x, y)
+            parts.append((p, means(f, x, y), x, y))
         else:
             # Tr(rho M) for every atom at once, each bit for bit what
             # operator_means.expectation_state gives.
             rho = np.concatenate([s.rho for s in group])
-            stacks = [np.einsum("kij,kji->k", rho, m) for m in (perspective_kernel(f, x, y), x, y)]
-        ends = np.cumsum([len(s.p) for s in group]).tolist()
-        for i, lo, hi in zip(members, [0, *ends], ends):
-            values[i] = tuple(v[lo:hi] for v in stacks)
-    return values
+            parts.append([p, *(np.einsum("kij,kji->k", rho, m) for m in (perspective_kernel(f, x, y), x, y))])
+    flat = np.concatenate(parts, axis=1)
+    if len(parts) > 1:  # flat is in bucket order: move each atom to its place in block order
+        starts = [0, *accumulate(counts)]
+        to = [j for i in chain(*buckets.values()) for j in range(starts[i], starts[i + 1])]
+        flat[:, to] = flat.copy()
+    layout = np.zeros((4, *atom.shape))
+    layout[:, atom] = flat
+    return layout[0], layout[1:]
+
+
+def weighted_sums(P: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Each row's sum of P * V, added left to right from column 0 as the golden
+    outputs pin: cumsum accumulates in order where sum() adds pairwise, and a
+    pad adds an exact +0.0."""
+    return np.cumsum(P * V, axis=-1)[..., -1]
+
+
+def block_sides(f: RepresentingFunction, spaces, where=None) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs m_f(E X, E Y) of every trusted space of a block, as (T,)
+    arrays, rhs from one ``means`` call.  E X and E Y can underflow, so they
+    must be finite and above the mode's floor (PD_FLOOR, or 0 for scalars),
+    and both sides must be finite.  The first failing space raises, located
+    by ``where`` (see :func:`_located`)."""
+    try:
+        P, V = atom_values(f, spaces)
+    except MeanIneqError:
+        for t, space in enumerate(spaces):  # find the first failing space
+            with _located(where, t):
+                atom_values(f, [space])
+        raise
+    lhs, ex, ey = sums = weighted_sums(P, V)
+    e, floor = sums[1:], (0.0 if spaces[0].mode == MODE_SCALAR else PD_FLOOR)
+    # n counts the spaces before the first E X or E Y out of range; min and max propagate NaN.
+    ok = floor < e.min() and e.max() < math.inf
+    n = len(spaces) if ok else int(((floor < e) & (e < math.inf)).all(0).argmin())
+    rhs = means(f, ex[:n], ey[:n])
+    finite = np.isfinite(lhs[:n]) & np.isfinite(rhs)
+    if not finite.all():
+        t = int(finite.argmin())
+        with _located(where, t):
+            raise NumericError(f"non-finite inequality sides lhs={float(lhs[t])!r} rhs={float(rhs[t])!r}")
+    if n < len(spaces):
+        name, v = ("E X", ex[n]) if not floor < ex[n] < math.inf else ("E Y", ey[n])
+        with _located(where, n):
+            raise DomainError(f"{name} must be positive and finite, got {float(v)!r}")
+    return lhs, rhs
 
 
 def _verify(
-    space: FiniteJointSpace, f: RepresentingFunction, values, tol: float, seed: int | None, mode: str
+    space: FiniteJointSpace, f: RepresentingFunction, tol: float, seed: int | None, mode: str
 ) -> InequalityReport:
-    """The tail both verifiers share.  ``values`` holds three (k,) vectors: the
-    atoms' means, X and Y, or in matrix mode their Tr(rho M).  lhs is the first
-    one's expectation; rhs m_f(E X, E Y) is evaluated as the atoms' means are.
-    A sum over valid atoms can still underflow, so E X and E Y must be finite
-    and above the floor of the space's mode: 0 for scalars, PD_FLOOR otherwise."""
-    lhs, ex, ey = [expectation(space.p, v) for v in values]
-    floor = 0.0 if space.mode == MODE_SCALAR else PD_FLOOR
-    for name, v in (("E X", ex), ("E Y", ey)):
-        if not floor < v < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {v!r}")
-    rhs = float(means(f, np.array([ex]), np.array([ey]))[0])
-    return inequality_report(
-        lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        function=f.id,
-        mode=mode,
-        dims=space.dims,
-        atoms=len(space.p),
-        seed=seed,
-    )
+    """The tail both verifiers share: the one-space block's sides, reported."""
+    (lhs,), (rhs,) = block_sides(f, [space])
+    return inequality_report(lhs, rhs, tol, f.id, mode, space.dims, space.atoms, seed)
 
 
 def _try_float(token: str) -> float | None:
@@ -314,9 +358,10 @@ def load_space(path) -> FiniteJointSpace:
     Scalar mode lines are ``p x y``; matrix mode lines are ``p x_path y_path``
     or ``p x_path y_path rho_path`` with paths resolved relative to the space
     file.  The first atom line sets the mode: scalar when its x and y are
-    numbers.  Blank lines and ``#`` comments are skipped, and errors found in
+    numbers.  Blank lines and ``#`` comments are skipped.  Errors found in
     one atom, while its line is read or once its matrices are checked, name
-    the file and the line's 1-based number.
+    the file and the line's 1-based number; errors of the whole space, such
+    as probabilities that do not sum to 1, name the file.
     """
     p = Path(path)
     try:
@@ -329,15 +374,15 @@ def load_space(path) -> FiniteJointSpace:
         raise UsageError(f"space file {p} has no atoms")
     first = rows[0][1]
     scalar = len(first) == 3 and None not in (_try_float(first[1]), _try_float(first[2]))
+
+    def where(i: int | None) -> str:
+        return f"space file {p}" if i is None else f"space file {p}, line {rows[i][0]}"
+
     entries = []
-    for lineno, fields in rows:
-        try:
+    for i, (_, fields) in enumerate(rows):
+        with _located(where, i):
             entries.append(_space_line(fields, scalar, p.parent))
-        except MeanIneqError as exc:
-            raise located(exc, f"space file {p}, line {lineno}") from None
-    if scalar:
-        return scalar_space(entries)
-    return matrix_space(entries, lambda i: f"space file {p}, line {rows[i][0]}")
+    return (scalar_space if scalar else matrix_space)(entries, where)
 
 
 def space_to_jsonable(space: FiniteJointSpace) -> dict:

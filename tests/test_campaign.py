@@ -235,30 +235,35 @@ def test_sampled_scalar_space_views_match_its_arrays():
 
 
 def _recorded_reports(cfg, monkeypatch):
-    """run_campaign's summary, its per-trial reports (read off its calls to
-    _run_trial) and the number of spaces in each block it evaluated."""
-    from meanineq import campaign
+    """run_campaign's summary, its per-trial (function, lhs, rhs, gap, verdict,
+    atoms, dims) records (read off its block tails), the spaces its _run_trial
+    calls returned, and the number of spaces in each block it evaluated."""
+    from meanineq import campaign, classify_gap
 
-    reports, blocks = [], []
-    run_trial, atom_values = campaign._run_trial, campaign.atom_values
+    reports, spaces, blocks = [], [], []
+    run_trial, block_sides = campaign._run_trial, campaign.block_sides
+    tol = cfg.resolved_tol()
 
-    def record(*args):
-        reports.append(run_trial(*args))
-        return reports[-1]
+    def record_trial(*args):
+        spaces.append(run_trial(*args))
+        return spaces[-1]
 
-    def record_block(f, spaces):
-        blocks.append(len(spaces))
-        return atom_values(f, spaces)
+    def record_block(f, block, where=None):
+        blocks.append(len(block))
+        lhs, rhs = block_sides(f, block, where)
+        for space, lo, hi in zip(block, lhs.tolist(), rhs.tolist()):
+            reports.append((f.id, lo, hi, hi - lo, classify_gap(hi - lo, tol), space.atoms, space.dims))
+        return lhs, rhs
 
-    monkeypatch.setattr(campaign, "_run_trial", record)
-    monkeypatch.setattr(campaign, "atom_values", record_block)
+    monkeypatch.setattr(campaign, "_run_trial", record_trial)
+    monkeypatch.setattr(campaign, "block_sides", record_block)
     summary = run_campaign(cfg)
     monkeypatch.undo()
-    return summary, reports, blocks
+    return summary, reports, spaces, blocks
 
 
-def _bits(report):
-    return (report.lhs.hex(), report.rhs.hex(), report.gap.hex(), report.verdict, report.atoms, report.dims)
+def _bits(function, lhs, rhs, gap, verdict, atoms, dims):
+    return (function, lhs.hex(), rhs.hex(), gap.hex(), verdict, atoms, dims)
 
 
 @pytest.mark.parametrize(
@@ -277,7 +282,7 @@ def test_blocked_trials_match_verifying_each_space_alone(cfg, monkeypatch):
     from meanineq import OperatorMeanSpec
     from meanineq.verify import verify_matrix
 
-    _, reports, blocks = _recorded_reports(cfg, monkeypatch)
+    _, reports, _, blocks = _recorded_reports(cfg, monkeypatch)
     assert sum(blocks) == len(cfg.functions) * cfg.trials
     if cfg.dims == (48, 64):
         assert len(blocks) > len(cfg.functions)
@@ -290,18 +295,21 @@ def test_blocked_trials_match_verifying_each_space_alone(cfg, monkeypatch):
                 expected.append(verify_numeric(space, f, cfg.resolved_tol(), seed=cfg.seed))
             else:
                 expected.append(verify_matrix(space, OperatorMeanSpec(f), cfg.resolved_tol(), cfg.seed, cfg.mode))
-    assert [_bits(r) for r in reports] == [_bits(r) for r in expected]
-    assert [r.function for r in reports] == [fid for fid in cfg.functions for _ in range(cfg.trials)]
+    assert [_bits(*r) for r in reports] == [
+        _bits(r.function, r.lhs, r.rhs, r.gap, r.verdict, r.atoms, r.dims) for r in expected
+    ]
+    assert [r[0] for r in reports] == [fid for fid in cfg.functions for _ in range(cfg.trials)]
 
 
 @pytest.mark.parametrize("mode", ["num", "op", "rm"])
 def test_run_trial_is_called_once_per_trial(mode, monkeypatch):
-    # The benchmark trace counts trials by these calls and atoms by their reports.
+    # The benchmark trace counts trials by these calls and atoms by the spaces
+    # they return.
     cfg = CampaignConfig(mode=mode, functions=("geometric", "harmonic"), trials=7, dims=(2, 4), atoms=(1, 5), seed=9)
-    summary, reports, _ = _recorded_reports(cfg, monkeypatch)
-    assert len(reports) == summary.trials == 14
+    summary, reports, spaces, _ = _recorded_reports(cfg, monkeypatch)
+    assert len(spaces) == len(reports) == summary.trials == 14
     atoms = sum(len(_sample_space(cfg, fi, t).p) for fi in range(2) for t in range(7))
-    assert sum(r.atoms for r in reports) == atoms
+    assert sum(s.atoms for s in spaces) == sum(r[5] for r in reports) == atoms
 
 
 def test_kernel_errors_name_the_trial(monkeypatch):
@@ -321,6 +329,28 @@ def test_kernel_errors_name_the_trial(monkeypatch):
         run_campaign(cfg)
     assert str(exc.value).startswith("function 'harmonic', trial 3: first argument is not positive definite")
     assert exc.value.min_eigenvalue == -1.0
+
+
+def test_floor_errors_name_the_trial(monkeypatch):
+    # 0.5 * 5e-324 rounds to 0, so trial 2's E X is 0 although its atoms are
+    # positive; the block tail finds it among the block's other trials.
+    from meanineq import DomainError, campaign
+    from meanineq.verify import FiniteJointSpace
+
+    sample = campaign._sample_space
+
+    def sample_with_a_bad_trial(config, fi, t, rng=None):
+        space = sample(config, fi, t, rng)
+        if t == 2:
+            space = FiniteJointSpace(np.array([0.5, 0.5]), np.array([5e-324, 5e-324]), np.ones(2))
+        return space
+
+    monkeypatch.setattr(campaign, "_sample_space", sample_with_a_bad_trial)
+    cfg = CampaignConfig(mode="num", functions=("geometric",), trials=6, seed=3)
+    with pytest.raises(DomainError) as exc:
+        run_campaign(cfg)
+    assert str(exc.value).startswith("function 'geometric', trial 2: E X must be positive and finite")
+    assert str(exc.value).endswith("got 0.0")
 
 
 def _campaign_spaces(cfg, monkeypatch):

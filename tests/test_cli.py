@@ -380,3 +380,19 @@ def test_bad_scalar_space_line_exits_2_naming_it(tmp_path, capsys, text, detail)
     assert code == 2 and out == ""
     assert err.startswith(f"error: space file {space}, line 2: ") and detail in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, where, detail",
+    [
+        ("0.5 1 1\n-0.5 3 1\n1.0 2 2\n", ", line 2", "atom probability must be finite and >= 0, got -0.5"),
+        ("0.5 1 1\n0.4 3 1\n", "", "atom probabilities sum to 0.9, not 1"),
+    ],
+    ids=["negative", "sum"],
+)
+def test_bad_space_probability_exits_2_naming_the_file(tmp_path, capsys, text, where, detail):
+    space = tmp_path / "space.txt"
+    space.write_text(text)
+    code, out, err = run_cli(capsys, "verify-num", "--function", "geometric", "--space", str(space))
+    assert code == 2 and out == ""
+    assert err == f"error: space file {space}{where}: {detail}\n"

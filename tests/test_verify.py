@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meanineq import (
     DomainError,
@@ -23,7 +25,8 @@ from meanineq import (
     verify_operator,
     verify_random_matrix,
 )
-from meanineq.verify import expectation
+from meanineq.functions import means
+from meanineq.verify import FiniteJointSpace, atom_values, weighted_sums
 
 GEO = get_function("geometric")
 G = get_function("counterexample-g")
@@ -78,14 +81,49 @@ def test_matrix_space_rejects_ill_conditioned_and_non_pd_observables():
 
 def test_expectation_scalar_examples():
     single = scalar_space([(1.0, 3.0, 5.0)])
-    assert expectation(single.p, single.x) == 3.0
     two = scalar_space([(0.5, 1.0, 1.0), (0.5, 3.0, 1.0)])
-    assert expectation(two.p, two.x) == 2.0
+    _, ex, ey = weighted_sums(*atom_values(GEO, [single, two]))
+    assert ex.tolist() == [3.0, 2.0]
+    assert ey.tolist() == [5.0, 1.0]
     # per-atom geometric mean then average: (sqrt(1) + sqrt(3)) / 2
     expected = (math.sqrt(1.0) + math.sqrt(3.0)) / 2.0
     assert verify_numeric(two, GEO).lhs == pytest.approx(expected, rel=1e-15)
     with pytest.raises(UsageError):
         verify_numeric(two, "z")
+
+
+def _sequential_sum(p, v):
+    # The reference order: left to right from 0.0, as the golden outputs pin.
+    total = 0.0
+    for pi, vi in zip(p.tolist(), v.tolist()):
+        total += pi * vi
+    return total
+
+
+def _scalar_spaces(rows):
+    return [FiniteJointSpace(*(np.array(column, dtype=float) for column in zip(*atoms))) for atoms in rows]
+
+
+_VALUE = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+_PROB = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([-0.0, 0.0, 1e-300, 5e-324]))
+_ATOMS = st.lists(st.tuples(_PROB, _VALUE, _VALUE), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ATOMS, min_size=1, max_size=9))
+@example(rows=[[(-0.0, 2.0, 3.0)]])
+@example(rows=[[(-0.0, 2.0, 3.0)], [(-0.0, 1e300, 1e-300), (1.0, 1e-300, 1e300)], [(0.5, 1.0, 1.0)] * 12])
+def test_block_sums_match_the_sequential_sum(rows):
+    # Probabilities are not normalised here: the sums must keep the order of
+    # the per-space reference loop whatever the numbers, -0.0 and inf included.
+    f = get_function("arithmetic")
+    spaces = _scalar_spaces(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = weighted_sums(*atom_values(f, spaces)).tolist()
+    for t, space in enumerate(spaces):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [_sequential_sum(space.p, v) for v in (means(f, space.x, space.y), space.x, space.y)]
+        assert [float.hex(s[t]) for s in sums] == [float.hex(e) for e in expected]
 
 
 def test_verify_numeric_arithmetic_equality():
@@ -387,6 +425,26 @@ def test_space_file_matrix_errors_name_the_line(tmp_path, x, rho, error, detail)
     assert str(exc.value).startswith(f"space file {path}, line 5: ")
     assert detail in str(exc.value)
 
+
+@pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "matrix"])
+def test_space_file_probability_errors_name_the_file(tmp_path, scalar):
+    # A bad probability is an error of its line; a bad sum, of the whole file.
+    save_matrix(tmp_path / "eye.txt", np.eye(2))
+    save_matrix(tmp_path / "rho.txt", np.eye(2) / 2.0)
+    atom = "1 1" if scalar else "eye.txt eye.txt rho.txt"
+    path = tmp_path / "space.txt"
+    path.write_text(f"# atoms\n0.5 {atom}\n\n-0.5 {atom}\n1.0 {atom}\n")
+    with pytest.raises(DomainError) as exc:
+        load_space(path)
+    assert str(exc.value) == f"space file {path}, line 4: atom probability must be finite and >= 0, got -0.5"
+    path.write_text(f"0.5 {atom}\nnan {atom}\n")
+    with pytest.raises(DomainError) as exc:
+        load_space(path)
+    assert str(exc.value) == f"space file {path}, line 2: atom probability must be finite and >= 0, got nan"
+    path.write_text(f"0.5 {atom}\n0.4 {atom}\n")
+    with pytest.raises(DomainError) as exc:
+        load_space(path)
+    assert str(exc.value) == f"space file {path}: atom probabilities sum to 0.9, not 1"
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
