@@ -1,45 +1,41 @@
 """Seeded verification campaigns and random violation search.
 
 A campaign draws instances (finite spaces, state/observable triples, or
-random-matrix spaces), runs the matching verifier on each, and aggregates
-counts and extremes.  Trial k of function j always draws the stream of
-``split_rng(seed, j, k)``, so replays are bit-identical, and the worst case is
-rebuilt from its (function, trial) coordinates rather than stored.  A campaign
-does not build that generator per trial: it keeps one Philox generator and,
-before each trial's draw, reseeds it with the trial's exact ``SeedSequence``
-key, derived for up to KEY_CHUNK consecutive (function, trial) pairs at once
-by ``sampling.philox_keys``.  Samples are valid by construction, so samplers
-build trusted spaces directly.  Trials run in-process, in order: threads would
+random-matrix spaces), verifies each, and aggregates counts and extremes.
+Trial k of function j always draws the stream of ``split_rng(seed, j, k)``,
+so replays are bit-identical, and the worst case is rebuilt from its
+(function, trial) coordinates rather than stored.  A campaign does not build
+that generator per trial: it keeps one Philox generator and, before each
+trial's draw, reseeds it with the trial's exact ``SeedSequence`` key, derived
+for up to KEY_CHUNK consecutive (function, trial) pairs at once by
+``sampling.philox_keys``.  Trials run in-process, in order: threads would
 serialize on the interpreter lock.
 
-Samplers build each space from the arrays they draw: ``p``, ``x`` and ``y``
-vectors for scalar trials, and for matrix trials ``(k, n, n)`` stacks drawn in
-one call, in per-atom (rho, X, Y) order, so the stream is the one of drawing
-them matrix by matrix.
-
-Trials are evaluated in blocks of consecutive trials of one function; a block
-ends at the function's last trial or once its spaces hold BLOCK_ELEMENTS
-values of x.  Sampling is unchanged (each trial still draws from its own
-stream), but ``verify.block_sides`` evaluates the whole block at once: one
-perspective kernel per matrix dimension in the block, or one scalar-mean call,
-then the weighted sums of all its trials as padded arrays, one rhs call and
-array-wide floor and finiteness checks.  Every trial's lhs and rhs have the
-bits of verifying its space alone.  The aggregation keeps each trial's gap as
-a float and its verdict from ``classify_gap``; no per-trial report is built.
+A trial only draws: its atom count, dimension and probabilities, then its raw
+values, one call for all its atoms (log2 values of x and y, or the Gaussian
+factors of each atom's rho, X and Y).  Trials are evaluated in blocks that
+run across function boundaries; a block ends at the campaign's last trial or
+once its draws hold BLOCK_ELEMENTS values of x.  A block builds its valid-by-
+construction spaces once per matrix dimension (one SPD construction for all
+the bucket's factors), and ``verify.block_sides`` evaluates it at once: per
+bucket two eigensolves, with only f on the inner spectrum run per function,
+then all weighted sums as padded arrays and one rhs call per function.  Every
+trial's lhs and rhs have the bits of building and verifying it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import MeanIneqError, UsageError, located
 from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import MATRIX_TOL, OperatorMeanSpec
 from .reports import VERDICT_VIOLATED, InequalityReport, classify_gap
-from .sampling import philox_keys, reseed, sample_atom_stacks, split_rng
+from .sampling import atom_stacks, draw_factors, philox_keys, reseed, split_rng
 from .verify import (
     SCALAR_TOL,
     FiniteJointSpace,
@@ -215,24 +211,70 @@ def _dirichlet_probs(rng: np.random.Generator, count: int) -> np.ndarray:
     return e / e.sum()
 
 
+class Draw(NamedTuple):
+    """One trial's raw draw: its atoms' probabilities and, for a scalar space,
+    the (2, k) log2 values of x and y, else the (k, 3, n, n) Gaussian factors
+    of each atom's rho, X and Y."""
+
+    p: np.ndarray
+    raw: np.ndarray
+    atoms = property(lambda self: len(self.p))
+
+
+def _draw(rng: np.random.Generator, mode: str, dims: tuple[int, int], atoms: tuple[int, int]) -> Draw:
+    """One trial's draw in the v1 stream: the dimension n unless the mode is
+    num; the atom count k and k Dirichlet exponentials unless it is op (one
+    atom); then 2k log-uniform exponents (x, then y) or the factors."""
+    if mode != "num":
+        n = int(rng.integers(dims[0], dims[1] + 1))
+    if mode == "op":
+        return Draw(np.ones(1), draw_factors((1, 3), n, rng))
+    k = int(rng.integers(atoms[0], atoms[1] + 1))
+    p = _dirichlet_probs(rng, k)
+    if mode == "num":
+        return Draw(p, rng.uniform(-VALUE_LOG2_RANGE, VALUE_LOG2_RANGE, size=(2, k)))
+    return Draw(p, draw_factors((k, 3), n, rng))
+
+
+def _stacked(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
+
+
+def _build(draws: list[Draw]) -> list[tuple[list[int], FiniteJointSpace]]:
+    """Draws of one mode as the trusted (rows, space) buckets of
+    ``verify.atom_values``, one per matrix dimension, each built at once from
+    its draws' stacked arrays (one draw's as they are), with the bits of
+    building each alone."""
+    if draws[0].raw.ndim == 2:
+        v = 2.0 ** _stacked([d.raw for d in draws], 1)
+        return [(range(len(draws)), FiniteJointSpace(_stacked([d.p for d in draws]), v[0], v[1]))]
+    buckets: dict[int, list[int]] = {}
+    for i, d in enumerate(draws):
+        buckets.setdefault(d.raw.shape[-1], []).append(i)
+    out = []
+    for rows in buckets.values():
+        rho, x, y = atom_stacks(_stacked([draws[i].raw for i in rows]))
+        out.append((rows, FiniteJointSpace(_stacked([draws[i].p for i in rows]), x, y, rho)))
+    return out
+
+
+def _space(draw: Draw) -> FiniteJointSpace:
+    return _build([draw])[0][1]
+
+
 def sample_scalar_space(
     rng: np.random.Generator, atoms: tuple[int, int] = DEFAULT_ATOMS
 ) -> FiniteJointSpace:
     """Random scalar space: Dirichlet probabilities, log-uniform values."""
-    k = int(rng.integers(atoms[0], atoms[1] + 1))
-    p = _dirichlet_probs(rng, k)
-    # One draw for x then y: the same doubles, in order, as two draws of k.
-    values = _log_uniform_values(rng, 2 * k)
-    return FiniteJointSpace(p, values[:k], values[k:])
+    return _space(_draw(rng, "num", DEFAULT_DIMS, atoms))
 
 
 def sample_operator_triple(
     rng: np.random.Generator, dims: tuple[int, int] = DEFAULT_DIMS
 ):
     """Random (rho, A, B) with a density state and SPD observables: one atom's draw."""
-    n = int(rng.integers(dims[0], dims[1] + 1))
-    rho, a, b = sample_atom_stacks(1, n, rng)
-    return rho[0], a[0], b[0]
+    s = _space(_draw(rng, "op", dims, DEFAULT_ATOMS))
+    return s.rho[0], s.x[0], s.y[0]
 
 
 def sample_matrix_space(
@@ -242,33 +284,19 @@ def sample_matrix_space(
 ) -> FiniteJointSpace:
     """Random matrix-mode space with a density matrix on every atom, all atoms
     drawn in one call."""
-    n = int(rng.integers(dims[0], dims[1] + 1))
-    k = int(rng.integers(atoms[0], atoms[1] + 1))
-    p = _dirichlet_probs(rng, k)
-    rho, x, y = sample_atom_stacks(k, n, rng)
-    return FiniteJointSpace(p, x, y, rho)
+    return _space(_draw(rng, "rm", dims, atoms))
 
 
-def _sample_space(
-    config: CampaignConfig, fi: int, t: int, rng: np.random.Generator | None = None
-) -> FiniteJointSpace:
-    """The instance of trial t of function fi, as a trusted space (op: one atom),
-    drawn from ``rng`` when the caller has keyed it for (fi, t) and otherwise
-    from ``split_rng(seed, fi, t)``."""
-    if rng is None:
-        rng = split_rng(config.seed, fi, t)
-    if config.mode == "num":
-        return sample_scalar_space(rng, config.atoms)
-    if config.mode == "op":
-        rho, a, b = sample_operator_triple(rng, config.dims)
-        return FiniteJointSpace(np.ones(1), a[None], b[None], rho[None])
-    return sample_matrix_space(rng, config.dims, config.atoms)
+def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
+    """Trial t of function fi as a trusted space (op: one atom), built as the
+    one-draw block of its ``split_rng(seed, fi, t)`` draw."""
+    return _space(_draw(split_rng(config.seed, fi, t), config.mode, config.dims, config.atoms))
 
 
-def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key) -> FiniteJointSpace:
+def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key) -> Draw:
     """Trial t of function fi's own work, run once per trial in campaign order:
     its draw from ``rng`` reseeded with the trial's key."""
-    return _sample_space(config, fi, t, reseed(rng, key))
+    return _draw(reseed(rng, key), config.mode, config.dims, config.atoms)
 
 
 def _trial_keys(config: CampaignConfig):
@@ -280,6 +308,23 @@ def _trial_keys(config: CampaignConfig):
         yield from philox_keys(config.seed, pair // config.trials, pair % config.trials)
 
 
+def _block_gaps(runs, draws: list[Draw], where) -> list[float]:
+    """The gaps rhs - lhs of a block of draws, evaluated at once (``runs`` as in
+    ``verify.atom_values``).  When the block fails, its draws are verified one
+    by one, and the first failing one raises, located by ``where(i)``."""
+    try:
+        lhs, rhs = block_sides(runs, [d.atoms for d in draws], _build(draws))
+    except MeanIneqError:
+        fs = [f for f, count in runs for _ in range(count)]
+        for i, (f, d) in enumerate(zip(fs, draws)):
+            try:
+                block_sides([(f, 1)], [d.atoms], _build([d]))
+            except MeanIneqError as exc:
+                raise located(exc, where(i)) from None
+        raise
+    return (rhs - lhs).tolist()
+
+
 def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> dict:
     space = _sample_space(config, fi, t)
     return {"function": fid, "trial": t, "space": space_to_jsonable(space)}
@@ -288,57 +333,59 @@ def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> di
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every (function, trial) pair and aggregate.
 
-    Each function's trials are sampled in order, each from the campaign's one
-    Philox generator reseeded with the trial's key, and evaluated in blocks: a
-    block ends at the function's last trial or once its spaces hold
-    BLOCK_ELEMENTS values of x, and its gaps rhs - lhs come from one
-    ``block_sides`` call, whose errors name the first failing trial.  Trials
-    run in this process at any ``workers`` value; the parameter is kept for
-    existing callers and does not change the summary.
+    Trials are drawn in campaign order, each from the campaign's one Philox
+    generator reseeded with the trial's key, and evaluated in blocks across
+    function boundaries (see the module notes); errors name the first failing
+    trial.  Trials run in this process at any ``workers`` value; the parameter
+    is kept for existing callers and does not change the summary.
     """
     validate_config(config)
-    tol = config.resolved_tol()
-    per_function: dict[str, FunctionStats] = {}
-    violations = 0
-    worst: tuple[float, int, int] | None = None
+    tol, trials = config.resolved_tol(), config.trials
+    fs = [get_function(fid) for fid in config.functions]
     rng = np.random.Generator(np.random.Philox(0))  # reseeded before every draw
     keys = _trial_keys(config)
+    # x is one of a draw's two value sets in num mode, of three (rho, X, Y) otherwise.
+    sets = 2 if config.mode == "num" else 3
+    gaps: list[float] = []
+    draws, runs, size = [], [], 0  # the open block's draws, its (f, count) runs, its values of x
+
+    def where(i: int) -> str:  # the open block's trial i; gaps holds the trials before it
+        fi, t = divmod(len(gaps) + i, trials)
+        return f"function {config.functions[fi]!r}, trial {t}"
+
+    for i in range(len(fs) * trials):
+        fi, t = divmod(i, trials)
+        draws.append(_run_trial(config, fi, t, rng, next(keys)))
+        if t == 0 or len(draws) == 1:
+            runs.append([fs[fi], 0])
+        runs[-1][1] += 1
+        size += draws[-1].raw.size // sets
+        if size >= BLOCK_ELEMENTS or i == len(fs) * trials - 1:
+            gaps += _block_gaps(runs, draws, where)
+            draws, runs, size = [], [], 0
+
+    per_function: dict[str, FunctionStats] = {}
     for fi, fid in enumerate(config.functions):
-        f = get_function(fid)
-        chunk: list[float] = []
-        block: list[FiniteJointSpace] = []
-        size = 0
-        for t in range(config.trials):
-            block.append(_run_trial(config, fi, t, rng, next(keys)))
-            size += block[-1].x.size
-            if size >= BLOCK_ELEMENTS or t == config.trials - 1:
-                first = t + 1 - len(block)
-                lhs, rhs = block_sides(f, block, lambda i: f"function {fid!r}, trial {first + i}")
-                chunk += (rhs - lhs).tolist()
-                block, size = [], 0
-        fviol = sum(1 for g in chunk if classify_gap(g, tol) == VERDICT_VIOLATED)
-        violations += fviol
+        chunk = gaps[fi * trials : (fi + 1) * trials]
         per_function[fid] = FunctionStats(
             trials=len(chunk),
-            violations=fviol,
+            violations=sum(1 for g in chunk if classify_gap(g, tol) == VERDICT_VIOLATED),
             worst_gap=min(chunk) if chunk else None,
             max_abs_gap=max(abs(g) for g in chunk) if chunk else None,
         )
-        for t, g in enumerate(chunk):
-            if worst is None or (g, fi, t) < worst:
-                worst = (g, fi, t)
-
-    worst_gap = worst[0] if worst is not None else None
+    violations = sum(s.violations for s in per_function.values())
+    # The smallest gap, ties to the first trial in campaign order.
+    worst = min(((g, *divmod(i, trials)) for i, g in enumerate(gaps)), default=None)
     worst_case = None
-    if violations > 0 and worst is not None:
+    if violations > 0:
         _, fi, t = worst
         worst_case = _worst_case_payload(config, config.functions[fi], fi, t)
     return CampaignSummary(
         mode=config.mode,
         functions=config.functions,
-        trials=len(config.functions) * config.trials,
+        trials=len(gaps),
         violations=violations,
-        worst_gap=worst_gap,
+        worst_gap=worst[0] if worst is not None else None,
         worst_case=worst_case,
         per_function=per_function,
         tol=tol,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Union
 
 import numpy as np
@@ -34,8 +35,6 @@ SCALAR_TOL = 1e-10
 # under t -> 1/t so the functional equation t*f(1/t) = f(t) is exercised on
 # both tails.
 DEFAULT_GRID_POINTS = 33
-DEFAULT_GRID_LO = 1.0 / 16.0
-DEFAULT_GRID_HI = 16.0
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -167,6 +166,13 @@ def means(f: RepresentingFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     dimension.  Every scalar mean goes through here, so a mean has the same
     bits alone as inside an array (numpy takes other routines on 0-d values)."""
     return y * f.fn(x / y)
+
+
+def run_slices(runs) -> list[tuple[RepresentingFunction, slice]]:
+    """(f, rows) for each run of (f, count) pairs: f is the function of the
+    next count rows of a block."""
+    ends = accumulate(count for _, count in runs)
+    return [(f, slice(end - count, end)) for (f, count), end in zip(runs, ends)]
 
 
 def mean_num(f: RepresentingFunction, x: ArrayLike, y: ArrayLike) -> ArrayLike:

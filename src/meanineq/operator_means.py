@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError, PreconditionError, UsageError
-from .functions import RepresentingFunction, get_function, mean_num, means
+from .functions import RepresentingFunction, get_function, mean_num, means, run_slices
 from .linalg import (
     CLAMP_TOL,
     COND_LIMIT,
@@ -114,12 +114,13 @@ def operator_perspective(f: RepresentingFunction, a, b) -> np.ndarray:
     return perspective_kernel(f, sa, sb)
 
 
-def perspective_kernel(f: RepresentingFunction, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+def perspective_kernel(f, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """P_f(A, B) for trusted symmetric A, B of one shape, B known PD within the
     guard.  A and B may be (..., n, n) stacks, one pair per atom (a 2-D pair is
     a stack of one); every slice gets the checks a single pair gets.  Two
     stacked eigensolves, whatever the stack size: A's, which also checks A,
-    and the inner matrix's."""
+    and the inner matrix's.  ``f`` is one function, or (f, count) runs over
+    consecutive slices of a stack, each run's f applied to its inner spectra."""
     lam_a, q_a = spectrum(sa)
     require_pd(lam_a, "first argument", PD_FLOOR, COND_LIMIT)
     root = np.sqrt(lam_a)
@@ -135,7 +136,8 @@ def perspective_kernel(f: RepresentingFunction, sa: np.ndarray, sb: np.ndarray) 
                     f"eigenvalue {low!r}; inputs are not numerically positive definite"
                 )
         lam_m = np.where(lam_m[..., :1] <= 0.0, np.maximum(lam_m, CLAMP_TOL), lam_m)
-    images = f.fn(lam_m)
+    runs = [(f, len(lam_m))] if isinstance(f, RepresentingFunction) else f
+    images = np.concatenate([g.fn(lam_m[rows]) for g, rows in run_slices(runs)])
     if not np.isfinite(images).all():
         i = int(np.flatnonzero(~np.isfinite(images).all(axis=-1))[0])
         raise DomainError(

@@ -132,30 +132,16 @@ def reseed(rng: np.random.Generator, key) -> np.random.Generator:
     return rng
 
 
-def sample_spd_stack(
-    shape: tuple[int, ...],
-    n: int,
-    rng: np.random.Generator,
-    spread: float = DEFAULT_SPREAD,
-    floor: float = DEFAULT_FLOOR,
-) -> np.ndarray:
-    """Sample a ``shape + (n, n)`` stack of G G^T + floor*I with iid
-    N(0, spread^2) entries in each G.
+def draw_factors(shape: tuple[int, ...], n: int, rng: np.random.Generator) -> np.ndarray:
+    """The SPD samplers' draw: a ``shape + (n, n)`` stack of iid N(0, 1)
+    factors in one call, bit for bit the factors drawn one by one in C order."""
+    return rng.normal(0.0, 1.0, size=(*shape, n, n))
 
-    Every matrix is symmetric positive definite with min eigenvalue >= floor
-    by construction.  The Gaussian factors come from one draw in C order, so
-    a stack is bit for bit the matrices drawn one by one in that order.
-    ``spread`` = 0 yields the deterministic floor*I (the generator is still
-    consumed, keeping streams aligned).
-    """
-    if n < 1 or n > MAX_DIM:
-        raise UsageError(f"dimension must be in [1, {MAX_DIM}], got {n}")
-    if spread < 0.0:
-        raise UsageError(f"spread must be non-negative, got {spread!r}")
-    if floor <= 0.0:
-        raise UsageError(f"floor must be positive, got {floor!r}")
-    g = rng.normal(0.0, 1.0, size=(*shape, n, n)) * spread
-    s = g @ g.swapaxes(-1, -2) + floor * np.eye(n)
+
+def spd_stack(g: np.ndarray, floor: float = DEFAULT_FLOOR) -> np.ndarray:
+    """The SPD samplers' construction: G G^T + floor*I, min eigenvalue >= floor,
+    for every factor of a (..., n, n) stack, each with the bits it gets alone."""
+    s = g @ g.swapaxes(-1, -2) + floor * np.eye(g.shape[-1])
     if not np.isfinite(s).all():
         raise DomainError("matrix entries must all be finite")
     return symmetrize(s)
@@ -172,8 +158,17 @@ def sample_spd(
     spread: float = DEFAULT_SPREAD,
     floor: float = DEFAULT_FLOOR,
 ) -> np.ndarray:
-    """Sample one SPD matrix: the one-matrix case of :func:`sample_spd_stack`."""
-    return sample_spd_stack((), n, rng, spread, floor)
+    """Sample one SPD matrix G G^T + floor*I, G with iid N(0, spread^2)
+    entries: :func:`spd_stack` of a scaled :func:`draw_factors` draw.
+    ``spread`` = 0 yields the deterministic floor*I (the generator is still
+    consumed, keeping streams aligned)."""
+    if n < 1 or n > MAX_DIM:
+        raise UsageError(f"dimension must be in [1, {MAX_DIM}], got {n}")
+    if spread < 0.0:
+        raise UsageError(f"spread must be non-negative, got {spread!r}")
+    if floor <= 0.0:
+        raise UsageError(f"floor must be positive, got {floor!r}")
+    return spd_stack(draw_factors((), n, rng) * spread, floor)
 
 
 def sample_density(
@@ -183,19 +178,15 @@ def sample_density(
     floor: float = DEFAULT_FLOOR,
 ) -> np.ndarray:
     """Sample a random density matrix: a normalized SPD sample, valid by construction."""
-    return _unit_trace(sample_spd_stack((), n, rng, spread, floor))
+    return _unit_trace(sample_spd(n, rng, spread, floor))
 
 
-def sample_atom_stacks(
-    k: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, X, Y) stacks of shape (k, n, n): densities and SPD observables for
-    k atoms from one draw.
-
-    Stream contract: atom by atom, rho then X then Y, so the draw is bit for
-    bit ``sample_density, sample_spd, sample_spd`` called per atom.
-    """
-    s = sample_spd_stack((k, 3), n, rng)
+def atom_stacks(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, X, Y) stacks of shape (k, n, n), densities and SPD observables,
+    built from k atoms' (k, 3, n, n) factors.  A :func:`draw_factors` draw of
+    that shape goes atom by atom, rho then X then Y, so it is bit for bit
+    ``sample_density, sample_spd, sample_spd`` called per atom."""
+    s = spd_stack(g)
     return _unit_trace(s[:, 0]), s[:, 1], s[:, 2]
 
 

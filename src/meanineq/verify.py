@@ -12,10 +12,11 @@ Three settings share that shape:
 All sums are exact weighted sums over atoms; no Monte Carlo error enters the
 verdicts (campaigns sample the *instances*, not the integrals).  A space is
 its arrays, and its mode is the rank of x.  Verification runs on blocks of
-spaces: :func:`atom_values` lays out their atoms' probabilities and values of
-the mean, X and Y as padded arrays, one row per space, and :func:`block_sides`
-forms every row's weighted sums at once and the rhs in one call.  The verifiers
-pass one space; campaigns a block of trials, with the bits of each alone.
+spaces, each with its own function: :func:`atom_values` evaluates their
+atoms one kernel call per atom shape and lays them out as padded arrays, one
+row per space, and :func:`block_sides` forms every row's weighted sums at
+once and the rhs in one call per function.  The verifiers pass one space;
+campaigns a block of trials across functions, with the bits of each alone.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, groupby
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, MeanIneqError, NumericError, UsageError, located
-from .functions import SCALAR_TOL, RepresentingFunction, means
+from .functions import SCALAR_TOL, RepresentingFunction, means, run_slices
 from .linalg import COND_LIMIT, PD_FLOOR, load_matrix, require_pd, sym_matrix
 from .operator_means import MATRIX_TOL, OperatorMeanSpec, perspective_kernel
 from .reports import InequalityReport, inequality_report
@@ -245,80 +246,73 @@ def verify_matrix(
     return _verify(space, spec.f, tol, seed, mode)
 
 
-def atom_values(f: RepresentingFunction, spaces) -> tuple[np.ndarray, np.ndarray]:
-    """The block layout of trusted spaces of one mode: P, (T, K + 1), holds
-    space t's probabilities in row t, columns 1 to its atom count, and V,
-    (3, T, K + 1), the atoms' values of the mean, X and Y in the same places:
-    m_f(x, y), x and y, or in matrix mode Tr(rho M) for M in (P_f(X, Y), X, Y).
-    Column 0 and the pads after a row's last atom hold p = 0 and value 0.
+def atom_values(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
+    """The block layout of T trusted spaces of one mode, space t of counts[t]
+    atoms: P, (T, K + 1), holds space t's probabilities in row t, columns 1
+    to counts[t], and V, (3, T, K + 1), the atoms' values of the mean, X and Y
+    in the same places: m_f(x, y), x and y, or in matrix mode Tr(rho M) for M
+    in (P_f(X, Y), X, Y).  Column 0 and the pads hold p = 0 and value 0.
 
-    Spaces with one atom shape share one kernel call, and every atom gets the
-    bits it gets alone, because the kernels work slice by slice.  Kernel
-    errors name the offending atom by its index in that stack."""
-    counts = [s.atoms for s in spaces]
+    ``runs`` are (f, count) pairs: f is the function of the next count spaces.
+    ``buckets`` are (rows, space) pairs, one per atom shape: ``space`` stacks
+    the atoms of the spaces ``rows`` (ascending), one after another.  A bucket
+    takes one kernel call, f on each run's atoms, and every atom gets the bits
+    it gets alone: the kernels work slice by slice.  Kernel errors name an
+    atom by its index in its bucket."""
     atom = np.arange(max(counts) + 1) <= np.array(counts)[:, None]
     atom[:, 0] = False
-    buckets: dict[tuple, list[int]] = {}
-    for i, space in enumerate(spaces):
-        buckets.setdefault(space.x.shape[1:], []).append(i)
+    row_f = [f for f, count in runs for _ in range(count)]
     parts = []
-    for members in buckets.values():
-        group = [spaces[i] for i in members]
-        p = np.concatenate([s.p for s in group])
-        x = np.concatenate([s.x for s in group])
-        y = np.concatenate([s.y for s in group])
-        if x.ndim == 1:
-            parts.append((p, means(f, x, y), x, y))
+    for rows, s in buckets:
+        atom_runs = [(f, sum(counts[i] for i in g)) for f, g in groupby(rows, row_f.__getitem__)]
+        if s.x.ndim == 1:
+            parts.append((s.p, _means(atom_runs, s.x, s.y), s.x, s.y))
         else:
             # Tr(rho M) for every atom at once, each bit for bit what
             # operator_means.expectation_state gives.
-            rho = np.concatenate([s.rho for s in group])
-            parts.append([p, *(np.einsum("kij,kji->k", rho, m) for m in (perspective_kernel(f, x, y), x, y))])
+            m = perspective_kernel(atom_runs, s.x, s.y)
+            parts.append([s.p, *(np.einsum("kij,kji->k", s.rho, v) for v in (m, s.x, s.y))])
     flat = np.concatenate(parts, axis=1)
     if len(parts) > 1:  # flat is in bucket order: move each atom to its place in block order
         starts = [0, *accumulate(counts)]
-        to = [j for i in chain(*buckets.values()) for j in range(starts[i], starts[i + 1])]
+        to = [j for rows, _ in buckets for i in rows for j in range(starts[i], starts[i + 1])]
         flat[:, to] = flat.copy()
     layout = np.zeros((4, *atom.shape))
     layout[:, atom] = flat
     return layout[0], layout[1:]
 
 
+def _means(runs, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """m_f(x, y) with each run's f on its contiguous slice of x and y."""
+    return np.concatenate([means(f, x[rows], y[rows]) for f, rows in run_slices(runs)])
+
+
 def weighted_sums(P: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Each row's sum of P * V, added left to right from column 0 as the golden
     outputs pin: cumsum accumulates in order where sum() adds pairwise, and a
-    pad adds an exact +0.0."""
-    return np.cumsum(P * V, axis=-1)[..., -1]
+    pad adds an exact +0.0.  The sums accumulate in the products' array."""
+    pv = P * V
+    return np.cumsum(pv, axis=-1, out=pv)[..., -1]
 
 
-def block_sides(f: RepresentingFunction, spaces, where=None) -> tuple[np.ndarray, np.ndarray]:
-    """lhs and rhs m_f(E X, E Y) of every trusted space of a block, as (T,)
-    arrays, rhs from one ``means`` call.  E X and E Y can underflow, so they
-    must be finite and above the mode's floor (PD_FLOOR, or 0 for scalars),
-    and both sides must be finite.  The first failing space raises, located
-    by ``where`` (see :func:`_located`)."""
-    try:
-        P, V = atom_values(f, spaces)
-    except MeanIneqError:
-        for t, space in enumerate(spaces):  # find the first failing space
-            with _located(where, t):
-                atom_values(f, [space])
-        raise
-    lhs, ex, ey = sums = weighted_sums(P, V)
-    e, floor = sums[1:], (0.0 if spaces[0].mode == MODE_SCALAR else PD_FLOOR)
-    # n counts the spaces before the first E X or E Y out of range; min and max propagate NaN.
-    ok = floor < e.min() and e.max() < math.inf
-    n = len(spaces) if ok else int(((floor < e) & (e < math.inf)).all(0).argmin())
-    rhs = means(f, ex[:n], ey[:n])
-    finite = np.isfinite(lhs[:n]) & np.isfinite(rhs)
+def block_sides(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs m_f(E X, E Y) of every trusted space of a block laid out as
+    in :func:`atom_values`, as (T,) arrays, rhs from one ``means`` call per
+    run.  E X and E Y can underflow, so they must be finite and above the
+    mode's floor (PD_FLOOR, or 0 for scalars), and both sides must be finite.
+    A failing space raises an error that does not say which: a caller that
+    names its spaces finds the first failing one by verifying each alone."""
+    lhs, ex, ey = sums = weighted_sums(*atom_values(runs, counts, buckets))
+    e, floor = sums[1:], (0.0 if buckets[0][1].mode == MODE_SCALAR else PD_FLOOR)
+    if not (floor < e.min() and e.max() < math.inf):  # min and max propagate NaN
+        t = int(((floor < e) & (e < math.inf)).all(0).argmin())
+        name, v = ("E X", ex[t]) if not floor < ex[t] < math.inf else ("E Y", ey[t])
+        raise DomainError(f"{name} must be positive and finite, got {float(v)!r}")
+    rhs = _means(runs, ex, ey)
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
     if not finite.all():
         t = int(finite.argmin())
-        with _located(where, t):
-            raise NumericError(f"non-finite inequality sides lhs={float(lhs[t])!r} rhs={float(rhs[t])!r}")
-    if n < len(spaces):
-        name, v = ("E X", ex[n]) if not floor < ex[n] < math.inf else ("E Y", ey[n])
-        with _located(where, n):
-            raise DomainError(f"{name} must be positive and finite, got {float(v)!r}")
+        raise NumericError(f"non-finite inequality sides lhs={float(lhs[t])!r} rhs={float(rhs[t])!r}")
     return lhs, rhs
 
 
@@ -326,7 +320,7 @@ def _verify(
     space: FiniteJointSpace, f: RepresentingFunction, tol: float, seed: int | None, mode: str
 ) -> InequalityReport:
     """The tail both verifiers share: the one-space block's sides, reported."""
-    (lhs,), (rhs,) = block_sides(f, [space])
+    (lhs,), (rhs,) = block_sides([(f, 1)], [space.atoms], [([0], space)])
     return inequality_report(lhs, rhs, tol, f.id, mode, space.dims, space.atoms, seed)
 
 
@@ -343,7 +337,7 @@ def _space_line(fields: list[str], scalar: bool, base: Path) -> tuple:
         values = [_try_float(v) for v in fields]
         if len(fields) != 3 or None in values:
             raise UsageError(f"scalar atoms need 'p x y' with three numbers, got {' '.join(fields)!r}")
-        return _scalar_atom(values)
+        return values
     if len(fields) not in (3, 4):
         raise UsageError("matrix atoms need 'p x_path y_path [rho_path]'")
     prob = _try_float(fields[0])

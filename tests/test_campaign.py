@@ -236,30 +236,32 @@ def test_sampled_scalar_space_views_match_its_arrays():
 
 def _recorded_reports(cfg, monkeypatch):
     """run_campaign's summary, its per-trial (function, lhs, rhs, gap, verdict,
-    atoms, dims) records (read off its block tails), the spaces its _run_trial
-    calls returned, and the number of spaces in each block it evaluated."""
+    atoms, dims) records (read off its block tails), the draws its _run_trial
+    calls returned, and the number of trials in each block it evaluated."""
     from meanineq import campaign, classify_gap
 
-    reports, spaces, blocks = [], [], []
+    reports, draws, blocks = [], [], []
     run_trial, block_sides = campaign._run_trial, campaign.block_sides
     tol = cfg.resolved_tol()
 
     def record_trial(*args):
-        spaces.append(run_trial(*args))
-        return spaces[-1]
+        draws.append(run_trial(*args))
+        return draws[-1]
 
-    def record_block(f, block, where=None):
-        blocks.append(len(block))
-        lhs, rhs = block_sides(f, block, where)
-        for space, lo, hi in zip(block, lhs.tolist(), rhs.tolist()):
-            reports.append((f.id, lo, hi, hi - lo, classify_gap(hi - lo, tol), space.atoms, space.dims))
+    def record_block(runs, counts, buckets):
+        blocks.append(len(counts))
+        lhs, rhs = block_sides(runs, counts, buckets)
+        fids = [f.id for f, count in runs for _ in range(count)]
+        dims = {i: space.dims for rows, space in buckets for i in rows}
+        for i, (fid, lo, hi) in enumerate(zip(fids, lhs.tolist(), rhs.tolist())):
+            reports.append((fid, lo, hi, hi - lo, classify_gap(hi - lo, tol), counts[i], dims[i]))
         return lhs, rhs
 
     monkeypatch.setattr(campaign, "_run_trial", record_trial)
     monkeypatch.setattr(campaign, "block_sides", record_block)
     summary = run_campaign(cfg)
     monkeypatch.undo()
-    return summary, reports, spaces, blocks
+    return summary, reports, draws, blocks
 
 
 def _bits(function, lhs, rhs, gap, verdict, atoms, dims):
@@ -306,24 +308,53 @@ def test_run_trial_is_called_once_per_trial(mode, monkeypatch):
     # The benchmark trace counts trials by these calls and atoms by the spaces
     # they return.
     cfg = CampaignConfig(mode=mode, functions=("geometric", "harmonic"), trials=7, dims=(2, 4), atoms=(1, 5), seed=9)
-    summary, reports, spaces, _ = _recorded_reports(cfg, monkeypatch)
-    assert len(spaces) == len(reports) == summary.trials == 14
+    summary, reports, draws, _ = _recorded_reports(cfg, monkeypatch)
+    assert len(draws) == len(reports) == summary.trials == 14
     atoms = sum(len(_sample_space(cfg, fi, t).p) for fi in range(2) for t in range(7))
-    assert sum(s.atoms for s in spaces) == sum(r[5] for r in reports) == atoms
+    assert sum(d.atoms for d in draws) == sum(r[5] for r in reports) == atoms
+
+
+def _with_bad_trials(monkeypatch, bad, draw=None, atom=None):
+    """Make the trials ``bad``, (function, trial) pairs, bad: ``draw(d)``
+    replaces the draw d of each, and ``atom(space, j)`` edits every space
+    built from it, j being the index of its first atom in the space.  Returns
+    the number of draws of each block the campaign builds (a failing block's
+    draws are built again one by one)."""
+    from meanineq import campaign
+
+    run_trial, build = campaign._run_trial, campaign._build
+    bad_draws, built = [], []
+
+    def run_trial_with_bad_draws(config, fi, t, rng, key):
+        d = run_trial(config, fi, t, rng, key)
+        if (fi, t) in bad:
+            bad_draws.append(draw(d) if draw else d)
+            return bad_draws[-1]
+        return d
+
+    def build_with_bad_spaces(draws):
+        built.append(len(draws))
+        buckets = build(draws)
+        for rows, space in buckets:
+            starts = np.cumsum([0] + [draws[i].atoms for i in rows])
+            for j, i in zip(starts, rows):
+                if atom and any(draws[i] is d for d in bad_draws):
+                    atom(space, j)
+        return buckets
+
+    monkeypatch.setattr(campaign, "_run_trial", run_trial_with_bad_draws)
+    monkeypatch.setattr(campaign, "_build", build_with_bad_spaces)
+    return built
+
+
+def _indefinite(space, j):
+    space.x[j] = np.diag(np.arange(space.dims) - 1.0)
 
 
 def test_kernel_errors_name_the_trial(monkeypatch):
-    from meanineq import NotPositiveDefiniteError, campaign
+    from meanineq import NotPositiveDefiniteError
 
-    sample = campaign._sample_space
-
-    def sample_with_a_bad_trial(config, fi, t, rng=None):
-        space = sample(config, fi, t, rng)
-        if t == 3:
-            space.x[0] = np.diag(np.arange(space.dims) - 1.0)
-        return space
-
-    monkeypatch.setattr(campaign, "_sample_space", sample_with_a_bad_trial)
+    _with_bad_trials(monkeypatch, {(0, 3)}, atom=_indefinite)
     cfg = CampaignConfig(mode="op", functions=("harmonic",), trials=6, dims=(2, 4), seed=3)
     with pytest.raises(NotPositiveDefiniteError) as exc:
         run_campaign(cfg)
@@ -331,21 +362,29 @@ def test_kernel_errors_name_the_trial(monkeypatch):
     assert exc.value.min_eigenvalue == -1.0
 
 
+def test_kernel_errors_name_a_trial_of_the_second_function_of_a_block(monkeypatch):
+    from meanineq import NotPositiveDefiniteError
+
+    # Trials 2 and 5 of the second function fail; the first in campaign order is named.
+    built = _with_bad_trials(monkeypatch, {(1, 5), (1, 2)}, atom=_indefinite)
+    cfg = CampaignConfig(mode="op", functions=("harmonic", "geometric"), trials=6, dims=(2, 4), seed=3)
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        run_campaign(cfg)
+    assert str(exc.value).startswith("function 'geometric', trial 2: first argument is not positive definite")
+    assert exc.value.min_eigenvalue == -1.0
+    # The failing block started at the first function's first trial.
+    assert built[0] == 12
+
+
 def test_floor_errors_name_the_trial(monkeypatch):
     # 0.5 * 5e-324 rounds to 0, so trial 2's E X is 0 although its atoms are
-    # positive; the block tail finds it among the block's other trials.
-    from meanineq import DomainError, campaign
-    from meanineq.verify import FiniteJointSpace
+    # positive (x = 2 ** -1074); the block tail finds it among the block's
+    # other trials.
+    from meanineq import DomainError
+    from meanineq.campaign import Draw
 
-    sample = campaign._sample_space
-
-    def sample_with_a_bad_trial(config, fi, t, rng=None):
-        space = sample(config, fi, t, rng)
-        if t == 2:
-            space = FiniteJointSpace(np.array([0.5, 0.5]), np.array([5e-324, 5e-324]), np.ones(2))
-        return space
-
-    monkeypatch.setattr(campaign, "_sample_space", sample_with_a_bad_trial)
+    tiny = Draw(np.array([0.5, 0.5]), np.array([[-1074.0, -1074.0], [0.0, 0.0]]))
+    _with_bad_trials(monkeypatch, {(0, 2)}, draw=lambda d: tiny)
     cfg = CampaignConfig(mode="num", functions=("geometric",), trials=6, seed=3)
     with pytest.raises(DomainError) as exc:
         run_campaign(cfg)
@@ -353,22 +392,38 @@ def test_floor_errors_name_the_trial(monkeypatch):
     assert str(exc.value).endswith("got 0.0")
 
 
+def test_non_finite_factors_name_the_trial(monkeypatch):
+    # The SPD construction runs once per dimension bucket of a block; its
+    # finiteness check still names the trial whose factors are not finite.
+    from meanineq import DomainError
+
+    def non_finite(d):
+        raw = d.raw.copy()
+        raw[-1, 2, 0, 0] = np.nan
+        return d._replace(raw=raw)
+
+    _with_bad_trials(monkeypatch, {(1, 4)}, draw=non_finite)
+    cfg = CampaignConfig(mode="rm", functions=("geometric", "harmonic"), trials=6, dims=(2, 5), seed=4)
+    with pytest.raises(DomainError) as exc:
+        run_campaign(cfg)
+    assert str(exc.value) == "function 'harmonic', trial 4: matrix entries must all be finite"
+
+
 def _campaign_spaces(cfg, monkeypatch):
-    """Every space run_campaign draws from its reseeded generator, with its
-    (function, trial) coordinates; the worst-case rebuild goes through
-    split_rng and is left out."""
+    """The space of every draw run_campaign makes from its reseeded generator,
+    with its (function, trial) coordinates; the worst-case rebuild goes
+    through split_rng and is left out."""
     from meanineq import campaign
 
     drawn = []
-    sample = campaign._sample_space
+    run_trial = campaign._run_trial
 
-    def record(config, fi, t, rng=None):
-        space = sample(config, fi, t, rng)
-        if rng is not None:
-            drawn.append((fi, t, space))
-        return space
+    def record(config, fi, t, rng, key):
+        d = run_trial(config, fi, t, rng, key)
+        drawn.append((fi, t, campaign._space(d)))
+        return d
 
-    monkeypatch.setattr(campaign, "_sample_space", record)
+    monkeypatch.setattr(campaign, "_run_trial", record)
     run_campaign(cfg)
     monkeypatch.undo()
     return drawn
@@ -399,3 +454,49 @@ def test_campaign_spaces_are_the_split_rng_spaces(cfg, chunk, monkeypatch):
             assert np.array_equal(getattr(space, name), getattr(ref, name)), (fi, t, name)
         assert (space.rho is None) == (ref.rho is None)
         assert space.rho is None or np.array_equal(space.rho, ref.rho)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CampaignConfig(mode="rm", functions=("geometric", "harmonic", "wyd:0.25"), trials=6, dims=(2, 6), seed=17),
+        CampaignConfig(mode="op", functions=("logarithmic", "arithmetic", "harmonic"), trials=12, dims=(2, 6), seed=18),
+        CampaignConfig(mode="num", functions=("geometric", "counterexample-g"), trials=40, seed=19),
+    ],
+    ids=["rm", "op", "num"],
+)
+def test_output_does_not_depend_on_the_block_size(cfg, monkeypatch):
+    # A block of 1 value of x holds one trial; 37 ends blocks inside
+    # functions and in the next one; 4096 holds whole campaigns here.
+    from meanineq import campaign
+    from meanineq.cli import emit_report
+
+    unpatched = emit_report(run_campaign(cfg), "json")
+    for size in (1, 37, 4096):
+        monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", size)
+        assert emit_report(run_campaign(cfg), "json") == unpatched, size
+    assert cfg.mode != "num" or '"worst_case"' in unpatched
+
+
+def test_campaigns_keep_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, which costs a fresh process
+    # milliseconds and a megabyte and a half of memory.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "from meanineq.campaign import parse_campaign_config, run_campaign\n"
+        "from meanineq.cli import emit_report\n"
+        "for mode in ('num', 'op', 'rm'):\n"
+        "    fs = 'geometric, counterexample-g' if mode == 'num' else 'geometric'\n"
+        "    text = f'mode = {mode}\\nfunctions = {fs}\\ntrials = 1\\n'\n"
+        "    emit_report(run_campaign(parse_campaign_config(text)), 'json')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"

@@ -1,7 +1,9 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-touches numpy's random module only through explicit generators."""
+"""Source hygiene: no module imports a name it never uses, every module-level
+constant of the package is read somewhere, and the package touches numpy's
+random module only through explicit generators."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,54 @@ def test_random_scan_catches_global_state():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_src_uses_only_explicit_generators(path):
     assert _numpy_random_uses(ast.parse(path.read_text())) == []
+
+
+#: Module-level UPPER_CASE names, public or private.
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _module_constants(tree: ast.Module) -> dict[str, int]:
+    found = {}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            for name in ast.walk(target) if target is not None else ():
+                if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                    found[name.id] = node.lineno
+    return found
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names loaded in a module, bare or as attributes; assignments (such as
+    a test patching a constant) do not count."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unread_constants(defining: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    read = set().union(*map(_reads, readers))
+    return sorted(
+        f"{path} line {line}: {name}"
+        for path, tree in defining.items()
+        for name, line in _module_constants(tree).items()
+        if name not in read
+    )
+
+
+def test_constant_scan_catches_unread_names():
+    defining = {"m.py": ast.parse("USED = 1\nUNREAD = 2.0\n_PRIVATE, lower = 3, 4\nTYPED: int = USED\n")}
+    reader = ast.parse("import m\nprint(m.TYPED)\nm.UNREAD = 5\n")
+    assert _unread_constants(defining, [*defining.values(), reader]) == [
+        "m.py line 2: UNREAD",
+        "m.py line 3: _PRIVATE",
+    ]
+
+
+def test_every_src_constant_is_read():
+    # A constant nothing reads is a setting that changes nothing.
+    defining = {str(p.relative_to(ROOT)): ast.parse(p.read_text()) for p in SRC}
+    readers = [ast.parse(p.read_text()) for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
+    assert _unread_constants(defining, readers) == []

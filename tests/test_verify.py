@@ -82,7 +82,7 @@ def test_matrix_space_rejects_ill_conditioned_and_non_pd_observables():
 def test_expectation_scalar_examples():
     single = scalar_space([(1.0, 3.0, 5.0)])
     two = scalar_space([(0.5, 1.0, 1.0), (0.5, 3.0, 1.0)])
-    _, ex, ey = weighted_sums(*atom_values(GEO, [single, two]))
+    _, ex, ey = weighted_sums(*atom_values(*_scalar_block(GEO, [single, two])))
     assert ex.tolist() == [3.0, 2.0]
     assert ey.tolist() == [5.0, 1.0]
     # per-atom geometric mean then average: (sqrt(1) + sqrt(3)) / 2
@@ -104,6 +104,13 @@ def _scalar_spaces(rows):
     return [FiniteJointSpace(*(np.array(column, dtype=float) for column in zip(*atoms))) for atoms in rows]
 
 
+def _scalar_block(f, spaces):
+    """atom_values' arguments for scalar spaces verified with f: one bucket
+    stacking their atoms."""
+    bucket = FiniteJointSpace(*(np.concatenate([getattr(s, v) for s in spaces]) for v in ("p", "x", "y")))
+    return [(f, len(spaces))], [s.atoms for s in spaces], [(range(len(spaces)), bucket)]
+
+
 _VALUE = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
 _PROB = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([-0.0, 0.0, 1e-300, 5e-324]))
 _ATOMS = st.lists(st.tuples(_PROB, _VALUE, _VALUE), min_size=1, max_size=12)
@@ -119,7 +126,7 @@ def test_block_sums_match_the_sequential_sum(rows):
     f = get_function("arithmetic")
     spaces = _scalar_spaces(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = weighted_sums(*atom_values(f, spaces)).tolist()
+        sums = weighted_sums(*atom_values(*_scalar_block(f, spaces))).tolist()
     for t, space in enumerate(spaces):
         with np.errstate(over="ignore", invalid="ignore"):
             expected = [_sequential_sum(space.p, v) for v in (means(f, space.x, space.y), space.x, space.y)]
