@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MeanIneqError, UsageError, located
+from .errors import MeanIneqError, UsageError, located, read_input
 from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import MATRIX_TOL, OperatorMeanSpec
@@ -192,14 +192,7 @@ def parse_campaign_config(text: str) -> CampaignConfig:
 
 
 def load_campaign_config(path) -> CampaignConfig:
-    from pathlib import Path
-
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {p}: {exc}") from None
-    return parse_campaign_config(text)
+    return parse_campaign_config(read_input(path, "config"))
 
 
 def _log_uniform_values(rng: np.random.Generator, count: int) -> np.ndarray:

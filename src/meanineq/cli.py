@@ -31,6 +31,7 @@ from .operator_means import MATRIX_TOL, OperatorMeanSpec
 from .reports import InequalityReport
 from .sampling import split_rng
 from .verify import (
+    MODE_MATRIX,
     MODE_SCALAR,
     SCALAR_TOL,
     construct_counterexample,
@@ -297,6 +298,14 @@ def _exit_code_for_verdict(verdict: str) -> int:
     return 1 if verdict == "violated" else 0
 
 
+def _space_file(path: str, mode: str):
+    """The space file at ``path``, which must be in ``mode``."""
+    space = load_space(path)
+    if space.mode != mode:
+        raise UsageError(f"space file {path} is not {mode} mode")
+    return space
+
+
 def _run(args: argparse.Namespace, out) -> int:
     if args.command == "axioms":
         f = get_function(args.function)
@@ -307,10 +316,7 @@ def _run(args: argparse.Namespace, out) -> int:
 
     if args.command == "verify-num":
         f = get_function(args.function)
-        space = load_space(args.space)
-        if space.mode != MODE_SCALAR:
-            raise UsageError(f"space file {args.space} is not scalar mode")
-        report = verify_numeric(space, f, args.tol)
+        report = verify_numeric(_space_file(args.space, MODE_SCALAR), f, args.tol)
         out.write(emit_report(report, args.format) + "\n")
         return _exit_code_for_verdict(report.verdict)
 
@@ -325,8 +331,7 @@ def _run(args: argparse.Namespace, out) -> int:
 
     if args.command == "verify-rm":
         spec = OperatorMeanSpec(get_function(args.function))
-        space = load_space(args.space)
-        report = verify_random_matrix(space, spec, args.tol)
+        report = verify_random_matrix(_space_file(args.space, MODE_MATRIX), spec, args.tol)
         out.write(emit_report(report, args.format) + "\n")
         return _exit_code_for_verdict(report.verdict)
 

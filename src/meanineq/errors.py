@@ -5,6 +5,7 @@ this package; the CLI maps the whole hierarchy to exit code 2.
 """
 
 import copy
+from pathlib import Path
 
 
 class MeanIneqError(Exception):
@@ -41,3 +42,13 @@ def located(exc: MeanIneqError, where: str) -> MeanIneqError:
     out = copy.copy(exc)
     out.args = (f"{where}: {exc}",)
     return out
+
+
+def read_input(path, kind: str) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read or decoded
+    is a UsageError that names it as a ``kind`` file."""
+    p = Path(path)
+    try:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {kind} file {p}: {exc}") from None

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefiniteError, NumericError, UsageError
+from .errors import DomainError, NotPositiveDefiniteError, NumericError, UsageError, read_input
 
 #: Positive-definiteness floor: matrices whose smallest eigenvalue is at or
 #: below this are rejected from inverse-square-root paths, never regularized.
@@ -91,11 +91,9 @@ def rebuild(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     return symmetrize((q * lam[..., None, :]) @ q.swapaxes(-1, -2))
 
 
-def require_pd(
-    lam: np.ndarray, label: str, pd_floor: float, cond_limit: float | None = None
-) -> None:
-    """Reject an ascending spectrum at or below the PD floor or, when a limit
-    is given, with condition number above it.
+def require_pd(lam: np.ndarray, label: str, cond_limit: float | None = None) -> None:
+    """Reject an ascending spectrum at or below PD_FLOOR or, when a limit is
+    given, with condition number above it.
 
     ``lam`` may be a (..., n) stack of spectra, one per atom; the first
     offending atom (in C order) is reported, and when the stack holds more
@@ -104,10 +102,10 @@ def require_pd(
     lows = lam[..., 0].ravel().tolist()
     highs = lam[..., -1].ravel().tolist()
     for i, (low, high) in enumerate(zip(lows, highs)):
-        if low <= pd_floor:
+        if low <= PD_FLOOR:
             raise NotPositiveDefiniteError(
                 f"{atom_label(label, i, len(lows))} is not positive definite at "
-                f"floor {pd_floor!r} (min eigenvalue {low!r})",
+                f"floor {PD_FLOOR!r} (min eigenvalue {low!r})",
                 min_eigenvalue=low,
             )
         if cond_limit is not None and high / low > cond_limit:
@@ -125,7 +123,7 @@ def atom_label(label: str, i: int, count: int) -> str:
 def sqrt_pd(a) -> np.ndarray:
     """Positive-definite square root; rejects matrices with min eigenvalue <= PD_FLOOR."""
     lam, q = sym_eigen(a)
-    require_pd(lam, "matrix", PD_FLOOR)
+    require_pd(lam, "matrix")
     return rebuild(np.sqrt(lam), q)
 
 
@@ -170,11 +168,7 @@ def load_matrix(path) -> np.ndarray:
     absorbed by the symmetrizing constructor.
     """
     p = Path(path)
-    try:
-        raw = p.read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read matrix file {p}: {exc}") from None
-    lines = [ln.strip() for ln in raw.splitlines()]
+    lines = [ln.strip() for ln in read_input(p, "matrix").splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise UsageError(f"matrix file {p} is empty")

@@ -28,7 +28,6 @@ from .functions import RepresentingFunction, get_function, mean_num, means, run_
 from .linalg import (
     CLAMP_TOL,
     COND_LIMIT,
-    PD_FLOOR,
     atom_label,
     congruence,
     frobenius,
@@ -110,7 +109,7 @@ def operator_perspective(f: RepresentingFunction, a, b) -> np.ndarray:
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
-    require_pd(spectrum(sb).eigenvalues, "second argument", PD_FLOOR, COND_LIMIT)
+    require_pd(spectrum(sb).eigenvalues, "second argument", COND_LIMIT)
     return perspective_kernel(f, sa, sb)
 
 
@@ -122,7 +121,7 @@ def perspective_kernel(f, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     and the inner matrix's.  ``f`` is one function, or (f, count) runs over
     consecutive slices of a stack, each run's f applied to its inner spectra."""
     lam_a, q_a = spectrum(sa)
-    require_pd(lam_a, "first argument", PD_FLOOR, COND_LIMIT)
+    require_pd(lam_a, "first argument", COND_LIMIT)
     root = np.sqrt(lam_a)
     sqrt_a = rebuild(root, q_a)
     inv_sqrt_a = rebuild(1.0 / root, q_a)

@@ -5,7 +5,7 @@ global state is touched.  :func:`split_rng` defines the stream: path (j, k)
 of a campaign seed is counter-based Philox keyed by
 ``SeedSequence(entropy=seed, spawn_key=(j, k))``, so a campaign can hand trial
 k of function j its own generator and produce bit-identical results at any
-parallelism degree.  Campaigns get the same generators more cheaply:
+block size.  Campaigns get the same generators more cheaply:
 :func:`philox_keys` derives the keys of many paths at once, with numpy's
 ``SeedSequence`` arithmetic on arrays, and :func:`reseed` resets one Philox
 generator to the fresh state of a key.

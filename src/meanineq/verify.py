@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, MeanIneqError, NumericError, UsageError, located
+from .errors import DomainError, MeanIneqError, NumericError, UsageError, located, read_input
 from .functions import SCALAR_TOL, RepresentingFunction, means, run_slices
 from .linalg import COND_LIMIT, PD_FLOOR, load_matrix, require_pd, sym_matrix
 from .operator_means import MATRIX_TOL, OperatorMeanSpec, perspective_kernel
@@ -49,8 +49,8 @@ class FiniteJointSpace:
     Built by scalar_space/matrix_space/load_space, or by samplers whose
     values are valid by construction.  Atom i is (p[i], x[i], y[i], rho[i]):
     x and y are (k,) in scalar mode and (k, n, n) in matrix mode, where rho
-    is a (k, n, n) stack of densities or None.  The mode is read from the
-    rank of x.  Equality is identity."""
+    is a (k, n, n) stack of densities; rho is None exactly in scalar mode.
+    The mode is read from the rank of x.  Equality is identity."""
 
     p: np.ndarray
     x: np.ndarray
@@ -120,55 +120,42 @@ def scalar_space(entries, where=None) -> FiniteJointSpace:
 
 
 def _matrix_atom(entry, dim: int | None) -> tuple:
-    """One (p, X, Y, rho) atom, rho None when absent: p finite and >= 0, X and
-    Y positive definite within the condition guard and of dimension ``dim``
-    when one is set, rho a density of theirs."""
-    if len(entry) == 3:
-        p, x, y = entry
-        rho = None
-    elif len(entry) == 4:
-        p, x, y, rho = entry
-    else:
-        raise UsageError("matrix atoms are (p, X, Y) or (p, X, Y, rho) tuples")
+    """One (p, X, Y, rho) atom: p finite and >= 0, X and Y positive definite
+    within the condition guard, of one dimension and of ``dim`` when one is
+    set, rho a density of theirs."""
+    if len(entry) != 4:
+        raise UsageError("matrix atoms are (p, X, Y, rho) tuples: every atom needs a density")
+    p, x, y, rho = entry
     x, y = sym_matrix(x), sym_matrix(y)
-    if dim is None:
-        dim = x.shape[0]
-    if x.shape[0] != dim or y.shape[0] != dim:
+    n = x.shape[0]
+    if dim is not None and n != dim:
         raise UsageError("all atoms of a matrix space must share one dimension")
+    if y.shape[0] != n:
+        raise UsageError(f"matrix atom X has dimension {n} but Y has dimension {y.shape[0]}")
     for label, m in (("X", x), ("Y", y)):
-        require_pd(np.linalg.eigvalsh(m), f"matrix atom {label}", PD_FLOOR, COND_LIMIT)
-    if rho is not None:
-        rho = check_density(rho)
-        if rho.shape[0] != dim:
-            raise UsageError("atom density dimension differs from the observables")
+        require_pd(np.linalg.eigvalsh(m), f"matrix atom {label}", COND_LIMIT)
+    rho = check_density(rho)
+    if rho.shape[0] != n:
+        raise UsageError("atom density dimension differs from the observables")
     return _probability(p), x, y, rho
 
 
 def matrix_space(entries, where=None) -> FiniteJointSpace:
-    """Build a matrix-mode space from (p, X, Y) or (p, X, Y, rho) tuples.
+    """Build a matrix-mode space from (p, X, Y, rho) tuples.
 
     X and Y must be positive definite with condition number within the
-    perspective guard; densities, when present, must pass the density-matrix
-    checks.  All atoms share one dimension, and either every atom carries a
-    density or none does.  ``where``, when given, maps the 0-based index of
-    the atom an error is found in, or None for an error of the whole space, to
-    the location its message starts with.
+    perspective guard, and every atom's density must pass the density-matrix
+    checks.  All atoms share one dimension.  ``where``, when given, maps the
+    0-based index of the atom an error is found in, or None for an error of
+    the whole space, to the location its message starts with.
     """
-    probs, xs, ys, rhos = [], [], [], []
+    atoms = []
     for i, entry in enumerate(entries):
         with _located(where, i):
-            p, x, y, rho = _matrix_atom(entry, xs[0].shape[0] if xs else None)
-        if rho is not None:
-            rhos.append(rho)
-        probs.append(p)
-        xs.append(x)
-        ys.append(y)
+            atoms.append(_matrix_atom(entry, atoms[0][1].shape[0] if atoms else None))
     with _located(where, None):
-        _check_total(probs)
-        if 0 < len(rhos) < len(probs):
-            raise UsageError("either every atom of a matrix space carries a density or none does")
-    rho = np.stack(rhos) if rhos else None
-    return FiniteJointSpace(np.array(probs), np.stack(xs), np.stack(ys), rho)
+        _check_total([a[0] for a in atoms])
+    return FiniteJointSpace(*(np.array(column) for column in zip(*atoms)))
 
 
 def verify_numeric(
@@ -227,8 +214,6 @@ def verify_random_matrix(
     against the scalar mean of the atom-averaged state expectations."""
     if space.mode != MODE_MATRIX:
         raise UsageError(f"verify_random_matrix needs a matrix-mode space, got {space.mode!r}")
-    if space.rho is None:
-        raise UsageError("verify_random_matrix needs a density matrix on every atom")
     return verify_matrix(space, spec, tol, seed, "rm")
 
 
@@ -338,8 +323,8 @@ def _space_line(fields: list[str], scalar: bool, base: Path) -> tuple:
         if len(fields) != 3 or None in values:
             raise UsageError(f"scalar atoms need 'p x y' with three numbers, got {' '.join(fields)!r}")
         return values
-    if len(fields) not in (3, 4):
-        raise UsageError("matrix atoms need 'p x_path y_path [rho_path]'")
+    if len(fields) != 4:
+        raise UsageError("matrix atoms need 'p x_path y_path rho_path', rho_path the atom's density")
     prob = _try_float(fields[0])
     if prob is None:
         raise UsageError(f"bad probability {fields[0]!r}")
@@ -349,8 +334,8 @@ def _space_line(fields: list[str], scalar: bool, base: Path) -> tuple:
 def load_space(path) -> FiniteJointSpace:
     """Read a space file: one atom per line.
 
-    Scalar mode lines are ``p x y``; matrix mode lines are ``p x_path y_path``
-    or ``p x_path y_path rho_path`` with paths resolved relative to the space
+    Scalar mode lines are ``p x y``; matrix mode lines are
+    ``p x_path y_path rho_path`` with paths resolved relative to the space
     file.  The first atom line sets the mode: scalar when its x and y are
     numbers.  Blank lines and ``#`` comments are skipped.  Errors found in
     one atom, while its line is read or once its matrices are checked, name
@@ -358,11 +343,7 @@ def load_space(path) -> FiniteJointSpace:
     as probabilities that do not sum to 1, name the file.
     """
     p = Path(path)
-    try:
-        raw = p.read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read space file {p}: {exc}") from None
-    rows = [(i, ln.split()) for i, ln in enumerate(raw.splitlines(), 1)]
+    rows = [(i, ln.split()) for i, ln in enumerate(read_input(p, "space").splitlines(), 1)]
     rows = [(i, r) for i, r in rows if r and not r[0].startswith("#")]
     if not rows:
         raise UsageError(f"space file {p} has no atoms")
@@ -384,7 +365,5 @@ def space_to_jsonable(space: FiniteJointSpace) -> dict:
     p, x, y = space.p.tolist(), space.x.tolist(), space.y.tolist()
     if space.mode == MODE_SCALAR:
         return {"mode": MODE_SCALAR, "atoms": [list(a) for a in zip(p, x, y)]}
-    out = [{"p": pi, "x": xi, "y": yi} for pi, xi, yi in zip(p, x, y)]
-    for entry, ri in zip(out, [] if space.rho is None else space.rho.tolist()):
-        entry["rho"] = ri
-    return {"mode": MODE_MATRIX, "atoms": out}
+    atoms = zip(p, x, y, space.rho.tolist())
+    return {"mode": MODE_MATRIX, "atoms": [dict(zip(("p", "x", "y", "rho"), a)) for a in atoms]}

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line; the heavy campaigns are shared through
 module-scoped fixtures so the suite stays inside its runtime budgets.
 """
 
+import itertools
 import json
 import time
 
@@ -339,7 +340,17 @@ def test_criterion_10_axiom_suite(capsys):
         record(capsys, 10, "axiom-suite-and-concavity-labels", ok)
 
 
-def test_criterion_11_campaign_determinism(capsys):
+def test_criterion_11_campaign_determinism(capsys, monkeypatch):
+    from meanineq import campaign
+
+    def blockings():
+        """Run the body once per (block size, key chunk) pair, patched."""
+        for block, chunk in itertools.product((1, 4096), (1, 7, 4096)):
+            monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(campaign, "KEY_CHUNK", chunk)
+            yield
+        monkeypatch.undo()
+
     ok = False
     try:
         config = CampaignConfig(
@@ -351,9 +362,11 @@ def test_criterion_11_campaign_determinism(capsys):
         )
         runs = [run_campaign(config), run_campaign(config)]
         parallel = [run_campaign(config, workers=2), run_campaign(config, workers=5)]
-        texts = [emit_report(s, "json") for s in runs + parallel]
+        blocked = [run_campaign(config) for _ in blockings()]
+        texts = [emit_report(s, "json") for s in runs + parallel + blocked]
         assert all(t == texts[0] for t in texts[1:])
         assert runs[0] == parallel[0] == parallel[1]
+        assert all(s == runs[0] for s in blocked)
 
         # and a violating scalar campaign, where worst_case payloads must match too
         config = CampaignConfig(
@@ -362,6 +375,7 @@ def test_criterion_11_campaign_determinism(capsys):
         t1 = emit_report(run_campaign(config), "json")
         t2 = emit_report(run_campaign(config, workers=3), "json")
         assert t1 == t2
+        assert all(emit_report(run_campaign(config), "json") == t1 for _ in blockings())
         ok = True
     finally:
         record(capsys, 11, "campaign-determinism-across-parallelism", ok)

@@ -1,6 +1,7 @@
 """Campaign configuration, determinism, aggregation, and violation search."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -129,7 +130,9 @@ def test_violations_count_the_trial_verdicts(tol):
     assert summary.per_function["counterexample-g"].violations > 0
 
 
-def test_campaign_determinism_and_parallel_equivalence():
+def test_campaign_determinism_and_parallel_equivalence(monkeypatch):
+    from meanineq import campaign
+
     cfg = CampaignConfig(
         mode="op", functions=("geometric", "harmonic"), trials=30, dims=(2, 4), seed=11
     )
@@ -137,6 +140,11 @@ def test_campaign_determinism_and_parallel_equivalence():
     s2 = run_campaign(cfg)
     s4 = run_campaign(cfg, workers=4)
     assert s1 == s2 == s4
+    # Blocks of one trial and key chunks that end inside a function's trials.
+    for block, chunk in itertools.product((1, 4096), (1, 7, 4096)):
+        monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(campaign, "KEY_CHUNK", chunk)
+        assert run_campaign(cfg) == s1
 
 
 def test_op_campaign_gaps_nonnegative():

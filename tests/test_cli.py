@@ -396,3 +396,60 @@ def test_bad_space_probability_exits_2_naming_the_file(tmp_path, capsys, text, w
     code, out, err = run_cli(capsys, "verify-num", "--function", "geometric", "--space", str(space))
     assert code == 2 and out == ""
     assert err == f"error: space file {space}{where}: {detail}\n"
+
+
+def test_verify_rm_rejects_a_space_file_without_densities(tmp_path, capsys):
+    # Every matrix atom needs a density: a three-field matrix line is an error
+    # of that line.
+    save_matrix(tmp_path / "x.txt", np.eye(2))
+    space = tmp_path / "space.txt"
+    space.write_text("1 x.txt x.txt\n")
+    code, out, err = run_cli(capsys, "verify-rm", "--function", "geometric", "--space", str(space))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: space file {space}, line 1: ") and "density" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, text, mode",
+    [("verify-num", "1 x.txt x.txt rho.txt\n", "scalar"), ("verify-rm", "1 1 1\n", "matrix")],
+    ids=["verify-num", "verify-rm"],
+)
+def test_space_file_of_the_wrong_mode_names_the_file(tmp_path, capsys, command, text, mode):
+    save_matrix(tmp_path / "x.txt", np.eye(2))
+    save_matrix(tmp_path / "rho.txt", np.eye(2) / 2.0)
+    space = tmp_path / "space.txt"
+    space.write_text(text)
+    code, out, err = run_cli(capsys, command, "--function", "geometric", "--space", str(space))
+    assert code == 2 and out == ""
+    assert err == f"error: space file {space} is not {mode} mode\n"
+
+
+@pytest.mark.parametrize(
+    "kind, data, argv",
+    [
+        ("config", b"mode = num\nfunctions = geometric\xff\n", ["campaign", "--config", "BAD"]),
+        ("space", b"0.5 1 1\n0.5 3 1\xff\n", ["verify-num", "--function", "geometric", "--space", "BAD"]),
+        ("matrix", b"1\n0.5\xff\n", ["verify-op", "--function", "geometric", "--rho", "BAD", "--a", "BAD", "--b", "BAD"]),
+    ],
+    ids=["config", "space", "matrix"],
+)
+def test_non_utf8_input_file_is_a_usage_error(tmp_path, capsys, kind, data, argv):
+    # Exit 1 means a violated verdict, so an undecodable file must exit 2.
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    code, out, err = run_cli(capsys, *(str(bad) if a == "BAD" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {kind} file {bad}: ") and err.count("\n") == 1
+
+
+def test_verify_op_names_both_dimensions_of_a_mismatched_pair(tmp_path, capsys):
+    save_matrix(tmp_path / "a.txt", np.eye(2))
+    save_matrix(tmp_path / "b.txt", np.eye(3))
+    save_matrix(tmp_path / "rho.txt", np.eye(3) / 3.0)
+    code, out, err = run_cli(
+        capsys, "verify-op", "--function", "geometric",
+        "--rho", str(tmp_path / "rho.txt"), "--a", str(tmp_path / "a.txt"), "--b", str(tmp_path / "b.txt"),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: matrix atom X has dimension 2 but Y has dimension 3\n"

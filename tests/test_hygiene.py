@@ -68,6 +68,45 @@ def test_src_uses_only_explicit_generators(path):
     assert _numpy_random_uses(ast.parse(path.read_text())) == []
 
 
+#: The one function of the package that reads a file: it turns a file that
+#: cannot be read or decoded into a usage error naming it (exit 2), where a
+#: loader of its own would let the exception escape as a traceback (exit 1).
+READER = ("errors.py", "read_input")
+READ_CALLS = {"read_text", "read_bytes", "open"}
+
+
+def _file_reads(tree: ast.AST, reader: str | None = None) -> list[str]:
+    """Calls of READ_CALLS, bare or as attributes, outside the function named
+    ``reader``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == reader:
+            continue
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in READ_CALLS:
+                found.append(f"line {node.lineno}: {name}")
+        found += _file_reads(node, reader)
+    return found
+
+
+def test_read_scan_catches_file_reads():
+    tree = ast.parse(
+        "def read_input(p):\n    return p.read_text()\n"
+        "text = open('f').read()\ndata = path.read_bytes()\nwith path.open() as fh:\n    pass\n"
+    )
+    assert _file_reads(tree, "read_input") == ["line 3: open", "line 4: read_bytes", "line 5: open"]
+    assert _file_reads(tree) == ["line 2: read_text", "line 3: open", "line 4: read_bytes", "line 5: open"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_reads_files_only_through_the_reader(path):
+    tree = ast.parse(path.read_text())
+    assert _file_reads(tree, READER[1] if path.name == READER[0] else None) == []
+    if path.name == READER[0]:
+        assert _file_reads(tree) != []
+
+
 #: Module-level UPPER_CASE names, public or private.
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 

@@ -326,9 +326,8 @@ def test_constant_rho_commutes_with_expectation():
 def test_random_matrix_requires_densities():
     rng = split_rng(31, 0)
     a = sample_spd(2, rng)
-    space = matrix_space([(1.0, a, a)])
-    with pytest.raises(UsageError):
-        verify_random_matrix(space, operator_mean_spec("geometric"))
+    with pytest.raises(UsageError, match="density"):
+        matrix_space([(1.0, a, a)])
     scal = scalar_space([(1.0, 1.0, 1.0)])
     with pytest.raises(UsageError):
         verify_random_matrix(scal, operator_mean_spec("geometric"))
@@ -337,10 +336,10 @@ def test_random_matrix_requires_densities():
 def test_verify_numeric_needs_a_scalar_space():
     rng = split_rng(31, 1)
     a = sample_spd(2, rng)
-    for space in (matrix_space([(1.0, a, a)]), matrix_space([(1.0, a, a, sample_density(2, rng))])):
-        assert space.mode == "matrix"
-        with pytest.raises(UsageError, match="scalar-mode"):
-            verify_numeric(space, GEO)
+    space = matrix_space([(1.0, a, a, sample_density(2, rng))])
+    assert space.mode == "matrix"
+    with pytest.raises(UsageError, match="scalar-mode"):
+        verify_numeric(space, GEO)
 
 
 def test_space_file_round_trip(tmp_path):
@@ -393,7 +392,7 @@ def test_space_file_errors(tmp_path):
         ("0.5 1 1\n0.5 1 1 r.txt\n", 2, UsageError, "three numbers"),
         ("0.5 1 1\n0.5 -2 1\n", 2, DomainError, "must be positive, got (-2.0, 1.0)"),
         ("1 -2 1\n", 1, DomainError, "must be positive"),
-        ("# matrix atoms\n0.5 missing.txt y.txt\n", 2, UsageError, "cannot read matrix file"),
+        ("# matrix atoms\n0.5 missing.txt y.txt rho.txt\n", 2, UsageError, "cannot read matrix file"),
     ],
     ids=["malformed-value", "after-comments", "extra-field", "negative-value", "one-atom", "missing-matrix"],
 )
@@ -488,7 +487,8 @@ def test_matrix_space_stacks_its_atoms():
         assert space.p[i] == p
         assert np.array_equal(space.x[i], x) and np.array_equal(space.y[i], y)
         assert np.array_equal(space.rho[i], rho)
-    assert matrix_space([e[:3] for e in entries]).rho is None
+    with pytest.raises(UsageError):
+        matrix_space([e[:3] for e in entries])
 
 
 @pytest.mark.parametrize("fid", SPECS + ["counterexample-g"])
