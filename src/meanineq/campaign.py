@@ -2,6 +2,9 @@
 
 A campaign draws instances (finite spaces, state/observable triples, or
 random-matrix spaces), verifies each, and aggregates counts and extremes.
+Its config file is ``key = value`` lines in the grammar every input file
+shares (``errors.content_lines``); each key's value is read by its parser
+in one table, and an error names the file and line it is found in.
 Trial k of function j always draws the stream of ``split_rng(seed, j, k)``,
 so replays are bit-identical, and the worst case is rebuilt from its
 (function, trial) coordinates rather than stored.  A campaign does not build
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MeanIneqError, UsageError, located, read_input
+from .errors import MeanIneqError, UsageError, content_lines, located, place, read_input
 from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import MATRIX_TOL, OperatorMeanSpec
@@ -127,72 +130,59 @@ def validate_config(config: CampaignConfig) -> None:
         raise UsageError(f"tol must be finite and positive, got {config.tol!r}")
 
 
-def _parse_range(value: str, key: str) -> tuple[int, int]:
-    parts = value.split("-")
-    if len(parts) <= 2:
-        try:
-            return int(parts[0]), int(parts[-1])
-        except ValueError:
-            pass
-    raise UsageError(f"config key {key!r} needs 'min-max' or a single integer, got {value!r}")
+def _range(value: str) -> tuple[int, int]:
+    lo, dash, hi = value.partition("-")
+    return int(lo), int(hi if dash else lo)
 
 
-def parse_campaign_config(text: str) -> CampaignConfig:
-    """Parse the flat key=value config format.
+#: The config keys, each with the parser of its value (raising ValueError)
+#: and what that value must be.
+_CONFIG_KEYS = {
+    "mode": (str, "a mode"),
+    "functions": (lambda v: tuple(s.strip() for s in v.split(",") if s.strip()), "function ids"),
+    "trials": (int, "an integer"),
+    "dims": (_range, "'min-max' or a single integer"),
+    "atoms": (_range, "'min-max' or a single integer"),
+    "tol": (float, "a number"),
+    "seed": (int, "an integer"),
+}
+
+
+def parse_campaign_config(text: str, path=None) -> CampaignConfig:
+    """Parse and validate the flat ``key = value`` config format, one key per
+    content line (see :func:`errors.content_lines`).
 
     Keys: mode (num|op|rm), functions (comma list of function ids), trials,
-    dims (min-max), atoms (min-max), tol, seed.  Lines starting with ``#``
-    are comments.
+    dims and atoms (each min-max or one integer), tol, seed; the first three
+    are required.  Each value is read by its key's parser in _CONFIG_KEYS.
+    Errors name the config file ``path``, when given, and the line.
     """
-    fields: dict[str, str] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if "=" not in ln:
-            raise UsageError(f"config line {ln!r} is not 'key = value'")
-        key, _, value = ln.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in fields:
-            raise UsageError(f"duplicate config key {key!r}")
-        fields[key] = value
-    known = {"mode", "functions", "trials", "dims", "atoms", "tol", "seed"}
-    unknown = set(fields) - known
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for required in ("mode", "functions", "trials"):
-        if required not in fields:
-            raise UsageError(f"config is missing required key {required!r}")
-    try:
-        trials = int(fields["trials"])
-    except ValueError:
-        raise UsageError(f"trials must be an integer, got {fields['trials']!r}") from None
-    kwargs: dict = {
-        "mode": fields["mode"],
-        "functions": tuple(s.strip() for s in fields["functions"].split(",") if s.strip()),
-        "trials": trials,
-    }
-    if "dims" in fields:
-        kwargs["dims"] = _parse_range(fields["dims"], "dims")
-    if "atoms" in fields:
-        kwargs["atoms"] = _parse_range(fields["atoms"], "atoms")
-    if "tol" in fields:
-        try:
-            kwargs["tol"] = float(fields["tol"])
-        except ValueError:
-            raise UsageError(f"tol must be a float, got {fields['tol']!r}") from None
-    if "seed" in fields:
-        try:
-            kwargs["seed"] = int(fields["seed"])
-        except ValueError:
-            raise UsageError(f"seed must be an integer, got {fields['seed']!r}") from None
-    config = CampaignConfig(**kwargs)
-    validate_config(config)
+    fields: dict = {}
+    for n, line in content_lines(text):
+        with located(path and place("config", path, n)):
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise UsageError(f"expected 'key = value', got {line!r}")
+            if key not in _CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r}")
+            if key in fields:
+                raise UsageError(f"duplicate config key {key!r}")
+            parse, what = _CONFIG_KEYS[key]
+            try:
+                fields[key] = parse(value)
+            except ValueError:
+                raise UsageError(f"config key {key!r} needs {what}, got {value!r}") from None
+    with located(path and place("config", path)):
+        for key in ("mode", "functions", "trials"):
+            if key not in fields:
+                raise UsageError(f"missing required config key {key!r}")
+        config = CampaignConfig(**fields)
+        validate_config(config)
     return config
 
 
 def load_campaign_config(path) -> CampaignConfig:
-    return parse_campaign_config(read_input(path, "config"))
+    return parse_campaign_config(read_input(path, "config"), path)
 
 
 def _log_uniform_values(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -310,10 +300,8 @@ def _block_gaps(runs, draws: list[Draw], where) -> list[float]:
     except MeanIneqError:
         fs = [f for f, count in runs for _ in range(count)]
         for i, (f, d) in enumerate(zip(fs, draws)):
-            try:
+            with located(where(i)):
                 block_sides([(f, 1)], [d.atoms], _build([d]))
-            except MeanIneqError as exc:
-                raise located(exc, where(i)) from None
         raise
     return (rhs - lhs).tolist()
 

@@ -24,7 +24,7 @@ from .campaign import (
     run_campaign,
     search_violation,
 )
-from .errors import MeanIneqError, NumericError, UsageError
+from .errors import MeanIneqError, NumericError, UsageError, located, place
 from .functions import get_function
 from .linalg import load_matrix
 from .operator_means import MATRIX_TOL, OperatorMeanSpec
@@ -294,15 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code_for_verdict(verdict: str) -> int:
-    return 1 if verdict == "violated" else 0
-
-
 def _space_file(path: str, mode: str):
     """The space file at ``path``, which must be in ``mode``."""
     space = load_space(path)
-    if space.mode != mode:
-        raise UsageError(f"space file {path} is not {mode} mode")
+    with located(place("space", path)):
+        if space.mode != mode:
+            raise UsageError(f"expected {mode} mode, got {space.mode} mode")
     return space
 
 
@@ -313,34 +310,6 @@ def _run(args: argparse.Namespace, out) -> int:
         probe = concavity_probe(f)
         out.write(emit_report((report, probe), args.format) + "\n")
         return 0 if report.passed else 1
-
-    if args.command == "verify-num":
-        f = get_function(args.function)
-        report = verify_numeric(_space_file(args.space, MODE_SCALAR), f, args.tol)
-        out.write(emit_report(report, args.format) + "\n")
-        return _exit_code_for_verdict(report.verdict)
-
-    if args.command == "verify-op":
-        spec = OperatorMeanSpec(get_function(args.function))
-        rho = load_matrix(args.rho)
-        a = load_matrix(args.a)
-        b = load_matrix(args.b)
-        report = verify_operator(rho, a, b, spec, args.tol)
-        out.write(emit_report(report, args.format) + "\n")
-        return _exit_code_for_verdict(report.verdict)
-
-    if args.command == "verify-rm":
-        spec = OperatorMeanSpec(get_function(args.function))
-        report = verify_random_matrix(_space_file(args.space, MODE_MATRIX), spec, args.tol)
-        out.write(emit_report(report, args.format) + "\n")
-        return _exit_code_for_verdict(report.verdict)
-
-    if args.command == "counterexample":
-        f = get_function(args.function)
-        space = construct_counterexample(f, args.x1, args.x2, args.p)
-        report = verify_numeric(space, f, args.tol)
-        out.write(emit_report(report, args.format) + "\n")
-        return _exit_code_for_verdict(report.verdict)
 
     if args.command == "campaign":
         config = load_campaign_config(args.config)
@@ -356,14 +325,24 @@ def _run(args: argparse.Namespace, out) -> int:
         out.write(emit_report(summary, args.format) + "\n")
         return 1 if summary.violations > 0 else 0
 
-    if args.command == "search":
-        f = get_function(args.function)
-        rng = split_rng(args.seed, 0)
-        report = search_violation(f, rng, args.trials, tol=args.tol, seed=args.seed)
-        out.write(emit_report(report, args.format) + "\n")
-        return _exit_code_for_verdict(report.verdict)
-
-    raise UsageError(f"unknown command {args.command!r}")
+    f = get_function(args.function)
+    if args.command == "verify-num":
+        report = verify_numeric(_space_file(args.space, MODE_SCALAR), f, args.tol)
+    elif args.command == "verify-op":
+        spec = OperatorMeanSpec(f)
+        rho, a, b = (load_matrix(path) for path in (args.rho, args.a, args.b))
+        report = verify_operator(rho, a, b, spec, args.tol, where=lambda arg: f"--{arg} {getattr(args, arg)}")
+    elif args.command == "verify-rm":
+        spec = OperatorMeanSpec(f)
+        report = verify_random_matrix(_space_file(args.space, MODE_MATRIX), spec, args.tol)
+    elif args.command == "counterexample":
+        report = verify_numeric(construct_counterexample(f, args.x1, args.x2, args.p), f, args.tol)
+    elif args.command == "search":
+        report = search_violation(f, split_rng(args.seed, 0), args.trials, tol=args.tol, seed=args.seed)
+    else:
+        raise UsageError(f"unknown command {args.command!r}")
+    out.write(emit_report(report, args.format) + "\n")
+    return 1 if report.verdict == "violated" else 0
 
 
 def main(argv=None) -> int:

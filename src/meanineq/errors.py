@@ -1,10 +1,17 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy shared by every module, and the input grammar.
 
 Callers can catch :class:`MeanIneqError` to handle any failure raised by
 this package; the CLI maps the whole hierarchy to exit code 2.
+
+Every input file (config, space, matrix) is read by :func:`read_input` and
+split by :func:`content_lines`, which skips blank and ``#`` comment lines
+and keeps each other line's 1-based number.  An error about an input is
+raised inside :func:`located`, which prefixes its message with the
+:func:`place` it is about: ``<kind> file <path>, line <n>``, or
+``<kind> file <path>`` for the whole file.
 """
 
-import copy
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -36,12 +43,23 @@ class NumericError(MeanIneqError):
     """A numerical kernel failed to converge or produced non-finite output."""
 
 
-def located(exc: MeanIneqError, where: str) -> MeanIneqError:
-    """A copy of ``exc`` (same class and attributes) whose message starts with
-    ``where``: the file and line, or the campaign trial, it came from."""
-    out = copy.copy(exc)
-    out.args = (f"{where}: {exc}",)
-    return out
+@contextmanager
+def located(where: str | None):
+    """Errors of this package raised inside start with ``where``, when it is
+    given: the place in an input, or the campaign trial, they are about.  The
+    error keeps its class and attributes."""
+    try:
+        yield
+    except MeanIneqError as exc:
+        if where is not None:
+            exc.args = (f"{where}: {exc}",)
+        raise
+
+
+def place(kind: str, path, line: int | None = None) -> str:
+    """The name of line ``line`` (1-based) of a ``kind`` file, or of the
+    whole file when ``line`` is None."""
+    return f"{kind} file {path}" if line is None else f"{kind} file {path}, line {line}"
 
 
 def read_input(path, kind: str) -> str:
@@ -51,4 +69,12 @@ def read_input(path, kind: str) -> str:
     try:
         return p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {kind} file {p}: {exc}") from None
+        raise UsageError(f"cannot read {place(kind, p)}: {exc}") from None
+
+
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """The (n, line) content lines of an input file's text: line n (1-based,
+    counting every line) stripped, for each line that is neither blank nor a
+    ``#`` comment."""
+    lines = ((n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1))
+    return [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]

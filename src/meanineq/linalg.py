@@ -12,12 +12,14 @@ assemble their matrices through it.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefiniteError, NumericError, UsageError, read_input
+from .errors import DomainError, NotPositiveDefiniteError, NumericError, UsageError
+from .errors import content_lines, located, place, read_input
 
 #: Positive-definiteness floor: matrices whose smallest eigenvalue is at or
 #: below this are rejected from inverse-square-root paths, never regularized.
@@ -45,16 +47,20 @@ class SpectralDecomposition(NamedTuple):
 
 
 def sym_matrix(values) -> np.ndarray:
-    """Build a validated symmetric matrix (symmetry enforced by averaging)."""
+    """Build a validated symmetric matrix (symmetry enforced by averaging); the
+    averaged matrix must be finite."""
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise UsageError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n < 1 or n > MAX_DIM:
         raise UsageError(f"matrix dimension must be in [1, {MAX_DIM}], got {n}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must all be finite")
-    return symmetrize(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry above max / 2 overflows
+        s = symmetrize(a)
+    if not np.isfinite(s).all():
+        limit = np.finfo(float).max / 2
+        raise DomainError(f"matrix entries must be finite and at most {limit:.4g} in magnitude")
+    return s
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -160,44 +166,52 @@ def congruence(c, a) -> np.ndarray:
     return sym_matrix(cm.T @ sa @ cm)
 
 
+def _dimension(line: str) -> int:
+    try:
+        n = int(line)
+    except ValueError:
+        n = 0
+    if not 1 <= n <= MAX_DIM:
+        raise UsageError(f"expected the dimension, an integer in [1, {MAX_DIM}], got {line!r}")
+    return n
+
+
+def _row(line: str, n: int) -> list[float]:
+    try:
+        row = [float(v) for v in line.split()]
+    except ValueError:
+        row = []
+    if len(row) != n or not all(map(math.isfinite, row)):
+        raise UsageError(f"expected a row of {n} finite numbers, got {line!r}")
+    return row
+
+
 def load_matrix(path) -> np.ndarray:
     """Read the matrix text format: a line with n, then n rows of n values.
 
-    Blank lines and lines starting with ``#`` are skipped.  A symmetry
-    violation larger than 1e-9 (max-abs entry) is an error; smaller ones are
-    absorbed by the symmetrizing constructor.
+    Blank lines and ``#`` comments are skipped.  A symmetry violation larger
+    than 1e-9 (max-abs entry) is an error; smaller ones are absorbed by the
+    symmetrizing constructor.  Errors name the file, and the line of a bad one.
     """
     p = Path(path)
-    lines = [ln.strip() for ln in read_input(p, "matrix").splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise UsageError(f"matrix file {p} is empty")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise UsageError(f"matrix file {p}: first line must be the dimension") from None
-    if n < 1 or n > MAX_DIM:
-        raise UsageError(f"matrix file {p}: dimension {n} outside [1, {MAX_DIM}]")
-    if len(lines) != n + 1:
-        raise UsageError(f"matrix file {p}: expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for k, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != n:
-            raise UsageError(f"matrix file {p}: row {k + 1} has {len(parts)} values, expected {n}")
-        try:
-            rows.append([float(tok) for tok in parts])
-        except ValueError:
-            raise UsageError(f"matrix file {p}: row {k + 1} has a non-numeric value") from None
-    a = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise UsageError(f"matrix file {p}: entries must be finite")
-    skew = float(np.max(np.abs(a - a.T)))
-    if skew > LOAD_SYMMETRY_TOL:
-        raise UsageError(
-            f"matrix file {p}: symmetry violation {skew:.3e} exceeds {LOAD_SYMMETRY_TOL}"
-        )
-    return sym_matrix(a)
+    n, rows = None, []
+    for k, line in content_lines(read_input(p, "matrix")):
+        with located(place("matrix", p, k)):
+            if n is None:
+                n = _dimension(line)
+            else:
+                rows.append(_row(line, n))
+    with located(place("matrix", p)):
+        if n is None:
+            raise UsageError("the file is empty")
+        if len(rows) != n:
+            raise UsageError(f"expected {n} rows, found {len(rows)}")
+        a = np.array(rows)
+        with np.errstate(over="ignore"):
+            skew = float(np.max(np.abs(a - a.T)))
+        if skew > LOAD_SYMMETRY_TOL:
+            raise UsageError(f"symmetry violation {skew:.3e} exceeds {LOAD_SYMMETRY_TOL}")
+        return sym_matrix(a)
 
 
 def save_matrix(path, a) -> None:

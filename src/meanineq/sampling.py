@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .linalg import MAX_DIM, sym_matrix, symmetrize
 
-#: Default Gaussian factor scale and diagonal shift for SPD sampling.
-DEFAULT_SPREAD = 1.0
+#: Diagonal shift of SPD sampling: every sample's min eigenvalue is at least this.
 DEFAULT_FLOOR = 1e-3
 
 #: Density-matrix admission tolerances.
@@ -138,10 +137,11 @@ def draw_factors(shape: tuple[int, ...], n: int, rng: np.random.Generator) -> np
     return rng.normal(0.0, 1.0, size=(*shape, n, n))
 
 
-def spd_stack(g: np.ndarray, floor: float = DEFAULT_FLOOR) -> np.ndarray:
-    """The SPD samplers' construction: G G^T + floor*I, min eigenvalue >= floor,
-    for every factor of a (..., n, n) stack, each with the bits it gets alone."""
-    s = g @ g.swapaxes(-1, -2) + floor * np.eye(g.shape[-1])
+def spd_stack(g: np.ndarray) -> np.ndarray:
+    """The SPD samplers' construction: G G^T + DEFAULT_FLOOR*I, min eigenvalue
+    >= DEFAULT_FLOOR, for every factor of a (..., n, n) stack, each with the
+    bits it gets alone."""
+    s = g @ g.swapaxes(-1, -2) + DEFAULT_FLOOR * np.eye(g.shape[-1])
     if not np.isfinite(s).all():
         raise DomainError("matrix entries must all be finite")
     return symmetrize(s)
@@ -152,33 +152,17 @@ def _unit_trace(s: np.ndarray) -> np.ndarray:
     return s / np.trace(s, axis1=-2, axis2=-1)[..., None, None]
 
 
-def sample_spd(
-    n: int,
-    rng: np.random.Generator,
-    spread: float = DEFAULT_SPREAD,
-    floor: float = DEFAULT_FLOOR,
-) -> np.ndarray:
-    """Sample one SPD matrix G G^T + floor*I, G with iid N(0, spread^2)
-    entries: :func:`spd_stack` of a scaled :func:`draw_factors` draw.
-    ``spread`` = 0 yields the deterministic floor*I (the generator is still
-    consumed, keeping streams aligned)."""
+def sample_spd(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample one SPD matrix G G^T + DEFAULT_FLOOR*I, G with iid N(0, 1)
+    entries: :func:`spd_stack` of a :func:`draw_factors` draw."""
     if n < 1 or n > MAX_DIM:
         raise UsageError(f"dimension must be in [1, {MAX_DIM}], got {n}")
-    if spread < 0.0:
-        raise UsageError(f"spread must be non-negative, got {spread!r}")
-    if floor <= 0.0:
-        raise UsageError(f"floor must be positive, got {floor!r}")
-    return spd_stack(draw_factors((), n, rng) * spread, floor)
+    return spd_stack(draw_factors((), n, rng))
 
 
-def sample_density(
-    n: int,
-    rng: np.random.Generator,
-    spread: float = DEFAULT_SPREAD,
-    floor: float = DEFAULT_FLOOR,
-) -> np.ndarray:
+def sample_density(n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample a random density matrix: a normalized SPD sample, valid by construction."""
-    return _unit_trace(sample_spd(n, rng, spread, floor))
+    return _unit_trace(sample_spd(n, rng))
 
 
 def atom_stacks(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,14 +22,13 @@ campaigns a block of trials across functions, with the bits of each alone.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, MeanIneqError, NumericError, UsageError, located, read_input
+from .errors import DomainError, NumericError, UsageError, content_lines, located, place, read_input
 from .functions import SCALAR_TOL, RepresentingFunction, means, run_slices
 from .linalg import COND_LIMIT, PD_FLOOR, load_matrix, require_pd, sym_matrix
 from .operator_means import MATRIX_TOL, OperatorMeanSpec, perspective_kernel
@@ -85,18 +84,6 @@ def _check_total(probs: list[float]) -> None:
         raise DomainError(f"atom probabilities sum to {total!r}, not 1")
 
 
-@contextmanager
-def _located(where, i: int | None):
-    """Errors raised inside are about item i (an atom or a trial; None: the
-    whole space); prefix them with ``where(i)`` when ``where`` is given."""
-    try:
-        yield
-    except MeanIneqError as exc:
-        if where is None:
-            raise
-        raise located(exc, where(i)) from None
-
-
 def _scalar_atom(entry) -> tuple[float, float, float]:
     """One (p, x, y) atom: p finite and >= 0, x and y positive and finite."""
     if len(entry) != 3:
@@ -109,35 +96,46 @@ def _scalar_atom(entry) -> tuple[float, float, float]:
 
 def scalar_space(entries, where=None) -> FiniteJointSpace:
     """Build a scalar-mode space from (probability, x, y) triples; ``where``
-    locates errors as in :func:`matrix_space`."""
+    locates errors as in :func:`matrix_space`, with part None."""
     atoms = []
     for i, entry in enumerate(entries):
-        with _located(where, i):
+        with located(where and where(i, None)):
             atoms.append(_scalar_atom(entry))
-    with _located(where, None):
+    with located(where and where(None, None)):
         _check_total([a[0] for a in atoms])
     return FiniteJointSpace(*(np.array(column) for column in zip(*atoms)))
 
 
-def _matrix_atom(entry, dim: int | None) -> tuple:
+def _observable(m, part: str, where: str | None) -> np.ndarray:
+    """Matrix atom ``part`` (X or Y), positive definite within the condition
+    guard; its errors start with ``where``."""
+    with located(where):
+        m = sym_matrix(m)
+        require_pd(np.linalg.eigvalsh(m), f"matrix atom {part}", COND_LIMIT)
+        return m
+
+
+def _matrix_atom(entry, dim: int | None, at) -> tuple:
     """One (p, X, Y, rho) atom: p finite and >= 0, X and Y positive definite
-    within the condition guard, of one dimension and of ``dim`` when one is
-    set, rho a density of theirs."""
-    if len(entry) != 4:
-        raise UsageError("matrix atoms are (p, X, Y, rho) tuples: every atom needs a density")
+    within the condition guard, rho a density, all of one dimension and of
+    ``dim`` when one is set.  An error of X, Y or rho alone starts with
+    ``at("X")``, ``at("Y")`` or ``at("rho")``, any other with ``at(None)``."""
+    with located(at(None)):
+        if len(entry) != 4:
+            raise UsageError("matrix atoms are (p, X, Y, rho) tuples: every atom needs a density")
     p, x, y, rho = entry
-    x, y = sym_matrix(x), sym_matrix(y)
-    n = x.shape[0]
-    if dim is not None and n != dim:
-        raise UsageError("all atoms of a matrix space must share one dimension")
-    if y.shape[0] != n:
-        raise UsageError(f"matrix atom X has dimension {n} but Y has dimension {y.shape[0]}")
-    for label, m in (("X", x), ("Y", y)):
-        require_pd(np.linalg.eigvalsh(m), f"matrix atom {label}", COND_LIMIT)
-    rho = check_density(rho)
-    if rho.shape[0] != n:
-        raise UsageError("atom density dimension differs from the observables")
-    return _probability(p), x, y, rho
+    x, y = _observable(x, "X", at("X")), _observable(y, "Y", at("Y"))
+    with located(at("rho")):
+        rho = check_density(rho)
+    with located(at(None)):
+        n = x.shape[0]
+        if dim is not None and n != dim:
+            raise UsageError("all atoms of a matrix space must share one dimension")
+        if y.shape[0] != n:
+            raise UsageError(f"matrix atom X has dimension {n} but Y has dimension {y.shape[0]}")
+        if rho.shape[0] != n:
+            raise UsageError("atom density dimension differs from the observables")
+        return _probability(p), x, y, rho
 
 
 def matrix_space(entries, where=None) -> FiniteJointSpace:
@@ -145,15 +143,17 @@ def matrix_space(entries, where=None) -> FiniteJointSpace:
 
     X and Y must be positive definite with condition number within the
     perspective guard, and every atom's density must pass the density-matrix
-    checks.  All atoms share one dimension.  ``where``, when given, maps the
-    0-based index of the atom an error is found in, or None for an error of
-    the whole space, to the location its message starts with.
+    checks.  All atoms share one dimension.  ``where``, when given, maps
+    (i, part) to the location an error's message starts with: i is the
+    0-based index of the atom it is found in, or None for an error of the
+    whole space, and part the atom's matrix it is about ("X", "Y" or "rho"),
+    or None.
     """
     atoms = []
     for i, entry in enumerate(entries):
-        with _located(where, i):
-            atoms.append(_matrix_atom(entry, atoms[0][1].shape[0] if atoms else None))
-    with _located(where, None):
+        dim = atoms[0][1].shape[0] if atoms else None
+        atoms.append(_matrix_atom(entry, dim, lambda part: where and where(i, part)))
+    with located(where and where(None, None)):
         _check_total([a[0] for a in atoms])
     return FiniteJointSpace(*(np.array(column) for column in zip(*atoms)))
 
@@ -198,10 +198,16 @@ def verify_operator(
     spec: OperatorMeanSpec,
     tol: float = MATRIX_TOL,
     seed: int | None = None,
+    where=None,
 ) -> InequalityReport:
     """Operator expectation inequality in a state: Tr(rho m(A,B)) vs m(E A, E B),
-    verified as the random-matrix inequality on a validated one-atom space."""
-    return verify_matrix(matrix_space([(1.0, a, b, rho)]), spec, tol, seed, "op")
+    verified as the random-matrix inequality on a validated one-atom space.
+    ``where``, when given, maps the argument an error is about ("rho", "a" or
+    "b") to the location its message starts with; an error about two of them
+    has none."""
+    arg = {"rho": "rho", "X": "a", "Y": "b"}  # the argument each part of the atom is
+    at = where and (lambda i, part: part and where(arg[part]))
+    return verify_matrix(matrix_space([(1.0, a, b, rho)], at), spec, tol, seed, "op")
 
 
 def verify_random_matrix(
@@ -337,25 +343,21 @@ def load_space(path) -> FiniteJointSpace:
     Scalar mode lines are ``p x y``; matrix mode lines are
     ``p x_path y_path rho_path`` with paths resolved relative to the space
     file.  The first atom line sets the mode: scalar when its x and y are
-    numbers.  Blank lines and ``#`` comments are skipped.  Errors found in
-    one atom, while its line is read or once its matrices are checked, name
-    the file and the line's 1-based number; errors of the whole space, such
-    as probabilities that do not sum to 1, name the file.
+    numbers (or when there is none, which the scalar checks reject).  Errors
+    found in one atom, while its line is read or once its matrices are
+    checked, name the file and the line; errors of the whole space, such as
+    probabilities that do not sum to 1, name the file.
     """
     p = Path(path)
-    rows = [(i, ln.split()) for i, ln in enumerate(read_input(p, "space").splitlines(), 1)]
-    rows = [(i, r) for i, r in rows if r and not r[0].startswith("#")]
-    if not rows:
-        raise UsageError(f"space file {p} has no atoms")
-    first = rows[0][1]
-    scalar = len(first) == 3 and None not in (_try_float(first[1]), _try_float(first[2]))
+    rows = [(n, line.split()) for n, line in content_lines(read_input(p, "space"))]
+    scalar = all(len(f) == 3 and None not in (_try_float(f[1]), _try_float(f[2])) for _, f in rows[:1])
 
-    def where(i: int | None) -> str:
-        return f"space file {p}" if i is None else f"space file {p}, line {rows[i][0]}"
+    def where(i: int | None, part=None) -> str:
+        return place("space", p, None if i is None else rows[i][0])
 
     entries = []
     for i, (_, fields) in enumerate(rows):
-        with _located(where, i):
+        with located(where(i)):
             entries.append(_space_line(fields, scalar, p.parent))
     return (scalar_space if scalar else matrix_space)(entries, where)
 

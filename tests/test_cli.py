@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -411,18 +412,18 @@ def test_verify_rm_rejects_a_space_file_without_densities(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, text, mode",
-    [("verify-num", "1 x.txt x.txt rho.txt\n", "scalar"), ("verify-rm", "1 1 1\n", "matrix")],
+    "command, text, mode, got",
+    [("verify-num", "1 x.txt x.txt rho.txt\n", "scalar", "matrix"), ("verify-rm", "1 1 1\n", "matrix", "scalar")],
     ids=["verify-num", "verify-rm"],
 )
-def test_space_file_of_the_wrong_mode_names_the_file(tmp_path, capsys, command, text, mode):
+def test_space_file_of_the_wrong_mode_names_the_file(tmp_path, capsys, command, text, mode, got):
     save_matrix(tmp_path / "x.txt", np.eye(2))
     save_matrix(tmp_path / "rho.txt", np.eye(2) / 2.0)
     space = tmp_path / "space.txt"
     space.write_text(text)
     code, out, err = run_cli(capsys, command, "--function", "geometric", "--space", str(space))
     assert code == 2 and out == ""
-    assert err == f"error: space file {space} is not {mode} mode\n"
+    assert err == f"error: space file {space}: expected {mode} mode, got {got} mode\n"
 
 
 @pytest.mark.parametrize(
@@ -453,3 +454,85 @@ def test_verify_op_names_both_dimensions_of_a_mismatched_pair(tmp_path, capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: matrix atom X has dimension 2 but Y has dimension 3\n"
+
+
+def _verify_op_files(tmp_path, **bad):
+    """--rho, --a and --b files of a valid triple, each replaced by the
+    matrix ``bad`` gives for it."""
+    files = {"rho": np.eye(2) / 2.0, "a": np.eye(2), "b": np.eye(2), **bad}
+    argv = []
+    for flag, m in files.items():
+        save_matrix(tmp_path / f"{flag}.txt", m)
+        argv += [f"--{flag}", str(tmp_path / f"{flag}.txt")]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "flag, m, detail",
+    [
+        ("rho", np.zeros((2, 2)), "density matrix trace 0.0 differs from 1 beyond tolerance"),
+        ("a", np.diag([1.0, -1.0]), "matrix atom X is not positive definite at floor 1e-10 (min eigenvalue -1.0)"),
+        ("b", np.diag([1.0, -1.0]), "matrix atom Y is not positive definite at floor 1e-10 (min eigenvalue -1.0)"),
+    ],
+    ids=["rho", "a", "b"],
+)
+def test_verify_op_names_the_flag_and_file_of_a_bad_matrix(tmp_path, capsys, flag, m, detail):
+    argv = _verify_op_files(tmp_path, **{flag: m})
+    code, out, err = run_cli(capsys, "verify-op", "--function", "geometric", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --{flag} {tmp_path / f'{flag}.txt'}: {detail}\n"
+
+
+def test_verify_op_rejects_a_matrix_whose_average_overflows(tmp_path, capsys):
+    # Finite entries above max / 2 overflow when the loader symmetrizes:
+    # one message that names the file, and no numpy warning.
+    argv = _verify_op_files(tmp_path)
+    big = tmp_path / "big.txt"
+    big.write_text("2\n1e308 0\n0 1e308\n")
+    argv[argv.index("--a") + 1] = str(big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify-op", "--function", "geometric", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: matrix file {big}: matrix entries must be finite and at most 8.988e+307 in magnitude\n"
+
+
+#: Malformed input files: (kind, text, the 1-based line the error names or
+#: None for the whole file, a part of the message after the location).
+MALFORMED = {
+    "config-unknown-key": (
+        "config", "mode = num\n# two ids\nfunctions = geometric\nbogus = 3\ntrials = 5\n", 4,
+        "unknown config key 'bogus'",
+    ),
+    "config-not-key-value": ("config", "mode = num\n\njust a line\n", 3, "expected 'key = value'"),
+    "config-duplicate": ("config", "mode = num\nmode = op\n", 2, "duplicate config key 'mode'"),
+    "config-trials": ("config", "mode = num\nfunctions = geometric\ntrials = x\n", 3, "'trials' needs an integer"),
+    "config-range": (
+        "config", "mode = op\nfunctions = geometric\ntrials = 5\ndims = 2-3-9\n", 4, "got '2-3-9'",
+    ),
+    "config-missing-key": ("config", "mode = num\nfunctions = geometric\n", None, "'trials'"),
+    "config-invalid": ("config", "mode = nope\nfunctions = geometric\ntrials = 5\n", None, "'nope'"),
+    "space-empty": ("space", "# nothing\n", None, "at least one atom"),
+    "matrix-non-numeric": ("matrix", "2\n1 0\n\n# second row\n0 zz\n", 5, "2 finite numbers, got '0 zz'"),
+    "matrix-row-length": ("matrix", "2\n1 0 0\n0 1\n", 2, "2 finite numbers, got '1 0 0'"),
+    "matrix-dimension": ("matrix", "# n\ntwo\n", 2, "dimension"),
+    "matrix-non-finite": ("matrix", "2\n1 0\n0 inf\n", 3, "finite"),
+    "matrix-few-rows": ("matrix", "3\n1 0 0\n0 1 0\n", None, "expected 3 rows, found 2"),
+    "matrix-asymmetric": ("matrix", "2\n1 2\n0.5 1\n", None, "symmetry violation"),
+    "matrix-empty": ("matrix", "", None, "empty"),
+}
+COMMANDS = {
+    "config": ["campaign", "--config", "BAD"],
+    "space": ["verify-num", "--function", "geometric", "--space", "BAD"],
+    "matrix": ["verify-op", "--function", "geometric", "--rho", "BAD", "--a", "BAD", "--b", "BAD"],
+}
+
+
+@pytest.mark.parametrize("kind, text, line, detail", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_file_exits_2_naming_its_place(tmp_path, capsys, kind, text, line, detail):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, *(str(bad) if a == "BAD" else a for a in COMMANDS[kind]))
+    assert code == 2 and out == ""
+    where = f"{kind} file {bad}" if line is None else f"{kind} file {bad}, line {line}"
+    assert err.startswith(f"error: {where}: ") and detail in err and err.count("\n") == 1

@@ -107,6 +107,48 @@ def test_src_reads_files_only_through_the_reader(path):
         assert _file_reads(tree) != []
 
 
+#: The one function of the package that splits an input file into lines:
+#: blank and ``#`` comment lines are skipped, and the others keep their
+#: numbers, so every file format shares one grammar and one line count.
+GRAMMAR = ("errors.py", "content_lines")
+
+
+def _line_splits(tree: ast.AST, grammar: str | None = None) -> list[str]:
+    """Calls of ``.splitlines()`` and ``startswith("#")`` tests outside the
+    function named ``grammar``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == grammar:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name, args = node.func.attr, node.args
+            hash_test = name == "startswith" and args and getattr(args[0], "value", None) == "#"
+            if name == "splitlines" or hash_test:
+                found.append(f"line {node.lineno}: {name}")
+        found += _line_splits(node, grammar)
+    return found
+
+
+def test_line_scan_catches_line_grammars():
+    tree = ast.parse(
+        "def content_lines(text):\n    return [ln for ln in text.splitlines() if not ln.startswith('#')]\n"
+        "rows = [r for r in data.splitlines()]\nif line.startswith('#'):\n    pass\n"
+        "ok = line.startswith('x') or line.startswith(prefix)\n"
+    )
+    assert _line_splits(tree, "content_lines") == ["line 3: splitlines", "line 4: startswith"]
+    assert _line_splits(tree) == [
+        "line 2: splitlines", "line 2: startswith", "line 3: splitlines", "line 4: startswith",
+    ]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_splits_input_lines_only_through_the_grammar(path):
+    tree = ast.parse(path.read_text())
+    assert _line_splits(tree, GRAMMAR[1] if path.name == GRAMMAR[0] else None) == []
+    if path.name == GRAMMAR[0]:
+        assert _line_splits(tree) != []
+
+
 #: Module-level UPPER_CASE names, public or private.
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 

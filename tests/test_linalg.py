@@ -1,5 +1,7 @@
 """Symmetric eigen-calculus, Loewner order, and the matrix text format."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from meanineq import (
     sym_eigen,
     sym_matrix,
 )
-from meanineq.linalg import rebuild, spectrum
+from meanineq.linalg import min_eigenvalue, rebuild, spectrum
 
 A22 = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -92,6 +94,20 @@ def test_rebuild_on_a_stack_matches_each_slice():
         assert np.array_equal(out[i], rebuild(lam[i], q[i]))
         assert np.array_equal(out[i], out[i].T)
         assert frobenius(out[i] - stack[i]) <= 1e-12 * frobenius(stack[i])
+
+
+def test_sym_matrix_rejects_entries_whose_average_overflows():
+    # Every entry is finite, but (M + M^T) / 2 overflows above max / 2; the
+    # check runs on the averaged matrix, quietly, and states the limit.
+    big = np.diag([1e308, 1e308])
+    message = r"^matrix entries must be finite and at most 8\.988e\+307 in magnitude$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in (sym_matrix, sqrt_pd, min_eigenvalue, lambda m: loewner_leq(np.eye(2), m)):
+            with pytest.raises(DomainError, match=message):
+                op(big)
+        assert np.array_equal(sym_matrix(np.diag([8e307, 1.0])), np.diag([8e307, 1.0]))
+        assert np.array_equal(sym_matrix([[1.0, 1e308], [-1e308, 1.0]]), np.eye(2))
 
 
 def test_sqrt_rejects_non_pd():
