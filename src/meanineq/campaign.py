@@ -23,12 +23,15 @@ construction spaces once per matrix dimension (one SPD construction for all
 the bucket's factors), and ``verify.block_sides`` evaluates it at once: per
 bucket two eigensolves, with only f on the inner spectrum run per function,
 then all weighted sums as padded arrays and one rhs call per function.  Every
-trial's lhs and rhs have the bits of building and verifying it alone.
+trial's lhs and rhs have the bits of building and verifying it alone.  The
+gaps stay arrays: the campaign's counts and extremes are reductions over one
+(functions, trials) array, its verdicts one ``classify_gap`` call.  A search
+verifies all its restarts as one block in the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -185,10 +188,6 @@ def load_campaign_config(path) -> CampaignConfig:
     return parse_campaign_config(read_input(path, "config"), path)
 
 
-def _log_uniform_values(rng: np.random.Generator, count: int) -> np.ndarray:
-    return 2.0 ** rng.uniform(-VALUE_LOG2_RANGE, VALUE_LOG2_RANGE, size=count)
-
-
 def _dirichlet_probs(rng: np.random.Generator, count: int) -> np.ndarray:
     e = rng.exponential(1.0, size=count)
     return e / e.sum()
@@ -291,7 +290,7 @@ def _trial_keys(config: CampaignConfig):
         yield from philox_keys(config.seed, pair // config.trials, pair % config.trials)
 
 
-def _block_gaps(runs, draws: list[Draw], where) -> list[float]:
+def _block_gaps(runs, draws: list[Draw], where) -> np.ndarray:
     """The gaps rhs - lhs of a block of draws, evaluated at once (``runs`` as in
     ``verify.atom_values``).  When the block fails, its draws are verified one
     by one, and the first failing one raises, located by ``where(i)``."""
@@ -303,7 +302,7 @@ def _block_gaps(runs, draws: list[Draw], where) -> list[float]:
             with located(where(i)):
                 block_sides([(f, 1)], [d.atoms], _build([d]))
         raise
-    return (rhs - lhs).tolist()
+    return rhs - lhs
 
 
 def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> dict:
@@ -327,11 +326,12 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     keys = _trial_keys(config)
     # x is one of a draw's two value sets in num mode, of three (rho, X, Y) otherwise.
     sets = 2 if config.mode == "num" else 3
-    gaps: list[float] = []
+    blocks: list[np.ndarray] = [np.empty(0)]  # the gaps of every block evaluated
+    done = 0  # the trials of those blocks
     draws, runs, size = [], [], 0  # the open block's draws, its (f, count) runs, its values of x
 
-    def where(i: int) -> str:  # the open block's trial i; gaps holds the trials before it
-        fi, t = divmod(len(gaps) + i, trials)
+    def where(i: int) -> str:  # the open block's trial i
+        fi, t = divmod(done + i, trials)
         return f"function {config.functions[fi]!r}, trial {t}"
 
     for i in range(len(fs) * trials):
@@ -342,31 +342,27 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
         runs[-1][1] += 1
         size += draws[-1].raw.size // sets
         if size >= BLOCK_ELEMENTS or i == len(fs) * trials - 1:
-            gaps += _block_gaps(runs, draws, where)
+            blocks.append(_block_gaps(runs, draws, where))
+            done += len(draws)
             draws, runs, size = [], [], 0
 
-    per_function: dict[str, FunctionStats] = {}
-    for fi, fid in enumerate(config.functions):
-        chunk = gaps[fi * trials : (fi + 1) * trials]
-        per_function[fid] = FunctionStats(
-            trials=len(chunk),
-            violations=sum(1 for g in chunk if classify_gap(g, tol) == VERDICT_VIOLATED),
-            worst_gap=min(chunk) if chunk else None,
-            max_abs_gap=max(abs(g) for g in chunk) if chunk else None,
-        )
-    violations = sum(s.violations for s in per_function.values())
-    # The smallest gap, ties to the first trial in campaign order.
-    worst = min(((g, *divmod(i, trials)) for i, g in enumerate(gaps)), default=None)
+    gaps = np.concatenate(blocks).reshape(len(fs), trials)  # row fi: function fi's trials
+    violations = (classify_gap(gaps, tol) == VERDICT_VIOLATED).sum(axis=1).tolist()
+    lows = gaps.min(axis=1).tolist() if trials else [None] * len(fs)
+    highs = abs(gaps).max(axis=1).tolist() if trials else [None] * len(fs)
+    per_function = {
+        fid: FunctionStats(trials, *stats) for fid, *stats in zip(config.functions, violations, lows, highs)
+    }
     worst_case = None
-    if violations > 0:
-        _, fi, t = worst
+    if sum(violations) > 0:  # at the smallest gap, ties to the first trial in campaign order
+        fi, t = divmod(int(gaps.argmin()), trials)
         worst_case = _worst_case_payload(config, config.functions[fi], fi, t)
     return CampaignSummary(
         mode=config.mode,
         functions=config.functions,
-        trials=len(gaps),
-        violations=violations,
-        worst_gap=worst[0] if worst is not None else None,
+        trials=gaps.size,
+        violations=sum(violations),
+        worst_gap=float(gaps.min()) if gaps.size else None,
         worst_case=worst_case,
         per_function=per_function,
         tol=tol,
@@ -385,25 +381,21 @@ def search_violation(
 ) -> InequalityReport:
     """Random-restart search for the most negative two-point gap.
 
-    Draws (x1, x2, p) with log-uniform values and uniform weight and keeps
-    the report with the smallest gap.  Pure restart, no refinement: the
+    Draws every restart's (x1, x2, p) at once, log-uniform values and a
+    uniform weight, verifies all their two-point spaces (Y constant 1) as one
+    block, and reports the first smallest gap among the restarts with
+    x1 != x2 and 0 < p < 1, rebuilt as :func:`construct_counterexample`'s
+    space and labelled with ``seed``.  Pure restart, no refinement: the
     objective is piecewise smooth with kinks exactly where violations live.
     """
     if budget < 1:
         raise UsageError(f"search budget must be >= 1, got {budget!r}")
-    best: InequalityReport | None = None
-    for _ in range(budget):
-        x1 = float(_log_uniform_values(rng, 1)[0])
-        x2 = float(_log_uniform_values(rng, 1)[0])
-        p = float(rng.uniform())
-        if x1 == x2 or not 0.0 < p < 1.0:
-            continue
-        space = construct_counterexample(f, x1, x2, p)
-        report = verify_numeric(space, f, tol, seed=seed)
-        if best is None or report.gap < best.gap:
-            best = report
-    if best is None:
-        # Astronomically unlikely: every draw was degenerate.
-        space = construct_counterexample(f, 1.0, 2.0, 0.5)
-        best = verify_numeric(space, f, tol, seed=seed)
-    return best
+    u = rng.random((budget, 3))  # the bits of uniform(-4, 4), uniform(-4, 4), uniform() per restart
+    x, p = 2.0 ** (-VALUE_LOG2_RANGE + 2 * VALUE_LOG2_RANGE * u[:, :2]), u[:, 2]
+    space = FiniteJointSpace(np.column_stack((p, 1.0 - p)).ravel(), x.ravel(), np.ones(2 * budget))
+    lhs, rhs = block_sides([(f, budget)], [2] * budget, [(range(budget), space)])
+    valid = (x[:, 0] != x[:, 1]) & (0.0 < p) & (p < 1.0)
+    i = int(np.where(valid, rhs - lhs, np.inf).argmin())
+    # (1, 2, 0.5) when every restart is degenerate, which is astronomically unlikely.
+    x1, x2, p1 = (*x[i].tolist(), float(p[i])) if valid[i] else (1.0, 2.0, 0.5)
+    return replace(verify_numeric(construct_counterexample(f, x1, x2, p1), f, tol), seed=seed)

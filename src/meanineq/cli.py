@@ -166,69 +166,49 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _csv(header, rows) -> str:
+    """A CSV block: the header line, then one line per row of cells."""
+    return "\n".join(",".join(map(_csv_cell, row)) for row in (header, *rows))
+
+
 def _report_csv(report: InequalityReport) -> str:
     doc = report_to_doc(report)
-    header = ",".join(doc.keys())
-    row = ",".join(_csv_cell(v) for v in doc.values())
-    return header + "\n" + row
+    return _csv(doc.keys(), [doc.values()])
 
 
 def _campaign_csv(summary: CampaignSummary) -> str:
     per = summary.per_function
     rows = [(fid, st.trials, st.violations, st.worst_gap, st.max_abs_gap) for fid, st in per.items()]
     rows.append(("(total)", summary.trials, summary.violations, summary.worst_gap, None))
-    lines = ["schema_version,mode,function,trials,violations,worst_gap,max_abs_gap"]
-    lines += [",".join(_csv_cell(v) for v in (SCHEMA_VERSION, summary.mode, *row)) for row in rows]
-    return "\n".join(lines)
+    header = ("schema_version", "mode", "function", "trials", "violations", "worst_gap", "max_abs_gap")
+    return _csv(header, [(SCHEMA_VERSION, summary.mode, *row) for row in rows])
 
 
 def _axioms_csv(report: AxiomReport, probe: ConcavityVerdict) -> str:
-    lines = ["schema_version,function,check,violation,verdict"]
-    for c in report.checks:
-        lines.append(
-            ",".join(
-                [
-                    str(SCHEMA_VERSION),
-                    report.function,
-                    c.name,
-                    fmt_float(c.violation),
-                    "pass" if c.passed else "fail",
-                ]
-            )
-        )
-    lines.append(
-        ",".join(
-            [
-                str(SCHEMA_VERSION),
-                report.function,
-                "concavity-probe",
-                fmt_float(probe.defect),
-                "concave" if probe.concave else "non-concave",
-            ]
-        )
-    )
-    return "\n".join(lines)
+    rows = [(c.name, c.violation, "pass" if c.passed else "fail") for c in report.checks]
+    rows.append(("concavity-probe", probe.defect, "concave" if probe.concave else "non-concave"))
+    header = ("schema_version", "function", "check", "violation", "verdict")
+    return _csv(header, [(SCHEMA_VERSION, report.function, *row) for row in rows])
+
+
+#: Each report type with its renderers; an axioms report is an
+#: (AxiomReport, ConcavityVerdict) pair, rendered from its two parts.
+_RENDERERS = {
+    InequalityReport: {"json": report_to_doc, "csv": _report_csv},
+    CampaignSummary: {"json": campaign_to_doc, "csv": _campaign_csv},
+    tuple: {"json": lambda pair: axioms_to_doc(*pair), "csv": lambda pair: _axioms_csv(*pair)},
+}
 
 
 def emit_report(report, fmt: str = "json") -> str:
     """Render a report object to its final byte-stable text form."""
-    if fmt == "json":
-        if isinstance(report, InequalityReport):
-            return _emit_json(report_to_doc(report))
-        if isinstance(report, CampaignSummary):
-            return _emit_json(campaign_to_doc(report))
-        if isinstance(report, tuple) and len(report) == 2:
-            return _emit_json(axioms_to_doc(*report))
+    if fmt not in ("json", "csv"):
+        raise UsageError(f"unknown format {fmt!r}")
+    render = _RENDERERS.get(type(report))
+    if render is None or (isinstance(report, tuple) and len(report) != 2):
         raise UsageError(f"cannot emit report of type {type(report).__name__}")
-    if fmt == "csv":
-        if isinstance(report, InequalityReport):
-            return _report_csv(report)
-        if isinstance(report, CampaignSummary):
-            return _campaign_csv(report)
-        if isinstance(report, tuple) and len(report) == 2:
-            return _axioms_csv(*report)
-        raise UsageError(f"cannot emit report of type {type(report).__name__}")
-    raise UsageError(f"unknown format {fmt!r}")
+    rendered = render[fmt](report)  # a document for json, the text for csv
+    return _emit_json(rendered) if fmt == "json" else rendered
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,8 @@ def _simultaneous_eigenbasis(sa: np.ndarray, sb: np.ndarray):
 
 def _commuting_pd_pair(a, b, tol: float, label: str):
     """Shared eigenbasis q and paired eigenvalues (da, db) of a commuting PD
-    pair, requiring ||AB - BA||_F <= tol * ||A||_F * ||B||_F."""
+    pair, requiring ||AB - BA||_F <= tol * ||A||_F * ||B||_F and every joint
+    eigenvalue above PD_FLOOR, as every perspective does."""
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
@@ -194,8 +195,8 @@ def _commuting_pd_pair(a, b, tol: float, label: str):
             f"commutator norm {comm:.3e} exceeds {limit:.3e}; pair is not commuting"
         )
     q, da, db = _simultaneous_eigenbasis(sa, sb)
-    if np.any(da <= 0.0) or np.any(db <= 0.0):
-        raise DomainError(f"{label} needs positive definite inputs")
+    require_pd(np.sort(da), f"{label} first argument")
+    require_pd(np.sort(db), f"{label} second argument")
     return q, da, db
 
 

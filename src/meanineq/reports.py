@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
+import numpy as np
+
 from .errors import NumericError, UsageError
 
 VERDICT_HOLDS = "holds"
@@ -12,13 +14,14 @@ VERDICT_VIOLATED = "violated"
 VERDICT_EQUALITY = "equality"
 
 
-def classify_gap(gap: float, tol: float) -> str:
-    """violated iff gap < -tol; equality iff |gap| <= tol; holds otherwise."""
-    if gap < -tol:
-        return VERDICT_VIOLATED
-    if abs(gap) <= tol:
-        return VERDICT_EQUALITY
-    return VERDICT_HOLDS
+def classify_gap(gap, tol):
+    """violated iff gap < -tol; equality iff |gap| <= tol; holds otherwise.
+
+    Elementwise: an array of gaps gets the array of their verdicts, and one
+    float its verdict as a ``str``."""
+    equality = np.where(abs(gap) <= tol, VERDICT_EQUALITY, VERDICT_HOLDS)
+    verdict = np.where(gap < -tol, VERDICT_VIOLATED, equality)
+    return verdict if np.ndim(gap) else str(verdict)
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class InequalityReport:
     mode: str
     dims: int
     atoms: int
-    seed: int | None = None
+    seed: int | None = None  # the seed of the search that found it, if any
 
 
 def inequality_report(
@@ -45,7 +48,6 @@ def inequality_report(
     mode: str,
     dims: int,
     atoms: int,
-    seed: int | None = None,
 ) -> InequalityReport:
     tol = float(tol)
     if not (isfinite(tol) and tol >= 0.0):
@@ -65,5 +67,4 @@ def inequality_report(
         mode=mode,
         dims=int(dims),
         atoms=int(atoms),
-        seed=seed,
     )

@@ -162,7 +162,6 @@ def verify_numeric(
     space: FiniteJointSpace,
     f: RepresentingFunction,
     tol: float = SCALAR_TOL,
-    seed: int | None = None,
 ) -> InequalityReport:
     """Scalar expectation inequality: E(m_f(X,Y)) vs m_f(E X, E Y), exact sums."""
     if space.mode != MODE_SCALAR:
@@ -170,7 +169,7 @@ def verify_numeric(
     if not isinstance(f, RepresentingFunction):
         raise UsageError("scalar verification needs a RepresentingFunction")
     # Values were validated when the space was built.
-    return _verify(space, f, tol, seed, "num")
+    return _verify(space, f, tol, "num")
 
 
 def construct_counterexample(
@@ -197,7 +196,6 @@ def verify_operator(
     b,
     spec: OperatorMeanSpec,
     tol: float = MATRIX_TOL,
-    seed: int | None = None,
     where=None,
 ) -> InequalityReport:
     """Operator expectation inequality in a state: Tr(rho m(A,B)) vs m(E A, E B),
@@ -207,34 +205,27 @@ def verify_operator(
     has none."""
     arg = {"rho": "rho", "X": "a", "Y": "b"}  # the argument each part of the atom is
     at = where and (lambda i, part: part and where(arg[part]))
-    return verify_matrix(matrix_space([(1.0, a, b, rho)], at), spec, tol, seed, "op")
+    return verify_matrix(matrix_space([(1.0, a, b, rho)], at), spec, tol, "op")
 
 
 def verify_random_matrix(
     space: FiniteJointSpace,
     spec: OperatorMeanSpec,
     tol: float = MATRIX_TOL,
-    seed: int | None = None,
 ) -> InequalityReport:
     """Random-matrix inequality: atom-averaged state expectations of the mean
     against the scalar mean of the atom-averaged state expectations."""
     if space.mode != MODE_MATRIX:
         raise UsageError(f"verify_random_matrix needs a matrix-mode space, got {space.mode!r}")
-    return verify_matrix(space, spec, tol, seed, "rm")
+    return verify_matrix(space, spec, tol, "rm")
 
 
-def verify_matrix(
-    space: FiniteJointSpace,
-    spec: OperatorMeanSpec,
-    tol: float,
-    seed: int | None,
-    mode: str,
-) -> InequalityReport:
+def verify_matrix(space: FiniteJointSpace, spec: OperatorMeanSpec, tol: float, mode: str) -> InequalityReport:
     """The matrix verifier behind ``op`` and ``rm``, on a trusted matrix-mode
     space with a density on every atom; ``mode`` labels the report."""
     if not isinstance(spec, OperatorMeanSpec):
         raise UsageError("matrix verification needs an OperatorMeanSpec")
-    return _verify(space, spec.f, tol, seed, mode)
+    return _verify(space, spec.f, tol, mode)
 
 
 def atom_values(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
@@ -307,12 +298,10 @@ def block_sides(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
     return lhs, rhs
 
 
-def _verify(
-    space: FiniteJointSpace, f: RepresentingFunction, tol: float, seed: int | None, mode: str
-) -> InequalityReport:
+def _verify(space: FiniteJointSpace, f: RepresentingFunction, tol: float, mode: str) -> InequalityReport:
     """The tail both verifiers share: the one-space block's sides, reported."""
     (lhs,), (rhs,) = block_sides([(f, 1)], [space.atoms], [([0], space)])
-    return inequality_report(lhs, rhs, tol, f.id, mode, space.dims, space.atoms, seed)
+    return inequality_report(lhs, rhs, tol, f.id, mode, space.dims, space.atoms)
 
 
 def _try_float(token: str) -> float | None:

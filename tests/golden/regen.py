@@ -18,6 +18,8 @@ HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
 
 _COMMANDS = {
+    "axioms-g": ["axioms", "--function", "counterexample-g"],
+    "axioms-wyd": ["axioms", "--function", "wyd:0.25"],
     "campaign-num": ["campaign", "--config", "campaign-num.cfg"],
     "campaign-num-wyd": ["campaign", "--config", "campaign-num-wyd.cfg"],
     "campaign-op": ["campaign", "--config", "campaign-op.cfg"],

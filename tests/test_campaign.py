@@ -196,6 +196,52 @@ def test_search_rejects_zero_budget():
         search_violation(get_function("geometric"), split_rng(0, 0), 0)
 
 
+def _search_one_restart_at_a_time(f, rng, budget, tol=1e-10, seed=None):
+    """The reference search: draw and verify each restart alone, keep the
+    first smallest gap among the non-degenerate restarts."""
+    from meanineq import construct_counterexample
+
+    best = None
+    for _ in range(budget):
+        # The power of a one-element array: numpy's scalar power rounds differently.
+        x1 = float((2.0 ** rng.uniform(-4.0, 4.0, size=1))[0])
+        x2 = float((2.0 ** rng.uniform(-4.0, 4.0, size=1))[0])
+        p = float(rng.uniform())
+        if x1 == x2 or not 0.0 < p < 1.0:
+            continue
+        report = verify_numeric(construct_counterexample(f, x1, x2, p), f, tol)
+        if best is None or report.gap < best.gap:
+            best = report
+    if best is None:
+        best = verify_numeric(construct_counterexample(f, 1.0, 2.0, 0.5), f, tol)
+    return dataclasses.replace(best, seed=seed)
+
+
+@pytest.mark.parametrize("fid", ["arithmetic", "wyd:0.25", "geometric", "harmonic", "logarithmic", "counterexample-g"])
+def test_search_matches_verifying_one_restart_at_a_time(fid):
+    f = get_function(fid)
+    for seed, budget in itertools.product(range(8), (1, 2, 7, 200, 1000)):
+        rng, ref_rng = split_rng(seed, 0), split_rng(seed, 0)
+        got = search_violation(f, rng, budget, seed=seed)
+        want = _search_one_restart_at_a_time(f, ref_rng, budget, seed=seed)
+        assert (got.lhs.hex(), got.rhs.hex(), got.gap.hex()) == (want.lhs.hex(), want.rhs.hex(), want.gap.hex())
+        assert got == want
+        assert rng.random() == ref_rng.random()  # both left the generator in one state
+
+
+def test_search_falls_back_when_every_restart_is_degenerate():
+    # Zeros give x1 = x2 = 1/16 and p = 0 on every restart.
+    from meanineq import construct_counterexample
+
+    class Zeros:
+        def random(self, shape):
+            return np.zeros(shape)
+
+    f = get_function("counterexample-g")
+    rep = search_violation(f, Zeros(), 5, seed=4)
+    assert rep == dataclasses.replace(verify_numeric(construct_counterexample(f, 1.0, 2.0, 0.5), f, 1e-10), seed=4)
+
+
 def test_campaign_config_is_frozen():
     cfg = CampaignConfig(mode="num", functions=("geometric",), trials=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -302,9 +348,9 @@ def test_blocked_trials_match_verifying_each_space_alone(cfg, monkeypatch):
         for t in range(cfg.trials):
             space = _sample_space(cfg, fi, t)
             if cfg.mode == "num":
-                expected.append(verify_numeric(space, f, cfg.resolved_tol(), seed=cfg.seed))
+                expected.append(verify_numeric(space, f, cfg.resolved_tol()))
             else:
-                expected.append(verify_matrix(space, OperatorMeanSpec(f), cfg.resolved_tol(), cfg.seed, cfg.mode))
+                expected.append(verify_matrix(space, OperatorMeanSpec(f), cfg.resolved_tol(), cfg.mode))
     assert [_bits(*r) for r in reports] == [
         _bits(r.function, r.lhs, r.rhs, r.gap, r.verdict, r.atoms, r.dims) for r in expected
     ]

@@ -211,6 +211,15 @@ def test_oracle_rejects_non_finite_images():
         commuting_oracle(spec, np.eye(2), np.diag([1.0, 2.0]))
 
 
+def test_oracle_rejects_what_the_perspective_rejects():
+    # A joint eigenvalue at or below PD_FLOOR is rejected by both means.
+    spec = operator_mean_spec("geometric")
+    a = np.diag([1e-12, 1.0])
+    for mean in (operator_mean, commuting_oracle):
+        with pytest.raises(NotPositiveDefiniteError, match="first argument is not positive definite at floor"):
+            mean(spec, a, np.eye(2))
+
+
 def test_oracle_handles_degenerate_spectrum():
     spec = operator_mean_spec("geometric")
     b = spd((53, 0), 3)
@@ -360,6 +369,11 @@ def test_trace_perspective_convex_orientation():
     rep = trace_perspective_check(g, np.diag([0.5, 2.0]), np.diag([1.0, 1.0]))
     assert rep.verdict in ("holds", "equality")
     assert rep.gap >= -1e-10
+
+
+def test_trace_perspective_rejects_a_joint_eigenvalue_at_the_floor():
+    with pytest.raises(NotPositiveDefiniteError, match="second argument is not positive definite at floor"):
+        trace_perspective_check(get_function("geometric"), np.eye(2), np.diag([1.0, 1e-12]))
 
 
 def test_trace_perspective_rejects_non_commuting():

@@ -528,3 +528,17 @@ def test_one_atom_space_has_zero_gap(fid):
     rng = np.random.default_rng(5)
     gaps = [verify_numeric(sample_scalar_space(rng, (1, 1)), f).gap for _ in range(900)]
     assert gaps == [0.0] * 900
+
+
+def test_classify_gap_is_one_rule_for_floats_and_arrays():
+    from meanineq import classify_gap
+
+    tol = 1e-10
+    gaps = [-2 * tol, np.nextafter(-tol, -1.0), -tol, np.nextafter(-tol, 0.0), -0.0, 0.0]
+    gaps += [np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0), 2 * tol]
+    want = ["violated", "violated", "equality", "equality", "equality", "equality"]
+    want += ["equality", "equality", "holds", "holds"]
+    scalar = [classify_gap(float(g), tol) for g in gaps]
+    assert scalar == want and all(type(v) is str for v in scalar)
+    assert classify_gap(np.array(gaps), tol).tolist() == want
+    assert classify_gap(np.array(gaps).reshape(2, 5), tol).tolist() == [want[:5], want[5:]]
