@@ -19,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .functions import SCALAR_TOL, RepresentingFunction, default_grid, mean_num
+from .functions import RepresentingFunction, default_grid, mean_num
+from .reports import VERDICT_VIOLATED, classify_gap
+from .tolerances import CONCAVITY_TOL, JUMP_DELTA, SCALAR_TOL
+from .verify import two_point_gaps
 
-_JUMP_DELTA = 1e-7
 _HOMOGENEITY_SCALES = (0.5, 2.0, 10.0)
 
 
@@ -114,7 +116,7 @@ def check_axioms(
         checks.append(AxiomCheck(name, v, witness, v <= tol))
 
     fg = f(g)
-    d1, d2 = _JUMP_DELTA, 10.0 * _JUMP_DELTA
+    d1, d2 = JUMP_DELTA, 10.0 * JUMP_DELTA
 
     # Conditions on f itself.
     k = int(np.argmin(fg))
@@ -198,25 +200,27 @@ def check_axioms(
 
 
 def concavity_probe(
-    f: RepresentingFunction, grid=None, tol: float = 1e-9
+    f: RepresentingFunction, grid=None, tol: float = CONCAVITY_TOL
 ) -> ConcavityVerdict:
-    """Midpoint-concavity test over all grid pairs.
+    """Midpoint-concavity test over all grid pairs, by the verifier itself.
 
-    Non-concave iff some pair (a, b) has f((a+b)/2) < (f(a)+f(b))/2 - tol;
-    the witness is the worst such pair.  A "concave" verdict only means no
-    violation was found at this grid resolution.
+    Pair (a, b) is the two-point space X in {a, b} with weights 1/2, Y
+    constant 1, whose gap f((a+b)/2) - (f(a)+f(b))/2 is judged by
+    ``classify_gap``: non-concave iff the smallest gap is violated at tol.
+    The defect is that gap negated and the witness its first pair in C order.
+    A "concave" verdict only means no violation was found at this grid
+    resolution.
     """
     tol = _require_tol(tol)
     g = _prepare_grid(grid)
     if g.size < 2:
         raise UsageError("concavity probe needs a grid with at least 2 points")
-    a = g[:, None]
-    b = g[None, :]
-    defect = (f(a) + f(b)) / 2.0 - f((a + b) / 2.0)
-    i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
-    worst = float(defect[i, j])
-    concave = worst <= tol
+    gaps = two_point_gaps(f, g[:, None], g[None, :], 0.5)
+    i, j = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+    worst = float(gaps[i, j])
+    concave = classify_gap(worst, tol) != VERDICT_VIOLATED
     witness = None if concave else (float(min(g[i], g[j])), float(max(g[i], g[j])))
+    # 0.0 - gap, not -gap: a zero gap is a defect of +0.0, never -0.0.
     return ConcavityVerdict(
-        function=f.id, concave=concave, defect=worst, witness=witness, tol=tol
+        function=f.id, concave=concave, defect=0.0 - worst, witness=witness, tol=tol
     )

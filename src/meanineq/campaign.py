@@ -39,15 +39,16 @@ import numpy as np
 from .errors import MeanIneqError, UsageError, content_lines, located, place, read_input
 from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
-from .operator_means import MATRIX_TOL, OperatorMeanSpec
+from .operator_means import OperatorMeanSpec
 from .reports import VERDICT_VIOLATED, InequalityReport, classify_gap
 from .sampling import atom_stacks, draw_factors, philox_keys, reseed, split_rng
+from .tolerances import MATRIX_TOL, SCALAR_TOL
 from .verify import (
-    SCALAR_TOL,
     FiniteJointSpace,
     block_sides,
     construct_counterexample,
     space_to_jsonable,
+    two_point_gaps,
     verify_numeric,
 )
 
@@ -383,19 +384,19 @@ def search_violation(
 
     Draws every restart's (x1, x2, p) at once, log-uniform values and a
     uniform weight, verifies all their two-point spaces (Y constant 1) as one
-    block, and reports the first smallest gap among the restarts with
-    x1 != x2 and 0 < p < 1, rebuilt as :func:`construct_counterexample`'s
-    space and labelled with ``seed``.  Pure restart, no refinement: the
-    objective is piecewise smooth with kinks exactly where violations live.
+    block (``verify.two_point_gaps``), and reports the first smallest gap
+    among the restarts with x1 != x2 and 0 < p < 1, rebuilt as
+    :func:`construct_counterexample`'s space and labelled with ``seed``.  Pure
+    restart, no refinement: the objective is piecewise smooth with kinks
+    exactly where violations live.
     """
     if budget < 1:
         raise UsageError(f"search budget must be >= 1, got {budget!r}")
     u = rng.random((budget, 3))  # the bits of uniform(-4, 4), uniform(-4, 4), uniform() per restart
     x, p = 2.0 ** (-VALUE_LOG2_RANGE + 2 * VALUE_LOG2_RANGE * u[:, :2]), u[:, 2]
-    space = FiniteJointSpace(np.column_stack((p, 1.0 - p)).ravel(), x.ravel(), np.ones(2 * budget))
-    lhs, rhs = block_sides([(f, budget)], [2] * budget, [(range(budget), space)])
+    gaps = two_point_gaps(f, x[:, 0], x[:, 1], p)
     valid = (x[:, 0] != x[:, 1]) & (0.0 < p) & (p < 1.0)
-    i = int(np.where(valid, rhs - lhs, np.inf).argmin())
+    i = int(np.where(valid, gaps, np.inf).argmin())
     # (1, 2, 0.5) when every restart is degenerate, which is astronomically unlikely.
     x1, x2, p1 = (*x[i].tolist(), float(p[i])) if valid[i] else (1.0, 2.0, 0.5)
     return replace(verify_numeric(construct_counterexample(f, x1, x2, p1), f, tol), seed=seed)

@@ -27,13 +27,13 @@ from .campaign import (
 from .errors import MeanIneqError, NumericError, UsageError, located, place
 from .functions import get_function
 from .linalg import load_matrix
-from .operator_means import MATRIX_TOL, OperatorMeanSpec
+from .operator_means import OperatorMeanSpec
 from .reports import InequalityReport
 from .sampling import split_rng
+from .tolerances import MATRIX_TOL, SCALAR_TOL
 from .verify import (
     MODE_MATRIX,
     MODE_SCALAR,
-    SCALAR_TOL,
     construct_counterexample,
     load_space,
     verify_numeric,

@@ -28,9 +28,6 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 
-#: Default tolerance for scalar-path verdicts and axiom probes.
-SCALAR_TOL = 1e-10
-
 # Default probe grid: 33 log-spaced points on [1/16, 16], symmetric about 1
 # under t -> 1/t so the functional equation t*f(1/t) = f(t) is exercised on
 # both tails.

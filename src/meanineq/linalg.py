@@ -20,23 +20,10 @@ import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError, NumericError, UsageError
 from .errors import content_lines, located, place, read_input
-
-#: Positive-definiteness floor: matrices whose smallest eigenvalue is at or
-#: below this are rejected from inverse-square-root paths, never regularized.
-PD_FLOOR = 1e-10
+from .tolerances import LOAD_SYMMETRY_TOL, LOEWNER_TOL, PD_FLOOR
 
 #: Largest supported matrix dimension.
 MAX_DIM = 64
-
-#: Condition-number guard for perspective computations.
-COND_LIMIT = 1e8
-
-#: Roundoff protection: inner perspective eigenvalues this far below zero are
-#: clamped up instead of rejected (see operator_means.perspective_kernel).
-CLAMP_TOL = 1e-12
-
-#: Largest symmetry violation accepted by the text-format loader.
-LOAD_SYMMETRY_TOL = 1e-9
 
 
 class SpectralDecomposition(NamedTuple):
@@ -137,7 +124,7 @@ def min_eigenvalue(a) -> float:
     return float(np.linalg.eigvalsh(sym_matrix(a))[0])
 
 
-def loewner_leq(a, b, tol: float = 1e-12) -> bool:
+def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
     """Loewner order test: A <= B iff min eigenvalue of B - A is >= -tol."""
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
@@ -190,8 +177,8 @@ def load_matrix(path) -> np.ndarray:
     """Read the matrix text format: a line with n, then n rows of n values.
 
     Blank lines and ``#`` comments are skipped.  A symmetry violation larger
-    than 1e-9 (max-abs entry) is an error; smaller ones are absorbed by the
-    symmetrizing constructor.  Errors name the file, and the line of a bad one.
+    than LOAD_SYMMETRY_TOL (max-abs entry) is an error; smaller ones are
+    absorbed by the symmetrizing constructor.  Errors name the file, and the line of a bad one.
     """
     p = Path(path)
     n, rows = None, []

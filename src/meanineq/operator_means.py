@@ -26,8 +26,6 @@ import numpy as np
 from .errors import DomainError, NotPositiveDefiniteError, PreconditionError, UsageError
 from .functions import RepresentingFunction, get_function, mean_num, means, run_slices
 from .linalg import (
-    CLAMP_TOL,
-    COND_LIMIT,
     atom_label,
     congruence,
     frobenius,
@@ -39,19 +37,17 @@ from .linalg import (
     symmetrize,
 )
 from .reports import InequalityReport, inequality_report
+from .tolerances import (
+    CLAMP_TOL,
+    COMMUTE_TOL,
+    COND_LIMIT,
+    DIAGONALIZE_RTOL,
+    INVERTIBLE_RTOL,
+    MATRIX_TOL,
+    NORM_FLOOR,
+    PARTITION_TOL,
+)
 
-#: Default tolerance for matrix-path inequality verdicts.
-MATRIX_TOL = 1e-8
-
-#: Relative commutator norm accepted by commuting-pair preconditions.
-COMMUTE_TOL = 1e-10
-
-#: Partition-of-unity slack: sum of c_i^T c_i may not exceed I beyond this.
-PARTITION_TOL = 1e-10
-
-#: Relative smallest singular value below which a square factor is treated
-#: as non-invertible for the equality case.
-INVERTIBLE_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class OperatorMeanSpec:
@@ -172,7 +168,7 @@ def _simultaneous_eigenbasis(sa: np.ndarray, sb: np.ndarray):
         if best is None or off < best[0]:
             best = (off, q, np.diag(da).copy(), np.diag(db).copy())
     off, q, da, db = best
-    limit = 1e-7 * max(1.0, frobenius(sa) + frobenius(sb))
+    limit = DIAGONALIZE_RTOL * max(1.0, frobenius(sa) + frobenius(sb))
     if off > limit:
         raise PreconditionError(
             f"inputs are not simultaneously diagonalizable at tolerance "
@@ -183,20 +179,21 @@ def _simultaneous_eigenbasis(sa: np.ndarray, sb: np.ndarray):
 
 def _commuting_pd_pair(a, b, tol: float, label: str):
     """Shared eigenbasis q and paired eigenvalues (da, db) of a commuting PD
-    pair, requiring ||AB - BA||_F <= tol * ||A||_F * ||B||_F and every joint
-    eigenvalue above PD_FLOOR, as every perspective does."""
+    pair, requiring ||AB - BA||_F <= tol * ||A||_F * ||B||_F, and every joint
+    eigenvalue above PD_FLOOR and each argument's condition number within
+    COND_LIMIT, as every perspective does."""
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
     comm = frobenius(sa @ sb - sb @ sa)
-    limit = tol * max(frobenius(sa) * frobenius(sb), 1e-300)
+    limit = tol * max(frobenius(sa) * frobenius(sb), NORM_FLOOR)
     if comm > limit:
         raise PreconditionError(
             f"commutator norm {comm:.3e} exceeds {limit:.3e}; pair is not commuting"
         )
     q, da, db = _simultaneous_eigenbasis(sa, sb)
-    require_pd(np.sort(da), f"{label} first argument")
-    require_pd(np.sort(db), f"{label} second argument")
+    require_pd(np.sort(da), f"{label} first argument", COND_LIMIT)
+    require_pd(np.sort(db), f"{label} second argument", COND_LIMIT)
     return q, da, db
 
 
@@ -235,7 +232,7 @@ def _transformer_report(
     equality_possible: bool,
 ) -> TransformerReport:
     gap_min = float(np.linalg.eigvalsh(rhs - lhs)[0])
-    scale = max(frobenius(rhs), 1e-300)
+    scale = max(frobenius(rhs), NORM_FLOOR)
     defect = frobenius(lhs - rhs) / scale
     return TransformerReport(
         lhs=lhs,
@@ -273,7 +270,7 @@ def check_transformer(
     invertible = False
     if cm.shape[0] == cm.shape[1]:
         svals = np.linalg.svd(cm, compute_uv=False)
-        invertible = float(svals[-1]) > INVERTIBLE_RTOL * max(float(svals[0]), 1e-300)
+        invertible = float(svals[-1]) > INVERTIBLE_RTOL * max(float(svals[0]), NORM_FLOOR)
     return _transformer_report(lhs, rhs, tol, invertible)
 
 

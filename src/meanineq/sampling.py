@@ -17,13 +17,10 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .linalg import MAX_DIM, sym_matrix, symmetrize
+from .tolerances import DENSITY_PSD_TOL, DENSITY_TRACE_TOL
 
 #: Diagonal shift of SPD sampling: every sample's min eigenvalue is at least this.
 DEFAULT_FLOOR = 1e-3
-
-#: Density-matrix admission tolerances.
-DENSITY_TRACE_TOL = 1e-12
-DENSITY_PSD_TOL = 1e-12
 
 # numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx): a pool of
 # four 32-bit words, hashed with the multiplier streams A (while mixing
@@ -175,7 +172,8 @@ def atom_stacks(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def check_density(rho) -> np.ndarray:
-    """Validate a density matrix: symmetric, PSD up to 1e-12, unit trace."""
+    """Validate a density matrix: symmetric, PSD and of unit trace up to
+    DENSITY_PSD_TOL and DENSITY_TRACE_TOL."""
     s = sym_matrix(rho)
     tr = float(np.trace(s))
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:

@@ -29,13 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError, content_lines, located, place, read_input
-from .functions import SCALAR_TOL, RepresentingFunction, means, run_slices
-from .linalg import COND_LIMIT, PD_FLOOR, load_matrix, require_pd, sym_matrix
-from .operator_means import MATRIX_TOL, OperatorMeanSpec, perspective_kernel
+from .functions import RepresentingFunction, means, run_slices
+from .linalg import load_matrix, require_pd, sym_matrix
+from .operator_means import OperatorMeanSpec, perspective_kernel
 from .reports import InequalityReport, inequality_report
 from .sampling import check_density
-
-PROB_SUM_TOL = 1e-12
+from .tolerances import COND_LIMIT, MATRIX_TOL, PD_FLOOR, PROB_SUM_TOL, SCALAR_TOL
 
 MODE_SCALAR = "scalar"
 MODE_MATRIX = "matrix"
@@ -188,6 +187,18 @@ def construct_counterexample(
     if x1 == x2:
         raise UsageError("x1 and x2 must differ")
     return scalar_space([(p, x1, 1.0), (1.0 - p, x2, 1.0)])
+
+
+def two_point_gaps(f: RepresentingFunction, x1, x2, p) -> np.ndarray:
+    """The gaps rhs - lhs of :func:`construct_counterexample`'s spaces, X
+    taking x1 and x2 with weights p and 1 - p and Y constant 1, for trusted
+    arrays x1, x2 > 0 and 0 <= p <= 1 broadcast to one shape: verified as one
+    block, each gap with the bits of verifying its space alone."""
+    x1, x2, p = np.broadcast_arrays(x1, x2, p)
+    k = p.size
+    space = FiniteJointSpace(np.stack((p, 1.0 - p), -1).ravel(), np.stack((x1, x2), -1).ravel(), np.ones(2 * k))
+    lhs, rhs = block_sides([(f, k)], [2] * k, [(range(k), space)])
+    return (rhs - lhs).reshape(p.shape)
 
 
 def verify_operator(

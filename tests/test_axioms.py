@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from meanineq import (
+    NumericError,
     RepresentingFunction,
     UsageError,
     check_axioms,
     concavity_probe,
+    construct_counterexample,
+    default_grid,
     get_function,
+    search_violation,
+    split_rng,
+    verify_numeric,
 )
 
 SMALL_GRID = [0.5, 1.0, 2.0, 4.0]
@@ -104,3 +110,56 @@ def test_probes_need_a_finite_positive_tol(tol):
         check_axioms(RepresentingFunction("bad", lambda x: x), tol=tol)
     with pytest.raises(UsageError, match="tol"):
         concavity_probe(get_function("counterexample-g"), tol=tol)
+
+
+def _midpoint_defect(f, grid):
+    """The reference probe: the midpoint defect (f(a)+f(b))/2 - f((a+b)/2) on
+    all grid pairs, its first largest entry in C order, and the verdict and
+    witness read from it."""
+    g = np.unique(np.asarray(grid, dtype=float))
+    a, b = g[:, None], g[None, :]
+    defect = (f(a) + f(b)) / 2.0 - f((a + b) / 2.0)
+    i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
+    concave = defect[i, j] <= 1e-9
+    witness = None if concave else (float(min(g[i], g[j])), float(max(g[i], g[j])))
+    return float(defect[i, j]), concave, witness
+
+
+@pytest.mark.parametrize("grid", [None, SMALL_GRID, np.linspace(0.1, 10.0, 200)], ids=["default", "small", "dense"])
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_concavity_probe_matches_the_midpoint_defect(fid, grid):
+    # The probe judges two-point gaps through the verifier; its defect is
+    # the midpoint defect bit for bit, the sign of a zero included.
+    f = get_function(fid)
+    defect, concave, witness = _midpoint_defect(f, default_grid() if grid is None else grid)
+    verdict = concavity_probe(f, grid)
+    assert verdict.defect.hex() == defect.hex()
+    assert (verdict.concave, verdict.witness) == (concave, witness)
+
+
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_verifier_certifies_claims_concave(fid):
+    # The theorem's two directions through one verdict rule: the probe and
+    # the search agree with the catalog's declaration.
+    f = get_function(fid)
+    verdict = concavity_probe(f)
+    searched = search_violation(f, split_rng(0, 0), 1000)
+    assert verdict.concave == (searched.verdict != "violated") == f.claims_concave
+    if not verdict.concave:
+        a, b = verdict.witness
+        assert verify_numeric(construct_counterexample(f, a, b, 0.5), f).verdict == "violated"
+
+
+def test_concavity_probe_weighs_before_it_adds():
+    # E X = a/2 + b/2 is finite where (a + b) / 2 overflowed to a
+    # "t must be finite" error.
+    verdict = concavity_probe(get_function("arithmetic"), [1e308, 1.5e308])
+    assert verdict.concave and verdict.defect == 0.0
+
+
+def test_concavity_probe_rejects_non_finite_values():
+    # A defect of inf - inf used to come back as nan, which no report can
+    # serialize; the verifier rejects the non-finite side instead.
+    blowup = RepresentingFunction("blowup", lambda x: np.where(x > 2.0, np.inf, x))
+    with pytest.raises(NumericError, match="non-finite inequality sides"):
+        concavity_probe(blowup, SMALL_GRID)

@@ -198,3 +198,42 @@ def test_every_src_constant_is_read():
     defining = {str(p.relative_to(ROOT)): ast.parse(p.read_text()) for p in SRC}
     readers = [ast.parse(p.read_text()) for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
     assert _unread_constants(defining, readers) == []
+
+
+#: The one module that defines a verdict threshold, admission floor or
+#: numeric guard; one home lets a threshold become scale-aware in one place.
+TOLERANCES = "tolerances.py"
+#: A float this small in code is a tolerance in all but name.
+TINY = 1e-6
+THRESHOLD_NAME = re.compile(r".*_R?TOL|PD_FLOOR|COND_LIMIT")
+
+
+def _thresholds(tree: ast.Module) -> list[str]:
+    """Float literals with 0 < |v| < TINY anywhere, and module-level names
+    that read as thresholds."""
+    found = [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0.0 < abs(node.value) < TINY
+    ]
+    found += [f"line {line}: {name}" for name, line in _module_constants(tree).items() if THRESHOLD_NAME.fullmatch(name)]
+    return sorted(found)
+
+
+def test_threshold_scan_catches_thresholds():
+    tree = ast.parse(
+        "EDGE_TOL = 0.5\nPD_FLOOR = 1\nSTEP_RTOL: float = 2.0\nTOLERANT = 3\n"
+        "def f(x, tol=1e-9):\n    return x > -2.5e-300 and x < 1e-6\n"
+    )
+    assert _thresholds(tree) == [
+        "line 1: EDGE_TOL", "line 2: PD_FLOOR", "line 3: STEP_RTOL", "line 5: 1e-09", "line 6: 2.5e-300",
+    ]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_defines_thresholds_only_in_tolerances(path):
+    found = _thresholds(ast.parse(path.read_text()))
+    if path.name == TOLERANCES:
+        assert found != []
+    else:
+        assert found == []

@@ -220,6 +220,16 @@ def test_oracle_rejects_what_the_perspective_rejects():
             mean(spec, a, np.eye(2))
 
 
+def test_commuting_pair_checks_the_condition_guard():
+    # Joint eigenvalues above PD_FLOOR but a condition number of 1e10: every
+    # mean of the pair rejects it as the perspective does.
+    spec = operator_mean_spec("geometric")
+    a = np.diag([1e-9, 10.0])
+    for check in (commuting_oracle, lambda s, a, b: trace_perspective_check(s.f, a, b), operator_mean):
+        with pytest.raises(DomainError, match="first argument condition number 1.000e\\+10 exceeds"):
+            check(spec, a, np.eye(2))
+
+
 def test_oracle_handles_degenerate_spectrum():
     spec = operator_mean_spec("geometric")
     b = spd((53, 0), 3)

@@ -16,8 +16,8 @@ from meanineq import (
     sample_spd,
     split_rng,
 )
-from meanineq.linalg import COND_LIMIT
 from meanineq.sampling import DEFAULT_FLOOR, philox_keys, reseed
+from meanineq.tolerances import COND_LIMIT
 
 
 def test_spd_floor_guarantee():
