@@ -21,8 +21,9 @@ run across function boundaries; a block ends at the campaign's last trial or
 once its draws hold BLOCK_ELEMENTS values of x.  A block builds its valid-by-
 construction spaces once per matrix dimension (one SPD construction for all
 the bucket's factors), and ``verify.block_sides`` evaluates it at once: per
-bucket two eigensolves, with only f on the inner spectrum run per function,
-then all weighted sums as padded arrays and one rhs call per function.  Every
+bucket two stacked Cholesky factorizations and one eigensolve, of the inner
+matrix, with only f on its spectrum run per function, then all weighted sums
+as padded arrays and one rhs call per function.  Every
 trial's lhs and rhs have the bits of building and verifying it alone.  The
 gaps stay arrays: the campaign's counts and extremes are reductions over one
 (functions, trials) array, its verdicts one ``classify_gap`` call.  A search
@@ -230,7 +231,7 @@ def _build(draws: list[Draw]) -> list[tuple[list[int], FiniteJointSpace]]:
     building each alone."""
     if draws[0].raw.ndim == 2:
         v = 2.0 ** _stacked([d.raw for d in draws], 1)
-        return [(range(len(draws)), FiniteJointSpace(_stacked([d.p for d in draws]), v[0], v[1]))]
+        return [(np.arange(len(draws)), FiniteJointSpace(_stacked([d.p for d in draws]), v[0], v[1]))]
     buckets: dict[int, list[int]] = {}
     for i, d in enumerate(draws):
         buckets.setdefault(d.raw.shape[-1], []).append(i)

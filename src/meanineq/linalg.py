@@ -5,9 +5,9 @@ validating constructor used at every public boundary (it enforces squareness,
 finiteness, the supported dimension range and exact symmetry by averaging).
 The eigensolver is LAPACK's symmetric driver via ``numpy.linalg.eigh``,
 wrapped so that eigenvalues are ascending and failures surface as package
-errors.  :func:`rebuild` is the one reconstruction Q diag(lam) Q^T from a
-spectrum: square roots, the perspective kernel and the commuting oracle all
-assemble their matrices through it.
+errors.  :func:`rebuild` is the one reconstruction Q diag(lam) Q^T: square
+roots and the commuting oracle assemble their matrices through it from a
+spectrum, and the perspective kernel from its non-orthogonal factor.
 """
 
 from __future__ import annotations
@@ -79,8 +79,10 @@ def spectrum(s: np.ndarray) -> SpectralDecomposition:
 
 
 def rebuild(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Q diag(lam) Q^T, re-symmetrized to absorb roundoff, for a trusted
-    spectrum: lam and q may be (..., n) and (..., n, n) stacks, one per slice."""
+    """Q diag(lam) Q^T, re-symmetrized to absorb roundoff, for trusted lam and
+    Q: a spectrum and its orthonormal eigenvectors, or any square Q, such as
+    the perspective kernel's factor F = L Q.  lam and q may be (..., n) and
+    (..., n, n) stacks, one per slice."""
     return symmetrize((q * lam[..., None, :]) @ q.swapaxes(-1, -2))
 
 

@@ -6,7 +6,11 @@ The perspective of a function f at positive definite A, B is::
 
 and the operator mean generated by an operator monotone representing
 function is exactly this perspective, so that the scalar reduction for
-commuting arguments is a*f(b/a) per joint eigenvalue pair.  This module
+commuting arguments is a*f(b/a) per joint eigenvalue pair.  By congruence
+invariance any factor A = L L^T may stand in for A^(1/2) (Kubo and Ando,
+1980; Bhatia, *Positive Definite Matrices*, ch. 4): the kernel takes
+Cholesky factors and one eigensolve, of L^-1 B L^-T, and reads out either
+the matrix or, for campaigns, only Tr(rho P_f(A, B)).  This module
 also carries the transformer-inequality checks, the Jensen inequality for
 sums of congruences, state expectations Tr(rho A), and a commuting-pair
 oracle used to cross-check the perspective against scalar means.
@@ -23,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefiniteError, PreconditionError, UsageError
+from .errors import DomainError, NotPositiveDefiniteError, NumericError, PreconditionError, UsageError
 from .functions import RepresentingFunction, get_function, mean_num, means, run_slices
 from .linalg import (
     atom_label,
@@ -34,7 +38,6 @@ from .linalg import (
     spectrum,
     sym_eigen,
     sym_matrix,
-    symmetrize,
 )
 from .reports import InequalityReport, inequality_report
 from .tolerances import (
@@ -46,6 +49,7 @@ from .tolerances import (
     MATRIX_TOL,
     NORM_FLOOR,
     PARTITION_TOL,
+    PD_FLOOR,
 )
 
 
@@ -97,31 +101,55 @@ def operator_perspective(f: RepresentingFunction, a, b) -> np.ndarray:
     """Evaluate the non-commutative perspective P_f(A, B).
 
     Both arguments must be positive definite with condition number within
-    the guard; the inner matrix A^(-1/2) B A^(-1/2) gets the usual roundoff
-    clamp before the functional calculus.
+    the guard; the inner matrix L^-1 B L^-T (A = L L^T) gets the usual
+    roundoff clamp before the functional calculus.
     """
     if not isinstance(f, RepresentingFunction):
         raise UsageError("operator_perspective needs a RepresentingFunction")
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
-    require_pd(spectrum(sb).eigenvalues, "second argument", COND_LIMIT)
+    require_pd(np.linalg.eigvalsh(sb), "second argument", COND_LIMIT)
     return perspective_kernel(f, sa, sb)
 
 
-def perspective_kernel(f, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """P_f(A, B) for trusted symmetric A, B of one shape, B known PD within the
-    guard.  A and B may be (..., n, n) stacks, one pair per atom (a 2-D pair is
-    a stack of one); every slice gets the checks a single pair gets.  Two
-    stacked eigensolves, whatever the stack size: A's, which also checks A,
-    and the inner matrix's.  ``f`` is one function, or (f, count) runs over
-    consecutive slices of a stack, each run's f applied to its inner spectra."""
-    lam_a, q_a = spectrum(sa)
-    require_pd(lam_a, "first argument", COND_LIMIT)
-    root = np.sqrt(lam_a)
-    sqrt_a = rebuild(root, q_a)
-    inv_sqrt_a = rebuild(1.0 / root, q_a)
-    lam_m, q_m = spectrum(symmetrize(inv_sqrt_a @ sb @ inv_sqrt_a))
+def _cholesky(s: np.ndarray, label: str) -> np.ndarray:
+    """Lower Cholesky factor of each slice of a trusted symmetric stack.  When
+    one has none, the stack is judged as ``require_pd(eigvalsh(s), label,
+    COND_LIMIT)`` judges it; a stack that passes that yet has no factor
+    raises NumericError."""
+    try:
+        return np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        require_pd(np.linalg.eigvalsh(s), label, COND_LIMIT)
+        raise NumericError(f"{label} passed the guard but has no Cholesky factor") from None
+
+
+def perspective_factor(f, sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, f(Λ)) with P_f(A, B) = F diag(f(Λ)) F^T, for trusted symmetric A, B
+    of one shape, B known PD within the guard.
+
+    By congruence invariance, P_f(A, B) = L f(L^-1 B L^-T) L^T for A = L L^T.
+    With B = R R^T and K = L^-1 R, the inner matrix K K^T = Q Λ Q^T takes the
+    one eigensolve, and F = L Q, which is not orthogonal.  A is admitted by
+    its own factor: λmin(A) >= 1 / ||L^-1||_F^2 and λmax(A) <= tr A, so A
+    passes when tr A ||L^-1||_F^2 <= COND_LIMIT / 2 and 1 / ||L^-1||_F^2 >
+    2 PD_FLOOR (a margin of 2 over the guard); otherwise it is judged by
+    ``require_pd(eigvalsh(A), "first argument", COND_LIMIT)``, as are A
+    and B when they have no Cholesky factor.
+
+    A and B may be (..., n, n) stacks, one pair per atom (a 2-D pair is a
+    stack of one): every slice gets the checks, and the bits, it gets alone.
+    ``f`` is one function, or (f, count) runs over consecutive slices of a
+    stack, each run's f applied to its inner spectra."""
+    l = _cholesky(sa, "first argument")
+    inv_l = np.linalg.inv(l)
+    inv_norm2 = np.square(inv_l).sum(axis=(-2, -1))  # ||L^-1||_F^2 = tr A^-1
+    trace = np.trace(sa, axis1=-2, axis2=-1)
+    if not ((trace * inv_norm2 <= COND_LIMIT / 2) & (1.0 / inv_norm2 > 2 * PD_FLOOR)).all():
+        require_pd(np.linalg.eigvalsh(sa), "first argument", COND_LIMIT)
+    k = inv_l @ _cholesky(sb, "second argument")
+    lam_m, q_m = spectrum(k @ k.swapaxes(-1, -2))
     lows = lam_m[..., 0].ravel().tolist()
     if min(lows) <= 0.0:
         for i, low in enumerate(lows):
@@ -139,7 +167,23 @@ def perspective_kernel(f, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
             f"{atom_label('scalar function', i, len(lows))} produced non-finite "
             "eigenvalue images"
         )
-    return symmetrize(sqrt_a @ rebuild(images, q_m) @ sqrt_a)
+    return l @ q_m, images
+
+
+def perspective_kernel(f, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """P_f(A, B) as F diag(f(Λ)) F^T, for :func:`perspective_factor`'s
+    arguments and with its checks."""
+    factor, images = perspective_factor(f, sa, sb)
+    return rebuild(images, factor)
+
+
+def perspective_traces(f, rho: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """Tr(rho P_f(A, B)) of each slice of (k, n, n) stacks, for
+    :func:`perspective_factor`'s arguments and with its checks, without
+    forming P: sum_i f(λ_i) w_i, with w = diag(F^T rho F)."""
+    factor, images = perspective_factor(f, sa, sb)
+    w = ((rho @ factor) * factor).sum(axis=-2)
+    return (images * w).sum(axis=-1)
 
 
 def operator_mean(spec: OperatorMeanSpec, a, b) -> np.ndarray:

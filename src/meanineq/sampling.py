@@ -138,10 +138,7 @@ def spd_stack(g: np.ndarray) -> np.ndarray:
     """The SPD samplers' construction: G G^T + DEFAULT_FLOOR*I, min eigenvalue
     >= DEFAULT_FLOOR, for every factor of a (..., n, n) stack, each with the
     bits it gets alone."""
-    s = g @ g.swapaxes(-1, -2) + DEFAULT_FLOOR * np.eye(g.shape[-1])
-    if not np.isfinite(s).all():
-        raise DomainError("matrix entries must all be finite")
-    return symmetrize(s)
+    return symmetrize(g @ g.swapaxes(-1, -2) + DEFAULT_FLOOR * np.eye(g.shape[-1]))
 
 
 def _unit_trace(s: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, groupby
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import DomainError, NumericError, UsageError, content_lines, located, place, read_input
 from .functions import RepresentingFunction, means, run_slices
 from .linalg import load_matrix, require_pd, sym_matrix
-from .operator_means import OperatorMeanSpec, perspective_kernel
+from .operator_means import OperatorMeanSpec, perspective_traces
 from .reports import InequalityReport, inequality_report
 from .sampling import check_density
 from .tolerances import COND_LIMIT, MATRIX_TOL, PD_FLOOR, PROB_SUM_TOL, SCALAR_TOL
@@ -197,7 +196,7 @@ def two_point_gaps(f: RepresentingFunction, x1, x2, p) -> np.ndarray:
     x1, x2, p = np.broadcast_arrays(x1, x2, p)
     k = p.size
     space = FiniteJointSpace(np.stack((p, 1.0 - p), -1).ravel(), np.stack((x1, x2), -1).ravel(), np.ones(2 * k))
-    lhs, rhs = block_sides([(f, k)], [2] * k, [(range(k), space)])
+    lhs, rhs = block_sides([(f, k)], np.full(k, 2), [(np.arange(k), space)])
     return (rhs - lhs).reshape(p.shape)
 
 
@@ -245,6 +244,9 @@ def atom_values(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
     to counts[t], and V, (3, T, K + 1), the atoms' values of the mean, X and Y
     in the same places: m_f(x, y), x and y, or in matrix mode Tr(rho M) for M
     in (P_f(X, Y), X, Y).  Column 0 and the pads hold p = 0 and value 0.
+    Tr(rho X) and Tr(rho Y) are bit for bit what
+    ``operator_means.expectation_state`` gives; Tr(rho P_f(X, Y)) is the
+    kernel's trace readout, which never forms P_f(X, Y).
 
     ``runs`` are (f, count) pairs: f is the function of the next count spaces.
     ``buckets`` are (rows, space) pairs, one per atom shape: ``space`` stacks
@@ -252,26 +254,23 @@ def atom_values(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
     takes one kernel call, f on each run's atoms, and every atom gets the bits
     it gets alone: the kernels work slice by slice.  Kernel errors name an
     atom by its index in its bucket."""
-    atom = np.arange(max(counts) + 1) <= np.array(counts)[:, None]
+    counts = np.asarray(counts)
+    atom = np.arange(counts.max() + 1) <= counts[:, None]
     atom[:, 0] = False
-    row_f = [f for f, count in runs for _ in range(count)]
-    parts = []
-    for rows, s in buckets:
-        atom_runs = [(f, sum(counts[i] for i in g)) for f, g in groupby(rows, row_f.__getitem__)]
-        if s.x.ndim == 1:
-            parts.append((s.p, _means(atom_runs, s.x, s.y), s.x, s.y))
-        else:
-            # Tr(rho M) for every atom at once, each bit for bit what
-            # operator_means.expectation_state gives.
-            m = perspective_kernel(atom_runs, s.x, s.y)
-            parts.append([s.p, *(np.einsum("kij,kji->k", s.rho, v) for v in (m, s.x, s.y))])
-    flat = np.concatenate(parts, axis=1)
-    if len(parts) > 1:  # flat is in bucket order: move each atom to its place in block order
-        starts = [0, *accumulate(counts)]
-        to = [j for rows, _ in buckets for i in rows for j in range(starts[i], starts[i + 1])]
-        flat[:, to] = flat.copy()
+    row_run = np.repeat(np.arange(len(runs)), [count for _, count in runs])
     layout = np.zeros((4, *atom.shape))
-    layout[:, atom] = flat
+    for rows, s in buckets:
+        rows = np.asarray(rows)
+        # Each run's atoms in the bucket, in run order as the rows ascend.
+        sizes = np.bincount(row_run[rows], counts[rows], len(runs)).tolist()
+        atom_runs = [(f, int(size)) for (f, _), size in zip(runs, sizes) if size]
+        if s.x.ndim == 1:
+            values = (_means(atom_runs, s.x, s.y), s.x, s.y)
+        else:
+            traces = (np.einsum("kij,kji->k", s.rho, v) for v in (s.x, s.y))
+            values = (perspective_traces(atom_runs, s.rho, s.x, s.y), *traces)
+        t, j = np.nonzero(atom[rows])  # the bucket's atoms, in its order
+        layout[:, rows[t], j] = (s.p, *values)
     return layout[0], layout[1:]
 
 

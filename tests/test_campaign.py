@@ -446,23 +446,6 @@ def test_floor_errors_name_the_trial(monkeypatch):
     assert str(exc.value).endswith("got 0.0")
 
 
-def test_non_finite_factors_name_the_trial(monkeypatch):
-    # The SPD construction runs once per dimension bucket of a block; its
-    # finiteness check still names the trial whose factors are not finite.
-    from meanineq import DomainError
-
-    def non_finite(d):
-        raw = d.raw.copy()
-        raw[-1, 2, 0, 0] = np.nan
-        return d._replace(raw=raw)
-
-    _with_bad_trials(monkeypatch, {(1, 4)}, draw=non_finite)
-    cfg = CampaignConfig(mode="rm", functions=("geometric", "harmonic"), trials=6, dims=(2, 5), seed=4)
-    with pytest.raises(DomainError) as exc:
-        run_campaign(cfg)
-    assert str(exc.value) == "function 'harmonic', trial 4: matrix entries must all be finite"
-
-
 def _campaign_spaces(cfg, monkeypatch):
     """The space of every draw run_campaign makes from its reseeded generator,
     with its (function, trial) coordinates; the worst-case rebuild goes
