@@ -11,27 +11,32 @@ so replays are bit-identical, and the worst case is rebuilt from its
 that generator per trial: it keeps one Philox generator and, before each
 trial's draw, reseeds it with the trial's exact ``SeedSequence`` key, derived
 for up to KEY_CHUNK consecutive (function, trial) pairs at once by
-``sampling.philox_keys``.  Trials run in-process, in order: threads would
-serialize on the interpreter lock.
+``sampling.philox_keys`` and handed over as int tuples.  Trials run
+in-process, in order: threads would serialize on the interpreter lock.
 
-A trial only draws: its atom count, dimension and probabilities, then its raw
-values, one call for all its atoms (log2 values of x and y, or the Gaussian
-factors of each atom's rho, X and Y).  Trials are evaluated in blocks that
-run across function boundaries; a block ends at the campaign's last trial or
-once its draws hold BLOCK_ELEMENTS values of x.  A block builds its valid-by-
-construction spaces once per matrix dimension (one SPD construction for all
-the bucket's factors), and ``verify.block_sides`` evaluates it at once: per
-bucket two stacked Cholesky factorizations and one eigensolve, of the inner
-matrix, with only f on its spectrum run per function, then all weighted sums
-as padded arrays and one rhs call per function.  Every
-trial's lhs and rhs have the bits of building and verifying it alone.  The
-gaps stay arrays: the campaign's counts and extremes are reductions over one
-(functions, trials) array, its verdicts one ``classify_gap`` call.  A search
-verifies all its restarts as one block in the same way.
+A trial only makes its generator calls (``Draw``): its dimension and atom
+count, its atoms' Dirichlet weights (exponentials, not yet normalised), then
+its raw values, one call for all its atoms (uniforms for the log2 values of
+x and y, or the Gaussian factors of each atom's rho, X and Y).  Trials are
+evaluated in blocks that run across function boundaries; a block ends at the
+campaign's last trial or once its draws hold BLOCK_ELEMENTS values of x.  A
+block does the arithmetic of its draws at once (``_build``): it normalises
+the weights of all its draws of one atom count as one array, raises 2 to
+the scaled uniforms, and builds its valid-by-construction spaces once per
+matrix dimension (one SPD construction for all the bucket's factors).
+``verify.block_sides`` then evaluates it at once: per bucket two stacked
+Cholesky factorizations and one eigensolve, of the inner matrix, with only
+f on its spectrum run per function, then all weighted sums as padded arrays
+and one rhs call per function.  Every trial's lhs and rhs have the bits of
+building and verifying it alone.  The gaps stay arrays: the campaign's
+counts and extremes are reductions over one (functions, trials) array, its
+verdicts one ``classify_gap`` call.  A search verifies its restarts in
+blocks of SEARCH_CHUNK in the same way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -61,6 +66,10 @@ VALUE_LOG2_RANGE = 4.0
 #: A block of trials is evaluated once its spaces hold this many values of x
 #: (one 64 x 64 matrix), which bounds the memory of its stacks.
 BLOCK_ELEMENTS = 4096
+
+#: A search draws and verifies this many restarts at a time, which bounds its
+#: memory: about 0.3 KB per restart.
+SEARCH_CHUNK = 1024
 
 #: Trial keys are derived this many (function, trial) pairs at a time, in
 #: campaign order and across function boundaries: 64 KB of keys.
@@ -190,34 +199,59 @@ def load_campaign_config(path) -> CampaignConfig:
     return parse_campaign_config(read_input(path, "config"), path)
 
 
-def _dirichlet_probs(rng: np.random.Generator, count: int) -> np.ndarray:
-    e = rng.exponential(1.0, size=count)
-    return e / e.sum()
+#: The weight of every op draw's one atom, shared by all of them and read-only.
+_ONE_ATOM = np.ones(1)
+_ONE_ATOM.flags.writeable = False
 
 
 class Draw(NamedTuple):
-    """One trial's raw draw: its atoms' probabilities and, for a scalar space,
-    the (2, k) log2 values of x and y, else the (k, 3, n, n) Gaussian factors
-    of each atom's rho, X and Y."""
+    """One trial's raw draw, as the generator gave it: its atoms' Dirichlet
+    weights, k standard exponentials not yet normalised (op: the shared
+    ``_ONE_ATOM``), and for a scalar space the (2, k) uniforms that give the
+    log2 values of x and y, else the (k, 3, n, n) Gaussian factors of each
+    atom's rho, X and Y.  ``_build`` turns a block of draws into spaces."""
 
-    p: np.ndarray
+    weights: np.ndarray
     raw: np.ndarray
-    atoms = property(lambda self: len(self.p))
+    atoms = property(lambda self: len(self.weights))
 
 
 def _draw(rng: np.random.Generator, mode: str, dims: tuple[int, int], atoms: tuple[int, int]) -> Draw:
     """One trial's draw in the v1 stream: the dimension n unless the mode is
-    num; the atom count k and k Dirichlet exponentials unless it is op (one
-    atom); then 2k log-uniform exponents (x, then y) or the factors."""
+    num; the atom count k and k exponentials unless it is op (one atom); then
+    2k uniforms (x, then y) or the factors.  Only generator calls: ``_build``
+    does the arithmetic for a whole block."""
     if mode != "num":
         n = int(rng.integers(dims[0], dims[1] + 1))
     if mode == "op":
-        return Draw(np.ones(1), draw_factors((1, 3), n, rng))
+        return Draw(_ONE_ATOM, draw_factors((1, 3), n, rng))
     k = int(rng.integers(atoms[0], atoms[1] + 1))
-    p = _dirichlet_probs(rng, k)
+    weights = rng.exponential(1.0, k)
     if mode == "num":
-        return Draw(p, rng.uniform(-VALUE_LOG2_RANGE, VALUE_LOG2_RANGE, size=(2, k)))
-    return Draw(p, draw_factors((k, 3), n, rng))
+        return Draw(weights, rng.random((2, k)))
+    return Draw(weights, draw_factors((k, 3), n, rng))
+
+
+def _log_uniform(u: np.ndarray) -> np.ndarray:
+    """Values log-uniform on [1/16, 16] from uniforms u in [0, 1): the powers
+    of ``uniform(-VALUE_LOG2_RANGE, VALUE_LOG2_RANGE)``, which numpy draws as
+    low + (high - low) * u."""
+    return 2.0 ** (-VALUE_LOG2_RANGE + 2 * VALUE_LOG2_RANGE * u)
+
+
+def _probabilities(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The Dirichlet probabilities of draws whose weights lie end to end, draw
+    i's counts[i] of them after draw i - 1's: each draw's weights over their
+    sum.  The draws of one atom count are normalised as one (m, k) array,
+    whose row sums have the bits of each draw's own ``sum()``: numpy sums a
+    row as it sums a vector (``np.add.reduceat`` would add in another order)."""
+    starts = np.cumsum(counts) - counts
+    p = np.empty_like(weights)
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        at = starts[counts == k][:, None] + np.arange(k)
+        e = weights[at]
+        p[at] = e / e.sum(axis=1)[:, None]
+    return p
 
 
 def _stacked(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
@@ -226,19 +260,24 @@ def _stacked(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
 
 def _build(draws: list[Draw]) -> list[tuple[list[int], FiniteJointSpace]]:
     """Draws of one mode as the trusted (rows, space) buckets of
-    ``verify.atom_values``, one per matrix dimension, each built at once from
-    its draws' stacked arrays (one draw's as they are), with the bits of
-    building each alone."""
+    ``verify.atom_values``, one per matrix dimension, with the bits of
+    building each draw alone.  The block's weights are normalised at once
+    (``_probabilities``), its scalar values raised at once, and each bucket's
+    matrices built at once from its draws' stacked factors."""
+    counts = np.array([d.atoms for d in draws])
+    p = _probabilities(_stacked([d.weights for d in draws]), counts)
     if draws[0].raw.ndim == 2:
-        v = 2.0 ** _stacked([d.raw for d in draws], 1)
-        return [(np.arange(len(draws)), FiniteJointSpace(_stacked([d.p for d in draws]), v[0], v[1]))]
+        x, y = _log_uniform(_stacked([d.raw for d in draws], 1))
+        return [(np.arange(len(draws)), FiniteJointSpace(p, x, y))]
+    dims = [d.raw.shape[-1] for d in draws]
     buckets: dict[int, list[int]] = {}
-    for i, d in enumerate(draws):
-        buckets.setdefault(d.raw.shape[-1], []).append(i)
+    for i, n in enumerate(dims):
+        buckets.setdefault(n, []).append(i)
+    atom_dims = np.repeat(dims, counts)
     out = []
-    for rows in buckets.values():
+    for n, rows in buckets.items():
         rho, x, y = atom_stacks(_stacked([draws[i].raw for i in rows]))
-        out.append((rows, FiniteJointSpace(_stacked([draws[i].p for i in rows]), x, y, rho)))
+        out.append((rows, FiniteJointSpace(p[atom_dims == n], x, y, rho)))
     return out
 
 
@@ -277,7 +316,7 @@ def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
     return _space(_draw(split_rng(config.seed, fi, t), config.mode, config.dims, config.atoms))
 
 
-def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key) -> Draw:
+def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key: tuple[int, int]) -> Draw:
     """Trial t of function fi's own work, run once per trial in campaign order:
     its draw from ``rng`` reseeded with the trial's key."""
     return _draw(reseed(rng, key), config.mode, config.dims, config.atoms)
@@ -285,11 +324,12 @@ def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator
 
 def _trial_keys(config: CampaignConfig):
     """The split_rng keys of every (function, trial) pair in campaign order,
-    derived KEY_CHUNK pairs per ``philox_keys`` call."""
+    as the int tuples ``reseed`` takes, derived KEY_CHUNK pairs per
+    ``philox_keys`` call."""
     total = len(config.functions) * config.trials
     for lo in range(0, total, KEY_CHUNK):
         pair = np.arange(lo, min(lo + KEY_CHUNK, total), dtype=np.uint64)
-        yield from philox_keys(config.seed, pair // config.trials, pair % config.trials)
+        yield from map(tuple, philox_keys(config.seed, pair // config.trials, pair % config.trials).tolist())
 
 
 def _block_gaps(runs, draws: list[Draw], where) -> np.ndarray:
@@ -326,27 +366,38 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     fs = [get_function(fid) for fid in config.functions]
     rng = np.random.Generator(np.random.Philox(0))  # reseeded before every draw
     keys = _trial_keys(config)
-    # x is one of a draw's two value sets in num mode, of three (rho, X, Y) otherwise.
-    sets = 2 if config.mode == "num" else 3
+    # A block closes once its draws hold BLOCK_ELEMENTS values of x: x is one of
+    # a draw's two raw value sets in num mode, of three (rho, X, Y) otherwise.
+    limit = BLOCK_ELEMENTS * (2 if config.mode == "num" else 3)
     blocks: list[np.ndarray] = [np.empty(0)]  # the gaps of every block evaluated
     done = 0  # the trials of those blocks
-    draws, runs, size = [], [], 0  # the open block's draws, its (f, count) runs, its values of x
+    draws, runs, size = [], [], 0  # the open block's draws, its (f, count) runs, its raw values
 
     def where(i: int) -> str:  # the open block's trial i
         fi, t = divmod(done + i, trials)
         return f"function {config.functions[fi]!r}, trial {t}"
 
-    for i in range(len(fs) * trials):
-        fi, t = divmod(i, trials)
-        draws.append(_run_trial(config, fi, t, rng, next(keys)))
-        if t == 0 or len(draws) == 1:
-            runs.append([fs[fi], 0])
-        runs[-1][1] += 1
-        size += draws[-1].raw.size // sets
-        if size >= BLOCK_ELEMENTS or i == len(fs) * trials - 1:
-            blocks.append(_block_gaps(runs, draws, where))
-            done += len(draws)
-            draws, runs, size = [], [], 0
+    def close() -> None:  # evaluate the open block and open the next
+        nonlocal done, size
+        blocks.append(_block_gaps(runs, draws, where))
+        done += len(draws)
+        draws.clear()
+        runs.clear()
+        size = 0
+
+    for fi, f in enumerate(fs):
+        first = len(draws)  # the open block's first draw of f
+        for t in range(trials):
+            draws.append(_run_trial(config, fi, t, rng, next(keys)))
+            size += draws[-1].raw.size
+            if size >= limit:
+                runs.append((f, len(draws) - first))
+                close()
+                first = 0
+        if len(draws) > first:
+            runs.append((f, len(draws) - first))
+    if draws:
+        close()
 
     gaps = np.concatenate(blocks).reshape(len(fs), trials)  # row fi: function fi's trials
     violations = (classify_gap(gaps, tol) == VERDICT_VIOLATED).sum(axis=1).tolist()
@@ -383,21 +434,26 @@ def search_violation(
 ) -> InequalityReport:
     """Random-restart search for the most negative two-point gap.
 
-    Draws every restart's (x1, x2, p) at once, log-uniform values and a
-    uniform weight, verifies all their two-point spaces (Y constant 1) as one
-    block (``verify.two_point_gaps``), and reports the first smallest gap
-    among the restarts with x1 != x2 and 0 < p < 1, rebuilt as
+    Draws the restarts' (x1, x2, p), log-uniform values and a uniform weight,
+    SEARCH_CHUNK restarts at a time (the same doubles as one draw of them
+    all), verifies each chunk's two-point spaces (Y constant 1) as one block
+    (``verify.two_point_gaps``), and keeps a running first smallest gap among
+    the restarts with x1 != x2 and 0 < p < 1.  That restart is rebuilt as
     :func:`construct_counterexample`'s space and labelled with ``seed``.  Pure
     restart, no refinement: the objective is piecewise smooth with kinks
     exactly where violations live.
     """
     if budget < 1:
         raise UsageError(f"search budget must be >= 1, got {budget!r}")
-    u = rng.random((budget, 3))  # the bits of uniform(-4, 4), uniform(-4, 4), uniform() per restart
-    x, p = 2.0 ** (-VALUE_LOG2_RANGE + 2 * VALUE_LOG2_RANGE * u[:, :2]), u[:, 2]
-    gaps = two_point_gaps(f, x[:, 0], x[:, 1], p)
-    valid = (x[:, 0] != x[:, 1]) & (0.0 < p) & (p < 1.0)
-    i = int(np.where(valid, gaps, np.inf).argmin())
-    # (1, 2, 0.5) when every restart is degenerate, which is astronomically unlikely.
-    x1, x2, p1 = (*x[i].tolist(), float(p[i])) if valid[i] else (1.0, 2.0, 0.5)
+    best = (math.inf, 1.0, 2.0, 0.5)  # (1, 2, 0.5) when every restart is degenerate, astronomically unlikely
+    for lo in range(0, budget, SEARCH_CHUNK):
+        # The bits of uniform(-4, 4), uniform(-4, 4), uniform() per restart.
+        u = rng.random((min(SEARCH_CHUNK, budget - lo), 3))
+        x, p = _log_uniform(u[:, :2]), u[:, 2]
+        valid = (x[:, 0] != x[:, 1]) & (0.0 < p) & (p < 1.0)
+        gaps = np.where(valid, two_point_gaps(f, x[:, 0], x[:, 1], p), math.inf)
+        i = int(gaps.argmin())
+        if gaps[i] < best[0]:  # strict: the first smallest gap in restart order
+            best = (float(gaps[i]), *x[i].tolist(), float(p[i]))
+    _, x1, x2, p1 = best
     return replace(verify_numeric(construct_counterexample(f, x1, x2, p1), f, tol), seed=seed)

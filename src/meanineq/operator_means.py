@@ -39,7 +39,7 @@ from .linalg import (
     sym_eigen,
     sym_matrix,
 )
-from .reports import InequalityReport, inequality_report
+from .reports import VERDICT_HOLDS, VERDICT_VIOLATED, InequalityReport, classify_gap, inequality_report
 from .tolerances import (
     CLAMP_TOL,
     COMMUTE_TOL,
@@ -94,7 +94,7 @@ class TransformerReport:
 
     @property
     def holds(self) -> bool:
-        return self.verdict == "holds"
+        return self.verdict == VERDICT_HOLDS
 
 
 def operator_perspective(f: RepresentingFunction, a, b) -> np.ndarray:
@@ -278,11 +278,13 @@ def _transformer_report(
     gap_min = float(np.linalg.eigvalsh(rhs - lhs)[0])
     scale = max(frobenius(rhs), NORM_FLOOR)
     defect = frobenius(lhs - rhs) / scale
+    # Loewner order has no equality verdict: only a violation is not holds.
+    violated = classify_gap(gap_min, tol) == VERDICT_VIOLATED
     return TransformerReport(
         lhs=lhs,
         rhs=rhs,
         min_eig_gap=gap_min,
-        verdict="holds" if gap_min >= -tol else "violated",
+        verdict=VERDICT_VIOLATED if violated else VERDICT_HOLDS,
         equality_case=bool(equality_possible and defect <= tol),
         equality_defect=defect,
         tol=float(tol),

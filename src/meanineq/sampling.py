@@ -31,7 +31,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _DST = np.arange(_POOL)[:, None]
-_ZERO = np.zeros(4, dtype=np.uint64)
 
 
 def split_rng(seed: int, *path: int) -> np.random.Generator:
@@ -112,15 +111,17 @@ def philox_keys(seed: int, fi, t) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
-def reseed(rng: np.random.Generator, key) -> np.random.Generator:
+def reseed(rng: np.random.Generator, key: tuple[int, int]) -> np.random.Generator:
     """Reset a Philox-backed generator to the state a fresh ``Philox`` keyed
-    by ``key`` starts in: zero counter, empty buffer, no spare 32-bit word.
-    With a key from :func:`philox_keys`, rng then draws what the matching
-    :func:`split_rng` generator draws."""
+    by ``key``, two Python ints below 2**64, starts in: zero counter, empty
+    buffer, no spare 32-bit word.  With a row of :func:`philox_keys` as a
+    tuple, rng then draws what the matching :func:`split_rng` generator
+    draws.  The state is all Python ints, which numpy reads faster than
+    arrays."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO, "key": key},
-        "buffer": _ZERO,
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

@@ -242,6 +242,91 @@ def test_search_falls_back_when_every_restart_is_degenerate():
     assert rep == dataclasses.replace(verify_numeric(construct_counterexample(f, 1.0, 2.0, 0.5), f, 1e-10), seed=4)
 
 
+class _RecordedDraws:
+    """A generator's ``random`` that keeps every array it returns."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def random(self, shape):
+        self.draws.append(self.rng.random(shape))
+        return self.draws[-1]
+
+
+def _hex(a):
+    return [v.hex() for v in np.ravel(a).tolist()]
+
+
+def test_search_draws_its_chunks_as_one_random_call():
+    from meanineq import campaign
+
+    budget = 2 * campaign.SEARCH_CHUNK + 5
+    rec = _RecordedDraws(split_rng(3, 0))
+    search_violation(get_function("counterexample-g"), rec, budget)
+    assert [len(u) for u in rec.draws] == [campaign.SEARCH_CHUNK] * 2 + [5]
+    assert _hex(np.concatenate(rec.draws)) == _hex(split_rng(3, 0).random((budget, 3)))
+
+
+@pytest.mark.parametrize("fid", ["arithmetic", "geometric", "counterexample-g"])
+def test_search_does_not_depend_on_the_chunk_size(fid, monkeypatch):
+    # Chunks of 1 and 7 end inside the budget; the first smallest gap must be
+    # found however the restarts are split, and match the one-at-a-time
+    # search.  Arithmetic gaps tie at their minimum (seeds 0, 2 and 4 here),
+    # so a later chunk's equal gap must not replace an earlier one.
+    from meanineq import campaign
+
+    f = get_function(fid)
+    for seed, budget in itertools.product(range(5), (1, 8, 300)):
+        want = _search_one_restart_at_a_time(f, split_rng(seed, 0), budget, seed=seed)
+        for chunk in (1, 7, 1024):
+            monkeypatch.setattr(campaign, "SEARCH_CHUNK", chunk)
+            got = search_violation(f, split_rng(seed, 0), budget, seed=seed)
+            assert (got.gap.hex(), got) == (want.gap.hex(), want), (seed, budget, chunk)
+
+
+def test_search_memory_does_not_grow_with_the_budget():
+    import tracemalloc
+
+    f = get_function("geometric")
+
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            search_violation(f, split_rng(0, 0), budget)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # one-time allocations of a first search
+    small, large = peak(10**3), peak(10**5)
+    assert abs(large - small) < 2**20, (small, large)
+
+
+def test_scaled_uniforms_are_numpys_uniform():
+    # numpy draws uniform(low, high) as low + (high - low) * random(), so a
+    # trial's uniforms give the values the log2 uniforms gave, bit for bit.
+    from meanineq.campaign import VALUE_LOG2_RANGE, _log_uniform
+
+    for seed, shape in itertools.product(range(4), [(2, 1), (2, 12), (500, 3)]):
+        u = split_rng(seed, 1).random(shape)
+        want = split_rng(seed, 1).uniform(-VALUE_LOG2_RANGE, VALUE_LOG2_RANGE, shape)
+        assert _hex(-VALUE_LOG2_RANGE + 2 * VALUE_LOG2_RANGE * u) == _hex(want)
+        assert _hex(_log_uniform(u)) == _hex(2.0**want)
+
+
+def test_grouped_normalisation_matches_each_draw_alone():
+    # Draws of one atom count are normalised as the rows of one array; each
+    # row must get the bits of e / e.sum() of its draw alone, in any order of
+    # counts.  (np.add.reduceat sums in another order and would not.)
+    from meanineq.campaign import _probabilities
+
+    rng = split_rng(6, 0)
+    counts = rng.permutation(np.repeat(np.arange(1, 41), 500))
+    weights = [rng.exponential(1.0, k) for k in counts.tolist()]
+    got = _probabilities(np.concatenate(weights), counts)
+    assert _hex(got) == _hex(np.concatenate([e / e.sum() for e in weights]))
+
+
 def test_campaign_config_is_frozen():
     cfg = CampaignConfig(mode="num", functions=("geometric",), trials=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -432,12 +517,14 @@ def test_kernel_errors_name_a_trial_of_the_second_function_of_a_block(monkeypatc
 
 def test_floor_errors_name_the_trial(monkeypatch):
     # 0.5 * 5e-324 rounds to 0, so trial 2's E X is 0 although its atoms are
-    # positive (x = 2 ** -1074); the block tail finds it among the block's
-    # other trials.
+    # positive (x = 2 ** -1074, from the uniform u with -4 + 8u = -1074, and
+    # y = 1 from u = 0.5); the block tail finds it among the block's other
+    # trials.
     from meanineq import DomainError
-    from meanineq.campaign import Draw
+    from meanineq.campaign import Draw, _log_uniform
 
-    tiny = Draw(np.array([0.5, 0.5]), np.array([[-1074.0, -1074.0], [0.0, 0.0]]))
+    tiny = Draw(np.array([0.5, 0.5]), np.array([[-133.75, -133.75], [0.5, 0.5]]))
+    assert _log_uniform(tiny.raw).tolist() == [[2.0**-1074] * 2, [1.0] * 2]
     _with_bad_trials(monkeypatch, {(0, 2)}, draw=lambda d: tiny)
     cfg = CampaignConfig(mode="num", functions=("geometric",), trials=6, seed=3)
     with pytest.raises(DomainError) as exc:

@@ -279,6 +279,30 @@ def test_transformer_identity_and_invertible():
     assert rep.equality_defect <= 1e-10
 
 
+def test_order_verdicts_are_judged_by_classify_gap(monkeypatch):
+    # The transformer and Jensen reports and loewner_leq have no rule of
+    # their own: each gap goes to reports.classify_gap, and only its
+    # "violated" is not "holds" (or True).
+    from meanineq import linalg, operator_means
+
+    judged = []
+
+    def judge(gap, tol):
+        judged.append((gap, tol))
+        return verdict
+
+    monkeypatch.setattr(linalg, "classify_gap", judge)
+    monkeypatch.setattr(operator_means, "classify_gap", judge)
+    spec = operator_mean_spec("geometric")
+    for verdict, holds in (("violated", False), ("equality", True), ("holds", True)):
+        assert loewner_leq(np.eye(2), 2.0 * np.eye(2), 1e-9) is holds
+        rep = check_transformer(spec, A22, B22, np.eye(2), tol=1e-7)
+        assert rep.holds is holds and rep.verdict == ("holds" if holds else "violated")
+        assert [tol for _, tol in judged] == [1e-9, 1e-7]
+        assert judged[1][0] == rep.min_eig_gap
+        judged.clear()
+
+
 def test_transformer_rank_deficient_compression():
     spec = operator_mean_spec("geometric")
     rep = check_transformer(spec, A22, B22, np.array([[1.0], [0.0]]))

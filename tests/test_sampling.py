@@ -153,14 +153,33 @@ def test_philox_keys_match_seed_sequence_property(seed, pairs):
         assert np.array_equal(key, _seed_sequence_key(seed, fi, t))
 
 
+def _key(seed, fi, t):
+    """split_rng(seed, fi, t)'s key as the int tuple reseed takes."""
+    return tuple(philox_keys(seed, [fi], [t]).tolist()[0])
+
+
 def test_reseeded_generator_draws_the_split_rng_stream():
     rng = split_rng(0, 0)
     for seed, fi, t in [(3, 0, 0), (3, 1, 4), (2**64 + 3, 2, 9)]:
-        key = philox_keys(seed, [fi], [t])[0]
-        assert _state(reseed(rng, key)) == _state(split_rng(seed, fi, t))
+        assert _state(reseed(rng, _key(seed, fi, t))) == _state(split_rng(seed, fi, t))
         ref = split_rng(seed, fi, t)
         assert np.array_equal(rng.normal(size=7), ref.normal(size=7))
         assert np.array_equal(rng.integers(0, 10, size=5), ref.integers(0, 10, size=5))
+
+
+def test_reseed_takes_keys_with_the_top_bit_set():
+    # A key word of 2**63 or more is a Python int beyond int64; it must reach
+    # Philox as the same uint64, in either word of the key.
+    pairs = [(5, 0, t) for t in range(64)]
+    keys = [_key(*pair) for pair in pairs]
+    for word in (0, 1):
+        i = next(i for i, key in enumerate(keys) if key[word] >= 2**63)
+        assert all(type(v) is int for v in keys[i])
+        rng, ref = reseed(split_rng(0, 0), keys[i]), split_rng(*pairs[i])
+        assert _state(rng) == _state(ref)
+        a, b = rng.random(9), ref.random(9)
+        assert [v.hex() for v in a.tolist()] == [v.hex() for v in b.tolist()]
+        assert np.array_equal(rng.exponential(1.0, 5), ref.exponential(1.0, 5))
 
 
 @pytest.mark.parametrize("spare", [1, 3, 5])
@@ -171,10 +190,10 @@ def test_reseed_leaves_no_buffered_words(spare):
     def words(g, n):
         return g.integers(0, 2**32, size=n, dtype=np.uint64)
 
-    rng = reseed(split_rng(0, 0), philox_keys(8, [1], [1])[0])
+    rng = reseed(split_rng(0, 0), _key(8, 1, 1))
     words(rng, spare)
     assert rng.bit_generator.state["has_uint32"] == 1
-    reseed(rng, philox_keys(8, [1], [2])[0])
+    reseed(rng, _key(8, 1, 2))
     ref = split_rng(8, 1, 2)
     assert np.array_equal(words(rng, 3), words(ref, 3))
     assert np.array_equal(rng.uniform(size=3), ref.uniform(size=3))
