@@ -28,7 +28,7 @@ class DomainError(MeanIneqError):
 
 
 class NotPositiveDefiniteError(DomainError):
-    """A matrix required to be positive definite is not (at the active floor)."""
+    """A matrix required to be positive definite has smallest eigenvalue <= 0."""
 
     def __init__(self, message: str, min_eigenvalue: float | None = None):
         super().__init__(message)

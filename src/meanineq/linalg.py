@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, NotPositiveDefiniteError, NumericError, UsageError
 from .errors import content_lines, located, place, read_input
 from .reports import VERDICT_VIOLATED, classify_gap
-from .tolerances import LOAD_SYMMETRY_TOL, LOEWNER_TOL, PD_FLOOR
+from .tolerances import LOAD_SYMMETRY_TOL, LOEWNER_TOL
 
 #: Largest supported matrix dimension.
 MAX_DIM = 64
@@ -88,8 +88,8 @@ def rebuild(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def require_pd(lam: np.ndarray, label: str, cond_limit: float | None = None) -> None:
-    """Reject an ascending spectrum at or below PD_FLOOR or, when a limit is
-    given, with condition number above it.
+    """Reject an ascending spectrum with smallest eigenvalue <= 0 or, when a
+    limit is given, condition number above it: a rule free of units.
 
     ``lam`` may be a (..., n) stack of spectra, one per atom; the first
     offending atom (in C order) is reported, and when the stack holds more
@@ -98,10 +98,9 @@ def require_pd(lam: np.ndarray, label: str, cond_limit: float | None = None) -> 
     lows = lam[..., 0].ravel().tolist()
     highs = lam[..., -1].ravel().tolist()
     for i, (low, high) in enumerate(zip(lows, highs)):
-        if low <= PD_FLOOR:
+        if low <= 0.0:
             raise NotPositiveDefiniteError(
-                f"{atom_label(label, i, len(lows))} is not positive definite at "
-                f"floor {PD_FLOOR!r} (min eigenvalue {low!r})",
+                f"{atom_label(label, i, len(lows))} is not positive definite (min eigenvalue {low!r})",
                 min_eigenvalue=low,
             )
         if cond_limit is not None and high / low > cond_limit:
@@ -117,7 +116,7 @@ def atom_label(label: str, i: int, count: int) -> str:
 
 
 def sqrt_pd(a) -> np.ndarray:
-    """Positive-definite square root; rejects matrices with min eigenvalue <= PD_FLOOR."""
+    """Positive-definite square root; rejects matrices with min eigenvalue <= 0."""
     lam, q = sym_eigen(a)
     require_pd(lam, "matrix")
     return rebuild(np.sqrt(lam), q)
@@ -180,9 +179,9 @@ def _row(line: str, n: int) -> list[float]:
 def load_matrix(path) -> np.ndarray:
     """Read the matrix text format: a line with n, then n rows of n values.
 
-    Blank lines and ``#`` comments are skipped.  A symmetry violation larger
-    than LOAD_SYMMETRY_TOL (max-abs entry) is an error; smaller ones are
-    absorbed by the symmetrizing constructor.  Errors name the file, and the line of a bad one.
+    Blank lines and ``#`` comments are skipped.  A symmetry violation (max-abs
+    entry of A - A^T) above LOAD_SYMMETRY_TOL times A's max-abs entry is an
+    error; smaller ones are absorbed by averaging.  Errors name the file, and the line of a bad one.
     """
     p = Path(path)
     n, rows = None, []
@@ -199,9 +198,11 @@ def load_matrix(path) -> np.ndarray:
             raise UsageError(f"expected {n} rows, found {len(rows)}")
         a = np.array(rows)
         with np.errstate(over="ignore"):
-            skew = float(np.max(np.abs(a - a.T)))
-        if skew > LOAD_SYMMETRY_TOL:
-            raise UsageError(f"symmetry violation {skew:.3e} exceeds {LOAD_SYMMETRY_TOL}")
+            skew, largest = (float(np.max(np.abs(m))) for m in (a - a.T, a))
+        if skew > LOAD_SYMMETRY_TOL * largest:
+            raise UsageError(
+                f"symmetry violation {skew:.3e} exceeds {LOAD_SYMMETRY_TOL} times the largest entry {largest:.3e}"
+            )
         return sym_matrix(a)
 
 

@@ -49,7 +49,6 @@ from .tolerances import (
     MATRIX_TOL,
     NORM_FLOOR,
     PARTITION_TOL,
-    PD_FLOOR,
 )
 
 
@@ -132,11 +131,12 @@ def perspective_factor(f, sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, n
     By congruence invariance, P_f(A, B) = L f(L^-1 B L^-T) L^T for A = L L^T.
     With B = R R^T and K = L^-1 R, the inner matrix K K^T = Q Λ Q^T takes the
     one eigensolve, and F = L Q, which is not orthogonal.  A is admitted by
-    its own factor: λmin(A) >= 1 / ||L^-1||_F^2 and λmax(A) <= tr A, so A
-    passes when tr A ||L^-1||_F^2 <= COND_LIMIT / 2 and 1 / ||L^-1||_F^2 >
-    2 PD_FLOOR (a margin of 2 over the guard); otherwise it is judged by
-    ``require_pd(eigvalsh(A), "first argument", COND_LIMIT)``, as are A
-    and B when they have no Cholesky factor.
+    its own factor: λmin(A) >= 1 / ||L^-1||_F^2 > 0 and λmax(A) <= tr A, so
+    A passes when tr A ||L^-1||_F^2 <= COND_LIMIT / 2 (a margin of 2 over
+    the guard); otherwise it is judged by ``require_pd(eigvalsh(A), "first
+    argument", COND_LIMIT)``, as are A and B when they have no Cholesky
+    factor.  Inner eigenvalues in (-CLAMP_TOL λmax, 0] of a slice are
+    clamped up to CLAMP_TOL λmax; a lower one rejects the inputs.
 
     A and B may be (..., n, n) stacks, one pair per atom (a 2-D pair is a
     stack of one): every slice gets the checks, and the bits, it gets alone.
@@ -146,19 +146,20 @@ def perspective_factor(f, sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, n
     inv_l = np.linalg.inv(l)
     inv_norm2 = np.square(inv_l).sum(axis=(-2, -1))  # ||L^-1||_F^2 = tr A^-1
     trace = np.trace(sa, axis1=-2, axis2=-1)
-    if not ((trace * inv_norm2 <= COND_LIMIT / 2) & (1.0 / inv_norm2 > 2 * PD_FLOOR)).all():
+    if not (trace * inv_norm2 <= COND_LIMIT / 2).all():
         require_pd(np.linalg.eigvalsh(sa), "first argument", COND_LIMIT)
     k = inv_l @ _cholesky(sb, "second argument")
     lam_m, q_m = spectrum(k @ k.swapaxes(-1, -2))
     lows = lam_m[..., 0].ravel().tolist()
     if min(lows) <= 0.0:
-        for i, low in enumerate(lows):
-            if low <= -CLAMP_TOL:
+        clamp = CLAMP_TOL * lam_m[..., -1:]
+        for i, (low, bound) in enumerate(zip(lows, clamp.ravel().tolist())):
+            if low <= -bound:
                 raise DomainError(
                     f"{atom_label('inner perspective matrix', i, len(lows))} has "
                     f"eigenvalue {low!r}; inputs are not numerically positive definite"
                 )
-        lam_m = np.where(lam_m[..., :1] <= 0.0, np.maximum(lam_m, CLAMP_TOL), lam_m)
+        lam_m = np.where(lam_m[..., :1] <= 0.0, np.maximum(lam_m, clamp), lam_m)
     runs = [(f, len(lam_m))] if isinstance(f, RepresentingFunction) else f
     images = np.concatenate([g.fn(lam_m[rows]) for g, rows in run_slices(runs)])
     if not np.isfinite(images).all():
@@ -224,8 +225,8 @@ def _simultaneous_eigenbasis(sa: np.ndarray, sb: np.ndarray):
 def _commuting_pd_pair(a, b, tol: float, label: str):
     """Shared eigenbasis q and paired eigenvalues (da, db) of a commuting PD
     pair, requiring ||AB - BA||_F <= tol * ||A||_F * ||B||_F, and every joint
-    eigenvalue above PD_FLOOR and each argument's condition number within
-    COND_LIMIT, as every perspective does."""
+    eigenvalue above 0 and each argument's condition number within
+    COND_LIMIT: ``require_pd``'s rule, as every perspective has."""
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")

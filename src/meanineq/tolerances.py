@@ -1,4 +1,4 @@
-"""Every verdict threshold, admission floor and numeric guard of the package.
+"""Every verdict threshold, admission rule and numeric guard of the package.
 
 An absolute constant is compared with a value in the units of the input; a
 relative one multiplies the scale named beside it.  Construction parameters
@@ -20,16 +20,13 @@ CONCAVITY_TOL = 1e-9
 #: Absolute.  Default slack of ``linalg.loewner_leq`` on lambda_min(B - A).
 LOEWNER_TOL = 1e-12
 
-#: Absolute.  Spectra with smallest eigenvalue at or below this are rejected,
-#: never regularized; matrix-mode E X and E Y must lie above it too.
-PD_FLOOR = 1e-10
-
-#: Relative, lambda_max / lambda_min.  Largest condition number of a
-#: perspective argument, a matrix atom or a commuting pair.
+#: Relative, lambda_max / lambda_min.  The one admission rule: a perspective
+#: argument, matrix atom or commuting pair needs lambda_min > 0 and at most this.
 COND_LIMIT = 1e8
 
-#: Absolute.  Inner perspective eigenvalues above -CLAMP_TOL are roundoff,
-#: clamped up to CLAMP_TOL; lower ones reject the inputs.
+#: Relative, to the inner matrix's lambda_max.  Inner perspective eigenvalues
+#: above -CLAMP_TOL lambda_max are roundoff, clamped up to CLAMP_TOL
+#: lambda_max; lower ones reject the inputs.
 CLAMP_TOL = 1e-12
 
 #: Relative, to ||A||_F ||B||_F.  Largest commutator norm of a commuting pair.
@@ -51,7 +48,8 @@ INVERTIBLE_RTOL = 1e-10
 #: matrix gives a finite ratio.
 NORM_FLOOR = 1e-300
 
-#: Absolute.  Largest max-abs entry of A - A^T in a matrix file.
+#: Relative, to the matrix's max-abs entry.  Largest max-abs entry of A - A^T
+#: in a matrix file.
 LOAD_SYMMETRY_TOL = 1e-9
 
 #: Absolute.  How far a density matrix's trace may lie from 1.

@@ -33,7 +33,7 @@ from .linalg import load_matrix, require_pd, sym_matrix
 from .operator_means import OperatorMeanSpec, perspective_traces
 from .reports import InequalityReport, inequality_report
 from .sampling import check_density
-from .tolerances import COND_LIMIT, MATRIX_TOL, PD_FLOOR, PROB_SUM_TOL, SCALAR_TOL
+from .tolerances import COND_LIMIT, MATRIX_TOL, PROB_SUM_TOL, SCALAR_TOL
 
 MODE_SCALAR = "scalar"
 MODE_MATRIX = "matrix"
@@ -290,15 +290,15 @@ def weighted_sums(P: np.ndarray, V: np.ndarray) -> np.ndarray:
 def block_sides(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
     """lhs and rhs m_f(E X, E Y) of every trusted space of a block laid out as
     in :func:`atom_values`, as (T,) arrays, rhs from one ``means`` call per
-    run.  E X and E Y can underflow, so they must be finite and above the
-    mode's floor (PD_FLOOR, or 0 for scalars), and both sides must be finite.
-    A failing space raises an error that does not say which: a caller that
-    names its spaces finds the first failing one by verifying each alone."""
+    run.  E X and E Y can underflow, so they must be finite and above 0 in
+    every mode, and both sides must be finite.  A failing space raises an
+    error that does not say which: a caller that names its spaces finds the
+    first failing one by verifying each alone."""
     lhs, ex, ey = sums = weighted_sums(*atom_values(runs, counts, buckets))
-    e, floor = sums[1:], (0.0 if buckets[0][1].mode == MODE_SCALAR else PD_FLOOR)
-    if not (floor < e.min() and e.max() < math.inf):  # min and max propagate NaN
-        t = int(((floor < e) & (e < math.inf)).all(0).argmin())
-        name, v = ("E X", ex[t]) if not floor < ex[t] < math.inf else ("E Y", ey[t])
+    e = sums[1:]
+    if not (0.0 < e.min() and e.max() < math.inf):  # min and max propagate NaN
+        t = int(((0.0 < e) & (e < math.inf)).all(0).argmin())
+        name, v = ("E X", ex[t]) if not 0.0 < ex[t] < math.inf else ("E Y", ey[t])
         raise DomainError(f"{name} must be positive and finite, got {float(v)!r}")
     rhs = _means(runs, ex, ey)
     finite = np.isfinite(lhs) & np.isfinite(rhs)

@@ -471,8 +471,8 @@ def _verify_op_files(tmp_path, **bad):
     "flag, m, detail",
     [
         ("rho", np.zeros((2, 2)), "density matrix trace 0.0 differs from 1 beyond tolerance"),
-        ("a", np.diag([1.0, -1.0]), "matrix atom X is not positive definite at floor 1e-10 (min eigenvalue -1.0)"),
-        ("b", np.diag([1.0, -1.0]), "matrix atom Y is not positive definite at floor 1e-10 (min eigenvalue -1.0)"),
+        ("a", np.diag([1.0, -1.0]), "matrix atom X is not positive definite (min eigenvalue -1.0)"),
+        ("b", np.diag([1.0, -1.0]), "matrix atom Y is not positive definite (min eigenvalue -1.0)"),
     ],
     ids=["rho", "a", "b"],
 )

@@ -200,7 +200,7 @@ def test_every_src_constant_is_read():
     assert _unread_constants(defining, readers) == []
 
 
-#: The one module that defines a verdict threshold, admission floor or
+#: The one module that defines a verdict threshold, admission rule or
 #: numeric guard; one home lets a threshold become scale-aware in one place.
 TOLERANCES = "tolerances.py"
 #: A float this small in code is a tolerance in all but name.
@@ -237,3 +237,31 @@ def test_src_defines_thresholds_only_in_tolerances(path):
         assert found != []
     else:
         assert found == []
+
+
+#: A row of README's tolerance table: name, value and the first word of its kind.
+TABLE_ROW = re.compile(r"^\| `([A-Z_]+)` \| `([^`]+)` \| (\w+)", re.M)
+
+
+def _tolerance_constants(source: str) -> dict[str, tuple[float, str]]:
+    """Each constant of a tolerances module: its value and the first word of
+    its ``#:`` comment (absolute or relative), lowercased."""
+    found, comment = {}, []
+    for line in source.splitlines():
+        if line.startswith("#:"):
+            comment.append(line[2:].strip())
+        elif m := re.fullmatch(r"([A-Z_]+) = (\S+)", line):
+            found[m[1]] = (float(m[2]), re.match(r"\w+", " ".join(comment))[0].lower())
+            comment = []
+    return found
+
+
+def test_constant_parse_reads_value_and_kind():
+    source = '"""doc"""\n\n#: Absolute.  A guard.\nA_TOL = 1e-9\n\n#: Relative, to x.\n#: More.\nB_RTOL = 2.5\n'
+    assert _tolerance_constants(source) == {"A_TOL": (1e-9, "absolute"), "B_RTOL": (2.5, "relative")}
+
+
+def test_readme_tolerance_table_matches_tolerances():
+    # Same names, same values, and each row's kind is its constant's.
+    table = {name: (float(value), kind) for name, value, kind in TABLE_ROW.findall((ROOT / "README.md").read_text())}
+    assert table == _tolerance_constants((ROOT / "src" / "meanineq" / TOLERANCES).read_text())

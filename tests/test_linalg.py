@@ -121,6 +121,28 @@ def test_sqrt_rejects_non_pd():
     assert err is not None and err.min_eigenvalue == pytest.approx(-2.0)
 
 
+def _write(path, m):
+    path.write_text(f"{len(m)}\n" + "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in m))
+    return path
+
+
+def test_load_matrix_judges_symmetry_relative_to_the_largest_entry(tmp_path):
+    # A skew of 1e-10 is 100% of a 1e-10 matrix: rejected, not averaged.
+    small = _write(tmp_path / "small.txt", [[1e-12, 1e-10], [0.0, 1e-12]])
+    message = r"symmetry violation 1\.000e-10 exceeds 1e-09 times the largest entry 1\.000e-10$"
+    with pytest.raises(UsageError, match=message):
+        load_matrix(small)
+    # A skew of 7.9e-3 is 2.6e-15 of a 3e12 matrix: roundoff, averaged.
+    m = 1e12 * np.array([[2.0, 1.0], [1.0 + 8e-15, 3.0]])
+    assert np.array_equal(load_matrix(_write(tmp_path / "big.txt", m)), sym_matrix(m))
+    # Power-of-two scaling changes no decision.
+    for k in (-40, 0, 40):
+        c = 2.0**k
+        with pytest.raises(UsageError, match="symmetry violation"):
+            load_matrix(_write(tmp_path / "small.txt", c * np.array([[1e-12, 1e-10], [0.0, 1e-12]])))
+        assert np.array_equal(load_matrix(_write(tmp_path / "big.txt", c * m)), sym_matrix(c * m))
+
+
 def test_loewner_examples():
     assert loewner_leq(np.eye(2), 2.0 * np.eye(2))
     assert not loewner_leq(2.0 * np.eye(2), np.eye(2))

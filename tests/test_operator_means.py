@@ -30,7 +30,9 @@ from meanineq import (
     sym_matrix,
     trace_perspective_check,
 )
-from meanineq.operator_means import perspective_kernel
+from meanineq import operator_means
+from meanineq.linalg import SpectralDecomposition
+from meanineq.operator_means import perspective_factor, perspective_kernel
 
 SPECS = ["arithmetic", "wyd:0.25", "wyd:0.5", "geometric", "harmonic", "logarithmic"]
 
@@ -198,6 +200,25 @@ def test_oracle_examples():
     assert np.allclose(logm, (math.e - 1.0) * np.eye(2), atol=1e-12)
 
 
+def test_inner_clamp_does_not_depend_on_the_scale(monkeypatch):
+    # The inner spectrum (low, 0.5, 1) scaled by c: an eigenvalue at or below
+    # -CLAMP_TOL λmax rejects the inputs, one in (-CLAMP_TOL λmax, 0] is
+    # clamped up to CLAMP_TOL λmax, at every scale.
+    identity = RepresentingFunction("identity", lambda t: t)
+    expected = {-2e-12: None, -1e-12: None, -5e-13: 1e-12, 0.0: 1e-12, 1e-13: 1e-13}
+    for low, clamped in expected.items():
+        for c in (2.0**-40, 1.0, 2.0**40):
+            lam = c * np.array([low, 0.5, 1.0])
+            monkeypatch.setattr(operator_means, "spectrum", lambda s, lam=lam: SpectralDecomposition(lam, np.eye(3)))
+            try:
+                images = perspective_factor(identity, np.eye(3), np.eye(3))[1] / c
+            except DomainError:
+                images = None
+            assert (images if images is None else images.tolist()) == (
+                clamped if clamped is None else [clamped, 0.5, 1.0]
+            ), (low, c)
+
+
 def test_oracle_rejects_non_commuting():
     spec = operator_mean_spec("geometric")
     with pytest.raises(PreconditionError):
@@ -212,16 +233,17 @@ def test_oracle_rejects_non_finite_images():
 
 
 def test_oracle_rejects_what_the_perspective_rejects():
-    # A joint eigenvalue at or below PD_FLOOR is rejected by both means.
+    # A joint eigenvalue at or below 0 is rejected by both means.
     spec = operator_mean_spec("geometric")
-    a = np.diag([1e-12, 1.0])
-    for mean in (operator_mean, commuting_oracle):
-        with pytest.raises(NotPositiveDefiniteError, match="first argument is not positive definite at floor"):
-            mean(spec, a, np.eye(2))
+    for low in (0.0, -1e-12):
+        a = np.diag([low, 1.0])
+        for mean in (operator_mean, commuting_oracle):
+            with pytest.raises(NotPositiveDefiniteError, match=f"first argument is not positive definite \\(min eigenvalue {low!r}\\)"):
+                mean(spec, a, np.eye(2))
 
 
 def test_commuting_pair_checks_the_condition_guard():
-    # Joint eigenvalues above PD_FLOOR but a condition number of 1e10: every
+    # Joint eigenvalues above 0 but a condition number of 1e10: every
     # mean of the pair rejects it as the perspective does.
     spec = operator_mean_spec("geometric")
     a = np.diag([1e-9, 10.0])
@@ -406,8 +428,10 @@ def test_trace_perspective_convex_orientation():
 
 
 def test_trace_perspective_rejects_a_joint_eigenvalue_at_the_floor():
-    with pytest.raises(NotPositiveDefiniteError, match="second argument is not positive definite at floor"):
-        trace_perspective_check(get_function("geometric"), np.eye(2), np.diag([1.0, 1e-12]))
+    # The floor is 0: a joint eigenvalue at or below it is rejected.
+    for low in (0.0, -1e-12):
+        with pytest.raises(NotPositiveDefiniteError, match="second argument is not positive definite"):
+            trace_perspective_check(get_function("geometric"), np.eye(2), np.diag([1.0, low]))
 
 
 def test_trace_perspective_rejects_non_commuting():

@@ -27,7 +27,7 @@ from meanineq.campaign import CampaignConfig, load_campaign_config, run_campaign
 from meanineq.functions import RepresentingFunction, run_slices
 from meanineq.linalg import rebuild, require_pd, symmetrize
 from meanineq.operator_means import perspective_kernel, perspective_traces
-from meanineq.tolerances import CLAMP_TOL, COND_LIMIT, PD_FLOOR
+from meanineq.tolerances import CLAMP_TOL, COND_LIMIT
 
 #: The catalog's operator monotone ids.
 MONOTONE = ["arithmetic", "wyd:0.25", "geometric", "harmonic", "logarithmic"]
@@ -42,7 +42,7 @@ def reference_perspective(f, a, b):
     root = np.sqrt(lam_a)
     sqrt_a, inv_sqrt_a = rebuild(root, q_a), rebuild(1.0 / root, q_a)
     lam_m, q_m = np.linalg.eigh(symmetrize(inv_sqrt_a @ b @ inv_sqrt_a))
-    lam_m = np.where(lam_m[..., :1] <= 0.0, np.maximum(lam_m, CLAMP_TOL), lam_m)
+    lam_m = np.where(lam_m[..., :1] <= 0.0, np.maximum(lam_m, CLAMP_TOL * lam_m[..., -1:]), lam_m)
     runs = [(f, len(lam_m))] if isinstance(f, RepresentingFunction) else f
     images = np.concatenate([g.fn(lam_m[rows]) for g, rows in run_slices(runs)])
     return symmetrize(sqrt_a @ rebuild(images, q_m) @ sqrt_a)
@@ -118,7 +118,7 @@ def test_admission_matches_require_pd_on_eigvalsh(monkeypatch):
     good = np.diag([1.0, 2.0, 3.0])
     admitted_by_fallback = 0
     for cond in (1e7, 4.9e7, 5.1e7, 9.9e7, 1.01e8, 1e10):
-        for low in (0.5 * PD_FLOOR, 1.0 * PD_FLOOR, 1.5 * PD_FLOOR, 2.5 * PD_FLOOR):
+        for low in (-1.0, 0.0, 2.0**-40, 1e-10, 1.0, 2.0**40):
             a = np.diag([low, low * np.sqrt(cond), low * cond])
             for case in (a, np.stack([good, a, good]), np.stack([good, good, a])):
                 expected = _require_pd_outcome(case)

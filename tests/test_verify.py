@@ -26,6 +26,7 @@ from meanineq import (
     verify_random_matrix,
 )
 from meanineq.functions import means
+from meanineq.campaign import sample_scalar_space
 from meanineq.verify import FiniteJointSpace, atom_values, weighted_sums
 
 GEO = get_function("geometric")
@@ -221,6 +222,22 @@ def test_scale_equivariance(c):
     assert r2.lhs == pytest.approx(c * r1.lhs, rel=1e-10)
     assert r2.rhs == pytest.approx(c * r1.rhs, rel=1e-10)
     assert r2.gap == pytest.approx(c * r1.gap, rel=1e-10, abs=1e-12)
+
+
+def test_power_of_two_scaling_is_exact():
+    # Scaling by c = 2^k changes only exponents, and every catalog mean is
+    # positively homogeneous: lhs, rhs and gap come out exactly c times.
+    ids = ["arithmetic", "wyd:0.25", "geometric", "harmonic", "logarithmic", "counterexample-g"]
+    spaces = [sample_scalar_space(split_rng(17, s)) for s in range(20)]
+    for fid in ids:
+        f = get_function(fid)
+        for s in spaces:
+            r1 = verify_numeric(s, f)
+            for k in range(-40, 41):
+                c = 2.0**k
+                r2 = verify_numeric(FiniteJointSpace(s.p, c * s.x, c * s.y), f)
+                got = [v.hex() for v in (r2.lhs, r2.rhs, r2.gap)]
+                assert got == [(c * v).hex() for v in (r1.lhs, r1.rhs, r1.gap)], (fid, k)
 
 
 def test_verify_operator_examples():
