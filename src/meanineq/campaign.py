@@ -17,21 +17,22 @@ in-process, in order: threads would serialize on the interpreter lock.
 A trial only makes its generator calls (``Draw``): its dimension and atom
 count, its atoms' Dirichlet weights (exponentials, not yet normalised), then
 its raw values, one call for all its atoms (uniforms for the log2 values of
-x and y, or the Gaussian factors of each atom's rho, X and Y).  Trials are
-evaluated in blocks that run across function boundaries; a block ends at the
-campaign's last trial or once its draws hold BLOCK_ELEMENTS values of x.  A
-block does the arithmetic of its draws at once (``_build``): it normalises
-the weights of all its draws of one atom count as one array, raises 2 to
-the scaled uniforms, and builds its valid-by-construction spaces once per
-matrix dimension (one SPD construction for all the bucket's factors).
-``verify.block_sides`` then evaluates it at once: per bucket two stacked
-Cholesky factorizations and one eigensolve, of the inner matrix, with only
-f on its spectrum run per function, then all weighted sums as padded arrays
-and one rhs call per function.  Every trial's lhs and rhs have the bits of
-building and verifying it alone.  The gaps stay arrays: the campaign's
-counts and extremes are reductions over one (functions, trials) array, its
-verdicts one ``classify_gap`` call.  A search verifies its restarts in
-blocks of SEARCH_CHUNK in the same way.
+x and y, or the Gaussian factors of each atom's rho, X and Y).  A block of
+trials is a range of consecutive (function, trial) pairs in campaign order,
+across function boundaries, that ends at the campaign's last pair or once
+its draws hold BLOCK_ELEMENTS values of x.  A block does the arithmetic of
+its draws at once (``_build``): it normalises the weights of all its draws
+of one atom count as one array, raises 2 to the scaled uniforms, and builds
+its valid-by-construction spaces once per matrix dimension (one SPD
+construction for all the bucket's factors).  ``verify.block_sides`` then
+evaluates it at once: per bucket two stacked Cholesky factorizations and one
+eigensolve, of the inner matrix, with only f on its spectrum run per
+function, then all weighted sums as padded arrays and one rhs call per
+function.  Every trial's lhs and rhs have the bits of building and verifying
+it alone.  A block writes its gaps, and whether ``classify_gap`` finds each
+violated, into its slice of the campaign's two (functions, trials) arrays,
+9 bytes a trial, whose reductions give the counts and extremes.  A search
+verifies its restarts in blocks of SEARCH_CHUNK in the same way.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ def validate_config(config: CampaignConfig) -> None:
             OperatorMeanSpec(f)
     if config.trials < 0:
         raise UsageError(f"trials must be >= 0, got {config.trials!r}")
+    if len(config.functions) * config.trials >= 2**63:  # numpy counts the pairs as int64
+        raise UsageError(f"functions x trials must be below 2**63, got {len(config.functions)} x {config.trials}")
     if config.seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {config.seed!r}")
     lo, hi = config.dims
@@ -140,6 +143,8 @@ def validate_config(config: CampaignConfig) -> None:
     lo, hi = config.atoms
     if not (1 <= lo <= hi):
         raise UsageError(f"atoms range must satisfy 1 <= min <= max, got {config.atoms!r}")
+    if hi >= 2**63:  # numpy draws the atom count as an int64
+        raise UsageError(f"atoms max must be below 2**63, got {hi}")
     if config.tol is not None and not 0.0 < config.tol < float("inf"):
         raise UsageError(f"tol must be finite and positive, got {config.tol!r}")
 
@@ -332,17 +337,21 @@ def _trial_keys(config: CampaignConfig):
         yield from map(tuple, philox_keys(config.seed, pair // config.trials, pair % config.trials).tolist())
 
 
-def _block_gaps(runs, draws: list[Draw], where) -> np.ndarray:
-    """The gaps rhs - lhs of a block of draws, evaluated at once (``runs`` as in
-    ``verify.atom_values``).  When the block fails, its draws are verified one
-    by one, and the first failing one raises, located by ``where(i)``."""
+def _block_gaps(config: CampaignConfig, fs: list, lo: int, draws: list[Draw]) -> np.ndarray:
+    """The gaps rhs - lhs of the draws of the campaign's pairs lo, lo + 1, ...,
+    evaluated at once, each function's pairs one ``verify.atom_values`` run.
+    When the block fails, its draws are verified one by one, and the first
+    failing one raises, named by its (function, trial)."""
+    trials, hi = config.trials, lo + len(draws)
+    fis = range(lo // trials, (hi - 1) // trials + 1)
+    runs = [(fs[fi], min(hi, (fi + 1) * trials) - max(lo, fi * trials)) for fi in fis]
     try:
         lhs, rhs = block_sides(runs, [d.atoms for d in draws], _build(draws))
     except MeanIneqError:
-        fs = [f for f, count in runs for _ in range(count)]
-        for i, (f, d) in enumerate(zip(fs, draws)):
-            with located(where(i)):
-                block_sides([(f, 1)], [d.atoms], _build([d]))
+        for i, d in enumerate(draws):
+            fi, t = divmod(lo + i, trials)
+            with located(f"function {config.functions[fi]!r}, trial {t}"):
+                block_sides([(fs[fi], 1)], [d.atoms], _build([d]))
         raise
     return rhs - lhs
 
@@ -355,52 +364,33 @@ def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> di
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every (function, trial) pair and aggregate.
 
-    Trials are drawn in campaign order, each from the campaign's one Philox
-    generator reseeded with the trial's key, and evaluated in blocks across
-    function boundaries (see the module notes); errors name the first failing
-    trial.  Trials run in this process at any ``workers`` value; the parameter
-    is kept for existing callers and does not change the summary.
+    Trials are drawn in one pass over the pairs in campaign order, each from
+    the campaign's one Philox generator reseeded with the trial's key, and
+    evaluated in blocks of consecutive pairs written in place into ``gaps``
+    and ``violated`` (see the module notes); errors name the first failing
+    trial.  Trials run in this process at any ``workers`` value; the
+    parameter is kept for existing callers and does not change the summary.
     """
     validate_config(config)
     tol, trials = config.resolved_tol(), config.trials
     fs = [get_function(fid) for fid in config.functions]
     rng = np.random.Generator(np.random.Philox(0))  # reseeded before every draw
-    keys = _trial_keys(config)
     # A block closes once its draws hold BLOCK_ELEMENTS values of x: x is one of
     # a draw's two raw value sets in num mode, of three (rho, X, Y) otherwise.
     limit = BLOCK_ELEMENTS * (2 if config.mode == "num" else 3)
-    blocks: list[np.ndarray] = [np.empty(0)]  # the gaps of every block evaluated
-    done = 0  # the trials of those blocks
-    draws, runs, size = [], [], 0  # the open block's draws, its (f, count) runs, its raw values
+    gaps = np.empty((len(fs), trials))  # row fi: function fi's trials
+    violated = np.empty(gaps.shape, dtype=bool)
+    lo, draws, size = 0, [], 0  # the open block's first pair, its draws, its raw values
+    for pair, key in enumerate(_trial_keys(config), 1):
+        draws.append(_run_trial(config, *divmod(pair - 1, trials), rng, key))
+        size += draws[-1].raw.size
+        if size >= limit or pair == gaps.size:  # the block of pairs [lo, pair)
+            block = _block_gaps(config, fs, lo, draws)
+            gaps.flat[lo:pair] = block
+            violated.flat[lo:pair] = classify_gap(block, tol) == VERDICT_VIOLATED
+            lo, draws, size = pair, [], 0
 
-    def where(i: int) -> str:  # the open block's trial i
-        fi, t = divmod(done + i, trials)
-        return f"function {config.functions[fi]!r}, trial {t}"
-
-    def close() -> None:  # evaluate the open block and open the next
-        nonlocal done, size
-        blocks.append(_block_gaps(runs, draws, where))
-        done += len(draws)
-        draws.clear()
-        runs.clear()
-        size = 0
-
-    for fi, f in enumerate(fs):
-        first = len(draws)  # the open block's first draw of f
-        for t in range(trials):
-            draws.append(_run_trial(config, fi, t, rng, next(keys)))
-            size += draws[-1].raw.size
-            if size >= limit:
-                runs.append((f, len(draws) - first))
-                close()
-                first = 0
-        if len(draws) > first:
-            runs.append((f, len(draws) - first))
-    if draws:
-        close()
-
-    gaps = np.concatenate(blocks).reshape(len(fs), trials)  # row fi: function fi's trials
-    violations = (classify_gap(gaps, tol) == VERDICT_VIOLATED).sum(axis=1).tolist()
+    violations = violated.sum(axis=1).tolist()
     lows = gaps.min(axis=1).tolist() if trials else [None] * len(fs)
     highs = abs(gaps).max(axis=1).tolist() if trials else [None] * len(fs)
     per_function = {

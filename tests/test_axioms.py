@@ -12,6 +12,7 @@ from meanineq import (
     construct_counterexample,
     default_grid,
     get_function,
+    mean_num,
     search_violation,
     split_rng,
     verify_numeric,
@@ -135,6 +136,32 @@ def test_concavity_probe_matches_the_midpoint_defect(fid, grid):
     verdict = concavity_probe(f, grid)
     assert verdict.defect.hex() == defect.hex()
     assert (verdict.concave, verdict.witness) == (concave, witness)
+
+
+def _homogeneity_loop(f, grid):
+    """The reference homogeneity check: one pass per scale, keeping the first
+    largest relative defect (strict >) and its (x, y, scale) witness."""
+    g = np.unique(np.asarray(grid, dtype=float))
+    xs, ys = np.meshgrid(g, g, indexing="ij")
+    m = mean_num(f, xs, ys)
+    worst, witness = -np.inf, None
+    for c in (0.5, 2.0, 10.0):
+        hv = np.abs(mean_num(f, c * xs, c * ys) - c * m) / (c * m)
+        i, j = np.unravel_index(int(np.argmax(hv)), hv.shape)
+        if hv[i, j] > worst:
+            worst, witness = float(hv[i, j]), (float(g[i]), float(g[j]), c)
+    return worst, witness
+
+
+@pytest.mark.parametrize("grid", [None, SMALL_GRID, [1.0]], ids=["default", "small", "one-point"])
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_homogeneity_check_matches_the_scale_loop(fid, grid):
+    # Ties, such as every defect 0 on a one-point grid, go to the first
+    # scale, then the first pair, as in the loop.
+    f = get_function(fid)
+    worst, witness = _homogeneity_loop(f, default_grid() if grid is None else grid)
+    (check,) = [c for c in check_axioms(f, grid).checks if c.name == "mean-homogeneity"]
+    assert (check.violation.hex(), check.witness) == (worst.hex(), witness)
 
 
 @pytest.mark.parametrize("fid", ALL_IDS)

@@ -302,6 +302,23 @@ def test_search_memory_does_not_grow_with_the_budget():
     assert abs(large - small) < 2**20, (small, large)
 
 
+def test_campaign_memory_per_trial_stays_small():
+    import tracemalloc
+
+    def peak(trials):
+        cfg = CampaignConfig(mode="num", functions=("geometric", "harmonic"), trials=trials, seed=2)
+        tracemalloc.start()
+        try:
+            run_campaign(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # one-time allocations of a first campaign
+    small, large = peak(10**3), peak(3 * 10**4)
+    assert (large - small) / (2 * (3 * 10**4 - 10**3)) < 24, (small, large)
+
+
 def test_scaled_uniforms_are_numpys_uniform():
     # numpy draws uniform(low, high) as low + (high - low) * random(), so a
     # trial's uniforms give the values the log2 uniforms gave, bit for bit.
@@ -359,6 +376,15 @@ def test_validate_config_needs_finite_positive_tol():
             validate_config(dataclasses.replace(cfg, tol=tol))
         with pytest.raises(UsageError, match="tol"):
             parse_campaign_config(f"mode = num\nfunctions = geometric\ntrials = 5\ntol = {tol}\n")
+
+
+def test_validate_config_rejects_counts_numpy_cannot_draw():
+    # numpy draws an atom count, and counts the campaign's pairs, as int64.
+    cfg = CampaignConfig(mode="rm", functions=("geometric", "harmonic"), trials=2**62 - 1, atoms=(1, 2**63 - 1))
+    validate_config(cfg)
+    for bad in ({"trials": 2**62}, {"atoms": (1, 2**63)}):
+        with pytest.raises(UsageError, match=r"below 2\*\*63"):
+            validate_config(dataclasses.replace(cfg, **bad))
 
 
 def test_sampled_scalar_space_views_match_its_arrays():
@@ -586,8 +612,15 @@ def test_campaign_spaces_are_the_split_rng_spaces(cfg, chunk, monkeypatch):
         CampaignConfig(mode="rm", functions=("geometric", "harmonic", "wyd:0.25"), trials=6, dims=(2, 6), seed=17),
         CampaignConfig(mode="op", functions=("logarithmic", "arithmetic", "harmonic"), trials=12, dims=(2, 6), seed=18),
         CampaignConfig(mode="num", functions=("geometric", "counterexample-g"), trials=40, seed=19),
+        CampaignConfig(
+            mode="num",
+            functions=("geometric", "harmonic", "counterexample-g", "logarithmic", "arithmetic"),
+            trials=1,
+            seed=20,
+        ),
+        CampaignConfig(mode="op", functions=("geometric", "harmonic", "arithmetic"), trials=2, dims=(2, 6), seed=21),
     ],
-    ids=["rm", "op", "num"],
+    ids=["rm", "op", "num", "num-one-trial", "op-two-trials"],
 )
 def test_output_does_not_depend_on_the_block_size(cfg, monkeypatch):
     # A block of 1 value of x holds one trial; 37 ends blocks inside

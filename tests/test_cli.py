@@ -337,6 +337,14 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
         assert "seed" in err and err.count("\n") == 1
 
 
+def test_trials_override_numpy_cannot_count_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text("mode = num\nfunctions = geometric\ntrials = 5\n")
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg), "--trials", "99999999999999999999")
+    assert code == 2 and out == ""
+    assert "2**63" in err and err.count("\n") == 1
+
+
 def test_duplicate_function_id_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "camp.cfg"
     cfg.write_text("mode = num\nfunctions = counterexample-g, counterexample-g\ntrials = 20\n")
@@ -512,6 +520,12 @@ MALFORMED = {
     ),
     "config-missing-key": ("config", "mode = num\nfunctions = geometric\n", None, "'trials'"),
     "config-invalid": ("config", "mode = nope\nfunctions = geometric\ntrials = 5\n", None, "'nope'"),
+    "config-trials-int64": (
+        "config", "mode = num\nfunctions = geometric, harmonic\ntrials = 4611686018427387904\n", None, "2**63",
+    ),
+    "config-atoms-int64": (
+        "config", "mode = rm\nfunctions = geometric\ntrials = 5\natoms = 1-9223372036854775808\n", None, "2**63",
+    ),
     "space-empty": ("space", "# nothing\n", None, "at least one atom"),
     "matrix-non-numeric": ("matrix", "2\n1 0\n\n# second row\n0 zz\n", 5, "2 finite numbers, got '0 zz'"),
     "matrix-row-length": ("matrix", "2\n1 0 0\n0 1\n", 2, "2 finite numbers, got '1 0 0'"),
