@@ -26,6 +26,19 @@ from .verify import two_point_gaps
 
 _HOMOGENEITY_SCALES = (0.5, 2.0, 10.0)
 
+#: The values check_axioms evaluates beyond a grid g, each with a name and
+#: its values at every grid point: f-symmetry's 1/g, the continuity probes'
+#: outermost shifts, the homogeneity scales, and the extreme ratios x / y
+#: that the mean's kernel y f(x / y) takes on the shifted grid pairs.
+_PROBES = (
+    ("1 / g", lambda g: 1.0 / g),
+    ("g * (1 - 10 * JUMP_DELTA)", lambda g: g * (1.0 - 10.0 * JUMP_DELTA)),
+    ("g * (1 + 10 * JUMP_DELTA)", lambda g: g * (1.0 + 10.0 * JUMP_DELTA)),
+    *((f"{c} * g", lambda g, c=c: c * g) for c in _HOMOGENEITY_SCALES),
+    ("g * (1 - 10 * JUMP_DELTA) / max(g)", lambda g: g * (1.0 - 10.0 * JUMP_DELTA) / g[-1]),
+    ("g * (1 + 10 * JUMP_DELTA) / min(g)", lambda g: g * (1.0 + 10.0 * JUMP_DELTA) / g[0]),
+)
+
 
 @dataclass(frozen=True)
 class AxiomCheck:
@@ -75,6 +88,21 @@ def _prepare_grid(grid) -> np.ndarray:
     return arr
 
 
+def _require_probes(g: np.ndarray) -> None:
+    """Reject a sorted grid whose probes leave the positive finite doubles,
+    naming the first grid value that takes a probe out and that probe."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        for name, probe in _PROBES:
+            v = probe(g)
+            bad = ~((0.0 < v) & (v < np.inf))
+            if bad.any():
+                i = int(bad.argmax())
+                raise UsageError(
+                    f"probe grid value {float(g[i])!r} takes the probe {name} = {float(v[i])!r}"
+                    " out of the positive finite doubles"
+                )
+
+
 def _require_tol(tol) -> float:
     if not (isinstance(tol, (int, float)) and 0.0 < tol < float("inf")):
         raise UsageError(f"tol must be finite and positive, got {tol!r}")
@@ -108,6 +136,7 @@ def check_axioms(
     """
     tol = _require_tol(tol)
     g = _prepare_grid(grid)
+    _require_probes(g)
     n = g.size
     checks: list[AxiomCheck] = []
 

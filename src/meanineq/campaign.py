@@ -12,12 +12,21 @@ that generator per trial: it keeps one Philox generator and, before each
 trial's draw, reseeds it with the trial's exact ``SeedSequence`` key, derived
 for up to KEY_CHUNK consecutive (function, trial) pairs at once by
 ``sampling.philox_keys`` and handed over as int tuples.  Trials run
-in-process, in order: threads would serialize on the interpreter lock.
+in-process, in order: threads would serialize on the interpreter lock.  A
+campaign's generator and reseed state are its own, so campaigns may run in
+concurrent threads.
 
 A trial only makes its generator calls (``Draw``): its dimension and atom
 count, its atoms' Dirichlet weights (exponentials, not yet normalised), then
 its raw values, one call for all its atoms (uniforms for the log2 values of
-x and y, or the Gaussian factors of each atom's rho, X and Y).  A block of
+x and y, or the Gaussian factors of each atom's rho, X and Y).  The counts
+are numpy's ``integers`` over two ranges (``_count_ranges``); a freshly
+reseeded generator holds no spare 32-bit word, so ``sampling.fresh_counts``
+reseeds it and computes both counts from one raw word with numpy's own rule,
+as does the rebuild of a trial from its fresh ``split_rng`` generator.  The
+public samplers take a caller's generator, which may hold a spare word, so
+they draw the counts with ``integers``; the values are drawn by one body,
+``_draw``, either way.  A block of
 trials is a range of consecutive (function, trial) pairs in campaign order,
 across function boundaries, that ends at the campaign's last pair or once
 its draws hold BLOCK_ELEMENTS values of x.  A block does the arithmetic of
@@ -48,7 +57,7 @@ from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import OperatorMeanSpec
 from .reports import VERDICT_VIOLATED, InequalityReport, classify_gap
-from .sampling import atom_stacks, draw_factors, philox_keys, reseed, split_rng
+from .sampling import atom_stacks, draw_factors, fresh_counts, fresh_integers, philox_keys, split_rng
 from .tolerances import MATRIX_TOL, SCALAR_TOL
 from .verify import (
     FiniteJointSpace,
@@ -221,17 +230,23 @@ class Draw(NamedTuple):
     atoms = property(lambda self: len(self.weights))
 
 
-def _draw(rng: np.random.Generator, mode: str, dims: tuple[int, int], atoms: tuple[int, int]) -> Draw:
-    """One trial's draw in the v1 stream: the dimension n unless the mode is
-    num; the atom count k and k exponentials unless it is op (one atom); then
-    2k uniforms (x, then y) or the factors.  Only generator calls: ``_build``
-    does the arithmetic for a whole block."""
-    if mode != "num":
-        n = int(rng.integers(dims[0], dims[1] + 1))
+def _count_ranges(mode: str, dims: tuple[int, int], atoms: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The inclusive ranges of a draw's dimension n and atom count k, which
+    the v1 stream draws first, as ``integers(lo, hi + 1)``: num draws no
+    dimension and op no atom count, and numpy draws nothing for a range of
+    one value, so every mode draws its counts from the same two ranges."""
+    return (dims if mode != "num" else (1, 1)), (atoms if mode != "op" else (1, 1))
+
+
+def _draw(rng: np.random.Generator, mode: str, n: int, k: int) -> Draw:
+    """One trial's draw in the v1 stream once its counts n and k are drawn:
+    k exponentials unless the mode is op (one atom), then 2k uniforms (x,
+    then y) or the factors.  Only generator calls: ``_build`` does the
+    arithmetic for a whole block.  ``standard_exponential`` gives the doubles
+    of ``exponential(1.0)``, which scales each by 1.0."""
     if mode == "op":
         return Draw(_ONE_ATOM, draw_factors((1, 3), n, rng))
-    k = int(rng.integers(atoms[0], atoms[1] + 1))
-    weights = rng.exponential(1.0, k)
+    weights = rng.standard_exponential(k)
     if mode == "num":
         return Draw(weights, rng.random((2, k)))
     return Draw(weights, draw_factors((k, 3), n, rng))
@@ -263,13 +278,13 @@ def _stacked(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
 
 
-def _build(draws: list[Draw]) -> list[tuple[list[int], FiniteJointSpace]]:
-    """Draws of one mode as the trusted (rows, space) buckets of
-    ``verify.atom_values``, one per matrix dimension, with the bits of
-    building each draw alone.  The block's weights are normalised at once
-    (``_probabilities``), its scalar values raised at once, and each bucket's
-    matrices built at once from its draws' stacked factors."""
-    counts = np.array([d.atoms for d in draws])
+def _build(draws: list[Draw], counts: list[int]) -> list[tuple[list[int], FiniteJointSpace]]:
+    """Draws of one mode, of counts[i] atoms each, as the trusted (rows,
+    space) buckets of ``verify.atom_values``, one per matrix dimension, with
+    the bits of building each draw alone.  The block's weights are normalised
+    at once (``_probabilities``), its scalar values raised at once, and each
+    bucket's matrices built at once from its draws' stacked factors."""
+    counts = np.array(counts)
     p = _probabilities(_stacked([d.weights for d in draws]), counts)
     if draws[0].raw.ndim == 2:
         x, y = _log_uniform(_stacked([d.raw for d in draws], 1))
@@ -287,21 +302,31 @@ def _build(draws: list[Draw]) -> list[tuple[list[int], FiniteJointSpace]]:
 
 
 def _space(draw: Draw) -> FiniteJointSpace:
-    return _build([draw])[0][1]
+    return _build([draw], [draw.atoms])[0][1]
+
+
+def _sampled(rng: np.random.Generator, mode: str, dims: tuple[int, int], atoms: tuple[int, int]) -> FiniteJointSpace:
+    """A public sampler's space, drawn from a caller's generator.  That
+    generator may hold a spare 32-bit word, which ``integers`` uses and
+    ``sampling.fresh_integers`` would not, so the counts come from
+    ``integers``; the draw and the generator's end state are those of the
+    v1 stream."""
+    n, k = (int(rng.integers(lo, hi + 1)) for lo, hi in _count_ranges(mode, dims, atoms))
+    return _space(_draw(rng, mode, n, k))
 
 
 def sample_scalar_space(
     rng: np.random.Generator, atoms: tuple[int, int] = DEFAULT_ATOMS
 ) -> FiniteJointSpace:
     """Random scalar space: Dirichlet probabilities, log-uniform values."""
-    return _space(_draw(rng, "num", DEFAULT_DIMS, atoms))
+    return _sampled(rng, "num", DEFAULT_DIMS, atoms)
 
 
 def sample_operator_triple(
     rng: np.random.Generator, dims: tuple[int, int] = DEFAULT_DIMS
 ):
     """Random (rho, A, B) with a density state and SPD observables: one atom's draw."""
-    s = _space(_draw(rng, "op", dims, DEFAULT_ATOMS))
+    s = _sampled(rng, "op", dims, DEFAULT_ATOMS)
     return s.rho[0], s.x[0], s.y[0]
 
 
@@ -312,19 +337,23 @@ def sample_matrix_space(
 ) -> FiniteJointSpace:
     """Random matrix-mode space with a density matrix on every atom, all atoms
     drawn in one call."""
-    return _space(_draw(rng, "rm", dims, atoms))
+    return _sampled(rng, "rm", dims, atoms)
 
 
 def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
     """Trial t of function fi as a trusted space (op: one atom), built as the
-    one-draw block of its ``split_rng(seed, fi, t)`` draw."""
-    return _space(_draw(split_rng(config.seed, fi, t), config.mode, config.dims, config.atoms))
+    one-draw block of its draw from the fresh ``split_rng(seed, fi, t)``."""
+    rng = split_rng(config.seed, fi, t)
+    n, k = fresh_integers(rng, _count_ranges(config.mode, config.dims, config.atoms))
+    return _space(_draw(rng, config.mode, n, k))
 
 
-def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key: tuple[int, int]) -> Draw:
+def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key: tuple[int, int], counts) -> Draw:
     """Trial t of function fi's own work, run once per trial in campaign order:
-    its draw from ``rng`` reseeded with the trial's key."""
-    return _draw(reseed(rng, key), config.mode, config.dims, config.atoms)
+    its draw from ``rng`` after ``counts``, the campaign's
+    ``sampling.fresh_counts``, has reseeded it with the trial's key and drawn
+    the trial's counts."""
+    return _draw(rng, config.mode, *counts(key))
 
 
 def _trial_keys(config: CampaignConfig):
@@ -345,13 +374,14 @@ def _block_gaps(config: CampaignConfig, fs: list, lo: int, draws: list[Draw]) ->
     trials, hi = config.trials, lo + len(draws)
     fis = range(lo // trials, (hi - 1) // trials + 1)
     runs = [(fs[fi], min(hi, (fi + 1) * trials) - max(lo, fi * trials)) for fi in fis]
+    counts = [d.atoms for d in draws]
     try:
-        lhs, rhs = block_sides(runs, [d.atoms for d in draws], _build(draws))
+        lhs, rhs = block_sides(runs, counts, _build(draws, counts))
     except MeanIneqError:
-        for i, d in enumerate(draws):
+        for i, (d, k) in enumerate(zip(draws, counts)):
             fi, t = divmod(lo + i, trials)
             with located(f"function {config.functions[fi]!r}, trial {t}"):
-                block_sides([(fs[fi], 1)], [d.atoms], _build([d]))
+                block_sides([(fs[fi], 1)], [k], _build([d], [k]))
         raise
     return rhs - lhs
 
@@ -375,6 +405,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     tol, trials = config.resolved_tol(), config.trials
     fs = [get_function(fid) for fid in config.functions]
     rng = np.random.Generator(np.random.Philox(0))  # reseeded before every draw
+    counts = fresh_counts(rng, _count_ranges(config.mode, config.dims, config.atoms))
     # A block closes once its draws hold BLOCK_ELEMENTS values of x: x is one of
     # a draw's two raw value sets in num mode, of three (rho, X, Y) otherwise.
     limit = BLOCK_ELEMENTS * (2 if config.mode == "num" else 3)
@@ -382,7 +413,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     violated = np.empty(gaps.shape, dtype=bool)
     lo, draws, size = 0, [], 0  # the open block's first pair, its draws, its raw values
     for pair, key in enumerate(_trial_keys(config), 1):
-        draws.append(_run_trial(config, *divmod(pair - 1, trials), rng, key))
+        draws.append(_run_trial(config, *divmod(pair - 1, trials), rng, key, counts))
         size += draws[-1].raw.size
         if size >= limit or pair == gaps.size:  # the block of pairs [lo, pair)
             block = _block_gaps(config, fs, lo, draws)

@@ -77,6 +77,40 @@ def test_empty_grid_rejected():
         check_axioms(get_function("geometric"), tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "grid, value, probe",
+    [
+        ([1.0, 1e308], "1e+308", "2.0 * g = inf"),
+        ([5e-324, 1.0], "5e-324", "1 / g = inf"),
+        ([1.0, 1.7e308], "1.7e+308", "2.0 * g = inf"),
+        ([1e-200, 1e200], "1e-200", "g * (1 - 10 * JUMP_DELTA) / max(g) = 0.0"),
+    ],
+    ids=["overflow", "reciprocal-overflow", "near-max", "ratio-underflow"],
+)
+def test_grid_whose_probes_leave_the_doubles_is_rejected(grid, value, probe):
+    # Rejected before any probe is evaluated: a short message naming the
+    # grid value and the probe, and no floating-point warning.
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError) as exc:
+            check_axioms(get_function("arithmetic"), grid)
+    message = str(exc.value)
+    assert message == f"probe grid value {value} takes the probe {probe} out of the positive finite doubles"
+    assert len(message) < 200
+
+
+@pytest.mark.parametrize("grid", [[2.2e-308, 1.0], [1.0, 1.7e307], [1e-150, 1.0, 1e150]], ids=["tiny", "huge", "wide"])
+def test_grid_near_the_ends_of_the_doubles_is_probed(grid):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_axioms(get_function("arithmetic"), grid, tol=1e-10)
+    assert report.passed and report.grid_points == len(grid)
+
+
 def test_concavity_examples():
     dense = np.linspace(0.1, 10.0, 200)
     assert concavity_probe(get_function("logarithmic"), dense, tol=1e-9).concave

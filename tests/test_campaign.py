@@ -490,16 +490,16 @@ def _with_bad_trials(monkeypatch, bad, draw=None, atom=None):
     run_trial, build = campaign._run_trial, campaign._build
     bad_draws, built = [], []
 
-    def run_trial_with_bad_draws(config, fi, t, rng, key):
-        d = run_trial(config, fi, t, rng, key)
+    def run_trial_with_bad_draws(config, fi, t, rng, key, counts):
+        d = run_trial(config, fi, t, rng, key, counts)
         if (fi, t) in bad:
             bad_draws.append(draw(d) if draw else d)
             return bad_draws[-1]
         return d
 
-    def build_with_bad_spaces(draws):
+    def build_with_bad_spaces(draws, counts):
         built.append(len(draws))
-        buckets = build(draws)
+        buckets = build(draws, counts)
         for rows, space in buckets:
             starts = np.cumsum([0] + [draws[i].atoms for i in rows])
             for j, i in zip(starts, rows):
@@ -568,8 +568,8 @@ def _campaign_spaces(cfg, monkeypatch):
     drawn = []
     run_trial = campaign._run_trial
 
-    def record(config, fi, t, rng, key):
-        d = run_trial(config, fi, t, rng, key)
+    def record(config, fi, t, rng, key, counts):
+        d = run_trial(config, fi, t, rng, key, counts)
         drawn.append((fi, t, campaign._space(d)))
         return d
 
@@ -633,6 +633,53 @@ def test_output_does_not_depend_on_the_block_size(cfg, monkeypatch):
         monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", size)
         assert emit_report(run_campaign(cfg), "json") == unpatched, size
     assert cfg.mode != "num" or '"worst_case"' in unpatched
+
+
+def test_concurrent_campaigns_match_sequential_runs(monkeypatch):
+    # Each campaign owns its generator and the state it reseeds it with, so
+    # two campaigns running at once in two threads draw what each draws
+    # alone.  Every trial yields the interpreter between reseeding and
+    # drawing its values, where a shared generator would be reseeded by the
+    # other campaign.
+    import threading
+    import time
+
+    from meanineq import campaign
+
+    cfgs = [
+        CampaignConfig(mode="num", functions=("geometric", "counterexample-g"), trials=200, seed=31),
+        CampaignConfig(mode="rm", functions=("harmonic",), trials=200, dims=(2, 3), atoms=(1, 3), seed=32),
+    ]
+    sequential = [run_campaign(cfg) for cfg in cfgs]
+    fresh_counts, modes = campaign.fresh_counts, []
+
+    def yielding_counts(rng, ranges):
+        counts = fresh_counts(rng, ranges)
+
+        def counts_then_yield(key):
+            drawn = counts(key)
+            modes.append(threading.current_thread().name)
+            time.sleep(0)
+            return drawn
+
+        return counts_then_yield
+
+    monkeypatch.setattr(campaign, "fresh_counts", yielding_counts)
+    concurrent = [None, None]
+    start = threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        concurrent[i] = run_campaign(cfgs[i])
+
+    threads = [threading.Thread(target=run, args=(i,), name=str(i)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    switches = sum(a != b for a, b in zip(modes, modes[1:]))
+    assert switches > 10
+    assert concurrent == sequential
 
 
 def test_campaigns_keep_numpy_ma_unimported():

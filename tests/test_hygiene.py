@@ -68,6 +68,41 @@ def test_src_uses_only_explicit_generators(path):
     assert _numpy_random_uses(ast.parse(path.read_text())) == []
 
 
+#: The one module that reads a generator's raw words or sets its state: the
+#: v1 stream's internals (Philox keys, fresh states, numpy's bounded-integer
+#: rule) stay where they are tested against numpy.
+STREAM_OWNER = "sampling.py"
+
+
+def _stream_internals(tree: ast.AST) -> list[str]:
+    """Every ``random_raw`` attribute, called or not, and every assignment to
+    a ``state`` attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random_raw":
+            found.append(f"line {node.lineno}: random_raw")
+        elif isinstance(node, ast.Attribute) and node.attr == "state" and isinstance(node.ctx, ast.Store):
+            found.append(f"line {node.lineno}: state =")
+    return sorted(found)
+
+
+def test_stream_scan_catches_raw_words_and_state():
+    tree = ast.parse(
+        "w = rng.bit_generator.random_raw()\nraw = bg.random_raw\nrng.bit_generator.state = s\n"
+        "bg.state, x = s, 1\ns = rng.bit_generator.state\nstate = {}\n"
+    )
+    assert _stream_internals(tree) == ["line 1: random_raw", "line 2: random_raw", "line 3: state =", "line 4: state ="]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_touches_stream_internals_only_in_sampling(path):
+    found = _stream_internals(ast.parse(path.read_text()))
+    if path.name == STREAM_OWNER:
+        assert found != []
+    else:
+        assert found == []
+
+
 #: The one function of the package that reads a file: it turns a file that
 #: cannot be read or decoded into a usage error naming it (exit 2), where a
 #: loader of its own would let the exception escape as a traceback (exit 1).

@@ -16,7 +16,8 @@ from meanineq import (
     sample_spd,
     split_rng,
 )
-from meanineq.sampling import DEFAULT_FLOOR, philox_keys, reseed
+from meanineq.campaign import DEFAULT_ATOMS, DEFAULT_DIMS, _count_ranges
+from meanineq.sampling import DEFAULT_FLOOR, fresh_counts, fresh_integers, philox_keys, reseed
 from meanineq.tolerances import COND_LIMIT
 
 
@@ -198,3 +199,96 @@ def test_reseed_leaves_no_buffered_words(spare):
     assert np.array_equal(words(rng, 3), words(ref, 3))
     assert np.array_equal(rng.uniform(size=3), ref.uniform(size=3))
     assert _state(rng) == _state(ref)
+
+
+# The fresh-generator counts reproduce numpy's own bounded-integer rule
+# (Lemire's, on 32-bit halves of Philox words, low half first) from raw
+# words.  These tests pin the installed numpy's rule: a numpy that draws
+# integers another way fails them, not the goldens alone.
+ROWS = 10_000
+
+
+def _keys(seed, rows=ROWS):
+    """The int-tuple keys of trials 0 .. rows - 1 of function 0."""
+    return list(map(tuple, philox_keys(seed, np.zeros(rows, dtype=np.uint64), np.arange(rows)).tolist()))
+
+
+def _assert_fresh_counts_are_integers(ranges, seed, rows=ROWS):
+    # Each key: the campaign's counts, fresh_integers on a reseeded generator
+    # and on a split_rng one, against rng.integers; then the next 64-bit word.
+    rng, ref, alone = (np.random.Generator(np.random.Philox(0)) for _ in range(3))
+    counts = fresh_counts(rng, ranges)
+    for t, key in enumerate(_keys(seed, rows)):
+        reseed(ref, key)
+        want = [int(ref.integers(lo, hi + 1)) for lo, hi in ranges]
+        assert list(counts(key)) == want, (t, key)
+        assert fresh_integers(reseed(alone, key), ranges) == want, (t, key)
+        word = ref.bit_generator.random_raw()
+        assert rng.bit_generator.random_raw() == word == alone.bit_generator.random_raw(), (t, key)
+    fresh, ref = split_rng(seed, 0, 3), split_rng(seed, 0, 3)
+    assert fresh_integers(fresh, ranges) == [int(ref.integers(lo, hi + 1)) for lo, hi in ranges]
+    assert fresh.random() == ref.random()
+
+
+@pytest.mark.parametrize("mode", ["num", "op", "rm"])
+def test_fresh_counts_are_integers_on_default_ranges(mode):
+    _assert_fresh_counts_are_integers(_count_ranges(mode, DEFAULT_DIMS, DEFAULT_ATOMS), seed=41)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [((6, 6), (1, 1)), ((1, 1), (4, 4)), ((6, 6), (1, 12)), ((2, 6), (4, 4)), ((6, 6), (4, 4))],
+    ids=["op-dims-6", "num-atoms-4", "rm-dims-6", "rm-atoms-4", "rm-both-fixed"],
+)
+def test_fresh_counts_draw_nothing_for_a_span_of_one(ranges):
+    _assert_fresh_counts_are_integers(ranges, seed=42)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [((2, 6), (1, 2**31 + 1)), ((1, 2**31 + 1), (2, 6)), ((0, 2**31), (5, 2**31 + 5)), ((0, 2**32 - 2), (7, 7))],
+    ids=["second", "first", "both", "span-2^32-1"],
+)
+def test_fresh_counts_follow_rejections_half_by_half(ranges):
+    # Lemire rejects about half of the 32-bit halves at a span of 2**31 + 1,
+    # so counts take low half, high half, then the next word's low half.
+    _assert_fresh_counts_are_integers(ranges, seed=43)
+
+
+@pytest.mark.parametrize("ranges", [((2, 6), (1, 2**32)), ((1, 2**40), (2, 6)), ((1, 1), (0, 2**63 - 2))])
+def test_fresh_counts_use_integers_from_a_span_of_2_to_the_32(ranges):
+    # numpy draws these spans from 64-bit words or other rules; the counts
+    # are rng.integers' own, and leave the generator in its state.
+    rng, ref = (np.random.Generator(np.random.Philox(0)) for _ in range(2))
+    counts = fresh_counts(rng, ranges)
+    for key in _keys(44, 200):
+        reseed(ref, key)
+        want = tuple(int(ref.integers(lo, hi + 1)) for lo, hi in ranges)
+        assert counts(key) == want
+        assert _state(rng) == _state(ref)
+        assert fresh_integers(reseed(rng, key), ranges) == list(want)
+        assert _state(rng) == _state(ref)
+
+
+@pytest.mark.parametrize("span", [3, 5, 11, 2**31 + 1, 2**32 - 1])
+def test_fresh_integers_reject_exactly_below_the_threshold(span):
+    # Philox hands out its buffered words first, so a generator with no
+    # spare half can be fed words whose halves u give (u * span) mod 2**32
+    # one below numpy's threshold (rejected) and at it (taken).
+    threshold = (2**32 - span) % span
+    below, at = ((threshold + d) * pow(span, -1, 2**32) % 2**32 for d in (-1, 0))
+    words = (below | at << 32, at | below << 32, below | below << 32, at | at << 32)
+    ranges = ((7, 7 + span - 1), (2, 1 + span), (0, span - 1))
+    rng, ref = (np.random.Generator(np.random.Philox(0)) for _ in range(2))
+    for g in (rng, ref):
+        g.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (1, 2)},
+            "buffer": words,
+            "buffer_pos": 0,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    want = [int(ref.integers(lo, hi + 1)) for lo, hi in ranges]
+    assert fresh_integers(rng, ranges) == want == [7 + (at * span >> 32), 2 + (at * span >> 32), 0 + (at * span >> 32)]
+    assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
