@@ -23,13 +23,14 @@ x and y, or the Gaussian factors of each atom's rho, X and Y).  The counts
 are numpy's ``integers`` over two ranges (``_count_ranges``); a freshly
 reseeded generator holds no spare 32-bit word, so ``sampling.fresh_counts``
 reseeds it and computes both counts from one raw word with numpy's own rule,
-as does the rebuild of a trial from its fresh ``split_rng`` generator.  The
-public samplers take a caller's generator, which may hold a spare word, so
-they draw the counts with ``integers``; the values are drawn by one body,
-``_draw``, either way.  A block of
-trials is a range of consecutive (function, trial) pairs in campaign order,
-across function boundaries, that ends at the campaign's last pair or once
-its draws hold BLOCK_ELEMENTS values of x.  A block does the arithmetic of
+in one straight-line path for the ranges that draw (one for each mode at the
+default ranges).  The public samplers take a caller's generator, which may
+hold a spare word, so they draw the counts with ``integers``, as does the
+rebuild of a trial from its ``split_rng`` generator; the values are drawn by
+one body, ``_draw``, either way.  A block of trials is a range of
+consecutive (function, trial) pairs in campaign order, across function
+boundaries, that ends at the campaign's last pair or once its draws hold
+BLOCK_ELEMENTS values of x.  A block does the arithmetic of
 its draws at once (``_build``): it normalises the weights of all its draws
 of one atom count as one array, raises 2 to the scaled uniforms, and builds
 its valid-by-construction spaces once per matrix dimension (one SPD
@@ -57,7 +58,7 @@ from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import OperatorMeanSpec
 from .reports import VERDICT_VIOLATED, InequalityReport, classify_gap
-from .sampling import atom_stacks, draw_factors, fresh_counts, fresh_integers, philox_keys, split_rng
+from .sampling import atom_stacks, draw_factors, fresh_counts, philox_keys, split_rng
 from .tolerances import MATRIX_TOL, SCALAR_TOL
 from .verify import (
     FiniteJointSpace,
@@ -278,13 +279,13 @@ def _stacked(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
 
 
-def _build(draws: list[Draw], counts: list[int]) -> list[tuple[list[int], FiniteJointSpace]]:
-    """Draws of one mode, of counts[i] atoms each, as the trusted (rows,
-    space) buckets of ``verify.atom_values``, one per matrix dimension, with
-    the bits of building each draw alone.  The block's weights are normalised
-    at once (``_probabilities``), its scalar values raised at once, and each
-    bucket's matrices built at once from its draws' stacked factors."""
-    counts = np.array(counts)
+def _build(draws: list[Draw]) -> list[tuple[list[int], FiniteJointSpace]]:
+    """Draws of one mode as the trusted (rows, space) buckets of
+    ``verify.atom_values``, one per matrix dimension, with the bits of
+    building each draw alone.  The block's weights are normalised at once
+    (``_probabilities``), its scalar values raised at once, and each bucket's
+    matrices built at once from its draws' stacked factors."""
+    counts = np.array([d.atoms for d in draws])
     p = _probabilities(_stacked([d.weights for d in draws]), counts)
     if draws[0].raw.ndim == 2:
         x, y = _log_uniform(_stacked([d.raw for d in draws], 1))
@@ -302,13 +303,13 @@ def _build(draws: list[Draw], counts: list[int]) -> list[tuple[list[int], Finite
 
 
 def _space(draw: Draw) -> FiniteJointSpace:
-    return _build([draw], [draw.atoms])[0][1]
+    return _build([draw])[0][1]
 
 
 def _sampled(rng: np.random.Generator, mode: str, dims: tuple[int, int], atoms: tuple[int, int]) -> FiniteJointSpace:
     """A public sampler's space, drawn from a caller's generator.  That
     generator may hold a spare 32-bit word, which ``integers`` uses and
-    ``sampling.fresh_integers`` would not, so the counts come from
+    ``sampling.fresh_counts`` would not, so the counts come from
     ``integers``; the draw and the generator's end state are those of the
     v1 stream."""
     n, k = (int(rng.integers(lo, hi + 1)) for lo, hi in _count_ranges(mode, dims, atoms))
@@ -342,10 +343,8 @@ def sample_matrix_space(
 
 def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
     """Trial t of function fi as a trusted space (op: one atom), built as the
-    one-draw block of its draw from the fresh ``split_rng(seed, fi, t)``."""
-    rng = split_rng(config.seed, fi, t)
-    n, k = fresh_integers(rng, _count_ranges(config.mode, config.dims, config.atoms))
-    return _space(_draw(rng, config.mode, n, k))
+    one-draw block of its ``split_rng(seed, fi, t)`` draw."""
+    return _sampled(split_rng(config.seed, fi, t), config.mode, config.dims, config.atoms)
 
 
 def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key: tuple[int, int], counts) -> Draw:
@@ -374,14 +373,13 @@ def _block_gaps(config: CampaignConfig, fs: list, lo: int, draws: list[Draw]) ->
     trials, hi = config.trials, lo + len(draws)
     fis = range(lo // trials, (hi - 1) // trials + 1)
     runs = [(fs[fi], min(hi, (fi + 1) * trials) - max(lo, fi * trials)) for fi in fis]
-    counts = [d.atoms for d in draws]
     try:
-        lhs, rhs = block_sides(runs, counts, _build(draws, counts))
+        lhs, rhs = block_sides(runs, [d.atoms for d in draws], _build(draws))
     except MeanIneqError:
-        for i, (d, k) in enumerate(zip(draws, counts)):
+        for i, d in enumerate(draws):
             fi, t = divmod(lo + i, trials)
             with located(f"function {config.functions[fi]!r}, trial {t}"):
-                block_sides([(fs[fi], 1)], [k], _build([d], [k]))
+                block_sides([(fs[fi], 1)], [d.atoms], _build([d]))
         raise
     return rhs - lhs
 

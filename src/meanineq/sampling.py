@@ -13,12 +13,12 @@ generator to the fresh state of a key.
 A fresh generator also draws bounded integers more cheaply.  numpy's
 ``integers(lo, hi + 1)`` takes a span s = hi - lo + 1 below 2**32 from 32-bit
 words by Lemire's rule, and a fresh Philox has no spare 32-bit word, so its
-first counts come from the low half of its first 64-bit raw word, then its
-high half, then the next word's: :func:`fresh_integers` and the per-campaign
-:func:`fresh_counts` compute them from ``random_raw()`` words, bit for bit.
-A caller's generator may hold a spare word (``integers`` keeps the high half
-it did not use), so these hold only for a fresh one; and they leave no spare
-word behind, so only 64-bit draws (uniforms, normals, exponentials) may follow.
+first two counts come from the low, then the high half of its first 64-bit
+raw word unless one is rejected: the per-campaign :func:`fresh_counts`
+computes them from one ``random_raw()`` word, bit for bit.  A caller's
+generator may hold a spare word (``integers`` keeps the high half it did not
+use), so this holds only for a fresh one; and it leaves no spare word behind,
+so only 64-bit draws (uniforms, normals, exponentials) may follow.
 This module is the only one that reads raw words or sets a generator's state.
 """
 
@@ -122,13 +122,13 @@ def philox_keys(seed: int, fi, t) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
-def _fresh_state() -> dict:
-    """The state of a fresh Philox keyed by (0, 0): zero counter, empty
+def _fresh_state(key: tuple[int, int] = (0, 0)) -> dict:
+    """The state of a fresh Philox keyed by ``key``: zero counter, empty
     buffer, no spare 32-bit word, all Python ints, which numpy reads faster
-    than arrays.  :func:`reseed` writes a key into it."""
+    than arrays."""
     return {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+        "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -136,17 +136,12 @@ def _fresh_state() -> dict:
     }
 
 
-def reseed(rng: np.random.Generator, key: tuple[int, int], state: dict | None = None) -> np.random.Generator:
+def reseed(rng: np.random.Generator, key: tuple[int, int]) -> np.random.Generator:
     """Reset a Philox-backed generator to the state a fresh ``Philox`` keyed
     by ``key``, two Python ints below 2**64, starts in.  With a row of
     :func:`philox_keys` as a tuple, rng then draws what the matching
-    :func:`split_rng` generator draws.  A caller that reseeds often passes
-    ``state``, a ``_fresh_state`` dict of its own, which is rewritten in place
-    rather than built anew; callers in concurrent threads must not share one."""
-    if state is None:
-        state = _fresh_state()
-    state["state"]["key"] = key
-    rng.bit_generator.state = state
+    :func:`split_rng` generator draws."""
+    rng.bit_generator.state = _fresh_state(key)
     return rng
 
 
@@ -161,70 +156,61 @@ def _bounded(ranges) -> list[tuple[int, int, int]] | None:
     return [(lo, span, (_MASK32 + 1 - span) % span) for lo, span in spans]
 
 
-def _lemire(raw, bounded) -> list[int]:
-    """``integers(lo, lo + span)`` for each (lo, span, threshold) of
-    ``bounded`` in turn, on a fresh generator whose 64-bit raw words come from
-    ``raw()``: low half first.  A span of 1 draws nothing."""
-    counts, spare = [], None
-    for lo, span, threshold in bounded:
-        while span > 1:
-            if spare is None:
-                word = raw()
-                u, spare = word & _MASK32, word >> 32
-            else:
-                u, spare = spare, None
-            m = u * span
-            if m & _MASK32 >= threshold:
-                lo += m >> 32
-                break
-        counts.append(lo)
-    return counts
-
-
-def fresh_integers(rng: np.random.Generator, ranges) -> list[int]:
-    """``int(rng.integers(lo, hi + 1))`` for each inclusive (lo, hi) of
-    ``ranges`` in turn, for a fresh Philox generator (:func:`split_rng` or
-    :func:`reseed`; see the module notes), from its raw words."""
-    bounded = _bounded(ranges)
-    if bounded is None:
-        return [int(rng.integers(lo, hi + 1)) for lo, hi in ranges]
-    return _lemire(rng.bit_generator.random_raw, bounded)
-
-
 def fresh_counts(rng: np.random.Generator, ranges):
     """A campaign's trial counts: a function of a key that reseeds ``rng``
-    with it and returns :func:`fresh_integers` of the two inclusive (lo, hi)
-    ``ranges`` as a tuple.  Built once per campaign: it owns its reseed state
-    and its ranges' Lemire constants, and draws both counts from one raw
-    word unless a half of it is rejected (a chance below span / 2**32 per
-    count), when it draws them as :func:`fresh_integers` does."""
+    with it and returns ``int(rng.integers(lo, hi + 1))`` for each of the two
+    inclusive (lo, hi) ``ranges`` in turn, as a tuple.  Built once per
+    campaign: it owns its reseed state and its ranges' Lemire constants, and
+    computes both counts from the fresh generator's first raw word (see the
+    module notes).  When a half of that word is rejected (a chance below
+    span / 2**32 per count), a span is 2**32 or more, or neither range has
+    more than one value, it calls ``integers`` on the reseeded generator."""
     state = _fresh_state()
+    inner, bit_generator = state["state"], rng.bit_generator
 
     def general(key: tuple[int, int]) -> tuple[int, ...]:
-        return tuple(fresh_integers(reseed(rng, key, state), ranges))
+        inner["key"] = key
+        bit_generator.state = state
+        return tuple(int(rng.integers(lo, hi + 1)) for lo, hi in ranges)
 
     bounded = _bounded(ranges)
     if bounded is None or bounded[0][1] == bounded[1][1] == 1:
         return general
     (lo_a, span_a, thr_a), (lo_b, span_b, thr_b) = bounded
-    # A span of 1 takes no half word, and gives lo from any half without a
-    # rejection: the second range takes the high half after a drawn first
-    # one, else the low half.
-    shift = 32 if span_a > 1 else 0
-    inner, bit_generator = state["state"], rng.bit_generator
     random_raw = bit_generator.random_raw
 
-    def counts(key: tuple[int, int]) -> tuple[int, int]:
-        inner["key"] = key  # reseed, inlined
+    # One straight-line path per set of ranges that draw (a span of 1 takes
+    # no half word): both (rm) take the low, then the high half; one alone,
+    # the first (op) or the second (num), takes the low half.
+    def both(key: tuple[int, int]) -> tuple[int, int]:
+        inner["key"] = key
         bit_generator.state = state
         word = random_raw()
         a = (word & _MASK32) * span_a
-        b = (word >> shift & _MASK32) * span_b
+        b = (word >> 32) * span_b
         if a & _MASK32 < thr_a or b & _MASK32 < thr_b:
             return general(key)
         return lo_a + (a >> 32), lo_b + (b >> 32)
 
-    return counts
+    def first(key: tuple[int, int]) -> tuple[int, int]:
+        inner["key"] = key
+        bit_generator.state = state
+        a = (random_raw() & _MASK32) * span_a
+        if a & _MASK32 < thr_a:
+            return general(key)
+        return lo_a + (a >> 32), lo_b
+
+    def second(key: tuple[int, int]) -> tuple[int, int]:
+        inner["key"] = key
+        bit_generator.state = state
+        b = (random_raw() & _MASK32) * span_b
+        if b & _MASK32 < thr_b:
+            return general(key)
+        return lo_a, lo_b + (b >> 32)
+
+    if span_a == 1:
+        return second
+    return both if span_b > 1 else first
 
 
 def draw_factors(shape: tuple[int, ...], n: int, rng: np.random.Generator) -> np.ndarray:

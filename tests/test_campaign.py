@@ -497,9 +497,9 @@ def _with_bad_trials(monkeypatch, bad, draw=None, atom=None):
             return bad_draws[-1]
         return d
 
-    def build_with_bad_spaces(draws, counts):
+    def build_with_bad_spaces(draws):
         built.append(len(draws))
-        buckets = build(draws, counts)
+        buckets = build(draws)
         for rows, space in buckets:
             starts = np.cumsum([0] + [draws[i].atoms for i in rows])
             for j, i in zip(starts, rows):

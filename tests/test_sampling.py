@@ -1,5 +1,7 @@
 """Seeded SPD and density sampling."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from meanineq import (
     split_rng,
 )
 from meanineq.campaign import DEFAULT_ATOMS, DEFAULT_DIMS, _count_ranges
-from meanineq.sampling import DEFAULT_FLOOR, fresh_counts, fresh_integers, philox_keys, reseed
+from meanineq.sampling import DEFAULT_FLOOR, _bounded, fresh_counts, philox_keys, reseed
 from meanineq.tolerances import COND_LIMIT
 
 
@@ -214,20 +216,15 @@ def _keys(seed, rows=ROWS):
 
 
 def _assert_fresh_counts_are_integers(ranges, seed, rows=ROWS):
-    # Each key: the campaign's counts, fresh_integers on a reseeded generator
-    # and on a split_rng one, against rng.integers; then the next 64-bit word.
-    rng, ref, alone = (np.random.Generator(np.random.Philox(0)) for _ in range(3))
+    # Each key: the campaign's counts against rng.integers on a reseeded
+    # generator, then the next 64-bit word.
+    rng, ref = (np.random.Generator(np.random.Philox(0)) for _ in range(2))
     counts = fresh_counts(rng, ranges)
     for t, key in enumerate(_keys(seed, rows)):
         reseed(ref, key)
-        want = [int(ref.integers(lo, hi + 1)) for lo, hi in ranges]
-        assert list(counts(key)) == want, (t, key)
-        assert fresh_integers(reseed(alone, key), ranges) == want, (t, key)
-        word = ref.bit_generator.random_raw()
-        assert rng.bit_generator.random_raw() == word == alone.bit_generator.random_raw(), (t, key)
-    fresh, ref = split_rng(seed, 0, 3), split_rng(seed, 0, 3)
-    assert fresh_integers(fresh, ranges) == [int(ref.integers(lo, hi + 1)) for lo, hi in ranges]
-    assert fresh.random() == ref.random()
+        want = tuple(int(ref.integers(lo, hi + 1)) for lo, hi in ranges)
+        assert counts(key) == want, (t, key)
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw(), (t, key)
 
 
 @pytest.mark.parametrize("mode", ["num", "op", "rm"])
@@ -266,29 +263,65 @@ def test_fresh_counts_use_integers_from_a_span_of_2_to_the_32(ranges):
         want = tuple(int(ref.integers(lo, hi + 1)) for lo, hi in ranges)
         assert counts(key) == want
         assert _state(rng) == _state(ref)
-        assert fresh_integers(reseed(rng, key), ranges) == list(want)
-        assert _state(rng) == _state(ref)
+
+
+def _boundary_words(span):
+    """32-bit words u whose (u * span) mod 2**32 is one below the Lemire
+    threshold of span (rejected) and at it (taken)."""
+    threshold = (2**32 - span) % span
+    return [(threshold + d) * pow(span, -1, 2**32) % 2**32 for d in (-1, 0)]
 
 
 @pytest.mark.parametrize("span", [3, 5, 11, 2**31 + 1, 2**32 - 1])
-def test_fresh_integers_reject_exactly_below_the_threshold(span):
+def test_numpy_rejects_exactly_below_the_bounded_threshold(span):
     # Philox hands out its buffered words first, so a generator with no
-    # spare half can be fed words whose halves u give (u * span) mod 2**32
-    # one below numpy's threshold (rejected) and at it (taken).
-    threshold = (2**32 - span) % span
-    below, at = ((threshold + d) * pow(span, -1, 2**32) % 2**32 for d in (-1, 0))
-    words = (below | at << 32, at | below << 32, below | below << 32, at | at << 32)
+    # spare half can be fed chosen words: numpy's integers rejects a half
+    # exactly while it is below the threshold that _bounded gives.
+    below, at = _boundary_words(span)
     ranges = ((7, 7 + span - 1), (2, 1 + span), (0, span - 1))
-    rng, ref = (np.random.Generator(np.random.Philox(0)) for _ in range(2))
-    for g in (rng, ref):
-        g.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (1, 2)},
-            "buffer": words,
-            "buffer_pos": 0,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    want = [int(ref.integers(lo, hi + 1)) for lo, hi in ranges]
-    assert fresh_integers(rng, ranges) == want == [7 + (at * span >> 32), 2 + (at * span >> 32), 0 + (at * span >> 32)]
-    assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+    assert [thr for _, _, thr in _bounded(ranges)] == [(2**32 - span) % span] * 3
+    rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (1, 2)},
+        "buffer": (below | at << 32, at | below << 32, below | below << 32, at | at << 32),
+        "buffer_pos": 0,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    got = [int(rng.integers(lo, hi + 1)) for lo, hi in ranges]
+    assert got == [lo + (at * span >> 32) for lo, _ in ranges]
+    # Seven halves, low first: rejected, taken; taken; then the spare,
+    # rejected, two more rejected, and the last word's low half taken,
+    # leaving its high half spare.
+    state = rng.bit_generator.state
+    assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (4, 1, at)
+
+
+class _GivenWords:
+    """A bit generator stand-in that hands out given raw words and accepts
+    any state."""
+
+    def __init__(self, words):
+        self.random_raw = iter(words).__next__
+        self.state = None
+
+
+@pytest.mark.parametrize("span", [3, 5, 11, 2**31 + 1, 2**32 - 1])
+def test_fresh_counts_reject_exactly_below_the_threshold(span):
+    # A half one below the threshold sends the counts to rng.integers, here
+    # a stand-in that returns -1; a half at it is taken.  Both ranges draw
+    # (rm) from the low, then the high half; one alone, the first (op) or
+    # the second (num), from the low half.
+    below, at = _boundary_words(span)
+    drawn, taken = (7, 6 + span), 7 + (at * span >> 32)
+    cases = [
+        ((drawn, drawn), [at | at << 32, below | at << 32, at | below << 32], (taken, taken)),
+        ((drawn, (3, 3)), [at | below << 32, below | at << 32], (taken, 3)),
+        (((3, 3), drawn), [at | below << 32, below | at << 32], (3, taken)),
+    ]
+    for ranges, words, want in cases:
+        rng = SimpleNamespace(bit_generator=_GivenWords(words), integers=lambda lo, hi: -1)
+        counts = fresh_counts(rng, ranges)
+        assert counts((1, 2)) == want
+        assert [counts((1, 2)) for _ in words[1:]] == [(-1, -1)] * (len(words) - 1)
