@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import UsageError
 from .functions import RepresentingFunction, default_grid, mean_num
-from .reports import VERDICT_VIOLATED, classify_gap
+from .reports import VERDICT_VIOLATED, classify_gap, require_tol
 from .tolerances import CONCAVITY_TOL, JUMP_DELTA, SCALAR_TOL
 from .verify import two_point_gaps
 
@@ -103,12 +103,6 @@ def _require_probes(g: np.ndarray) -> None:
                 )
 
 
-def _require_tol(tol) -> float:
-    if not (isinstance(tol, (int, float)) and 0.0 < tol < float("inf")):
-        raise UsageError(f"tol must be finite and positive, got {tol!r}")
-    return float(tol)
-
-
 def _jump_estimate(spread_small: np.ndarray, spread_big: np.ndarray) -> np.ndarray:
     return (10.0 * spread_small - spread_big) / 9.0
 
@@ -134,7 +128,7 @@ def check_axioms(
     increase, continuity).  Violations are relative wherever a natural
     scale exists, so a single tolerance is meaningful across checks.
     """
-    tol = _require_tol(tol)
+    tol = require_tol(tol)
     g = _prepare_grid(grid)
     _require_probes(g)
     n = g.size
@@ -235,7 +229,7 @@ def concavity_probe(
     A "concave" verdict only means no violation was found at this grid
     resolution.
     """
-    tol = _require_tol(tol)
+    tol = require_tol(tol)
     g = _prepare_grid(grid)
     if g.size < 2:
         raise UsageError("concavity probe needs a grid with at least 2 points")

@@ -57,8 +57,8 @@ from .errors import MeanIneqError, UsageError, content_lines, located, place, re
 from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import OperatorMeanSpec
-from .reports import VERDICT_VIOLATED, InequalityReport, classify_gap
-from .sampling import atom_stacks, draw_factors, fresh_counts, philox_keys, split_rng
+from .reports import VERDICT_VIOLATED, InequalityReport, classify_gap, require_tol
+from .sampling import atom_stacks, fresh_counts, philox_keys, split_rng
 from .tolerances import MATRIX_TOL, SCALAR_TOL
 from .verify import (
     FiniteJointSpace,
@@ -147,16 +147,23 @@ def validate_config(config: CampaignConfig) -> None:
         raise UsageError(f"functions x trials must be below 2**63, got {len(config.functions)} x {config.trials}")
     if config.seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {config.seed!r}")
-    lo, hi = config.dims
+    _check_ranges(config.dims, config.atoms)
+    if config.tol is not None:
+        require_tol(config.tol)
+
+
+def _check_ranges(dims: tuple[int, int], atoms: tuple[int, int]) -> None:
+    """Reject a draw range that campaigns and the public samplers do not
+    draw: each needs 1 <= min <= max, dimensions at most MAX_DIM and atom
+    counts below 2**63."""
+    lo, hi = dims
     if not (1 <= lo <= hi <= MAX_DIM):
-        raise UsageError(f"dims range must satisfy 1 <= min <= max <= {MAX_DIM}, got {config.dims!r}")
-    lo, hi = config.atoms
+        raise UsageError(f"dims range must satisfy 1 <= min <= max <= {MAX_DIM}, got {dims!r}")
+    lo, hi = atoms
     if not (1 <= lo <= hi):
-        raise UsageError(f"atoms range must satisfy 1 <= min <= max, got {config.atoms!r}")
+        raise UsageError(f"atoms range must satisfy 1 <= min <= max, got {atoms!r}")
     if hi >= 2**63:  # numpy draws the atom count as an int64
         raise UsageError(f"atoms max must be below 2**63, got {hi}")
-    if config.tol is not None and not 0.0 < config.tol < float("inf"):
-        raise UsageError(f"tol must be finite and positive, got {config.tol!r}")
 
 
 def _range(value: str) -> tuple[int, int]:
@@ -244,13 +251,15 @@ def _draw(rng: np.random.Generator, mode: str, n: int, k: int) -> Draw:
     k exponentials unless the mode is op (one atom), then 2k uniforms (x,
     then y) or the factors.  Only generator calls: ``_build`` does the
     arithmetic for a whole block.  ``standard_exponential`` gives the doubles
-    of ``exponential(1.0)``, which scales each by 1.0."""
+    of ``exponential(1.0)``, which scales each by 1.0, and ``standard_normal``
+    those of ``normal(0.0, 1.0)``, which adds 0.0 to each, so they differ at
+    most in the sign of an exact zero."""
     if mode == "op":
-        return Draw(_ONE_ATOM, draw_factors((1, 3), n, rng))
+        return Draw(_ONE_ATOM, rng.standard_normal((1, 3, n, n)))
     weights = rng.standard_exponential(k)
     if mode == "num":
         return Draw(weights, rng.random((2, k)))
-    return Draw(weights, draw_factors((k, 3), n, rng))
+    return Draw(weights, rng.standard_normal((k, 3, n, n)))
 
 
 def _log_uniform(u: np.ndarray) -> np.ndarray:
@@ -311,7 +320,8 @@ def _sampled(rng: np.random.Generator, mode: str, dims: tuple[int, int], atoms: 
     generator may hold a spare 32-bit word, which ``integers`` uses and
     ``sampling.fresh_counts`` would not, so the counts come from
     ``integers``; the draw and the generator's end state are those of the
-    v1 stream."""
+    v1 stream.  Bad ranges are rejected before anything is drawn."""
+    _check_ranges(dims, atoms)
     n, k = (int(rng.integers(lo, hi + 1)) for lo, hi in _count_ranges(mode, dims, atoms))
     return _space(_draw(rng, mode, n, k))
 
@@ -464,6 +474,7 @@ def search_violation(
     """
     if budget < 1:
         raise UsageError(f"search budget must be >= 1, got {budget!r}")
+    require_tol(tol)  # before any restart is drawn
     best = (math.inf, 1.0, 2.0, 0.5)  # (1, 2, 0.5) when every restart is degenerate, astronomically unlikely
     for lo in range(0, budget, SEARCH_CHUNK):
         # The bits of uniform(-4, 4), uniform(-4, 4), uniform() per restart.

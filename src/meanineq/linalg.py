@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError, NumericError, UsageError
 from .errors import content_lines, located, place, read_input
-from .reports import VERDICT_VIOLATED, classify_gap
+from .reports import VERDICT_VIOLATED, classify_gap, require_tol
 from .tolerances import LOAD_SYMMETRY_TOL, LOEWNER_TOL
 
 #: Largest supported matrix dimension.
@@ -129,6 +129,7 @@ def min_eigenvalue(a) -> float:
 def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
     """Loewner order test: A <= B unless the min eigenvalue of B - A, as a
     gap, is judged ``violated`` by ``reports.classify_gap`` at ``tol``."""
+    tol = require_tol(tol)
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")

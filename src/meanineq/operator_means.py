@@ -39,7 +39,7 @@ from .linalg import (
     sym_eigen,
     sym_matrix,
 )
-from .reports import VERDICT_HOLDS, VERDICT_VIOLATED, InequalityReport, classify_gap, inequality_report
+from .reports import VERDICT_HOLDS, VERDICT_VIOLATED, InequalityReport, classify_gap, inequality_report, require_tol
 from .tolerances import (
     CLAMP_TOL,
     COMMUTE_TOL,
@@ -276,6 +276,7 @@ def _transformer_report(
     tol: float,
     equality_possible: bool,
 ) -> TransformerReport:
+    tol = require_tol(tol)
     gap_min = float(np.linalg.eigvalsh(rhs - lhs)[0])
     scale = max(frobenius(rhs), NORM_FLOOR)
     defect = frobenius(lhs - rhs) / scale
@@ -288,7 +289,7 @@ def _transformer_report(
         verdict=VERDICT_VIOLATED if violated else VERDICT_HOLDS,
         equality_case=bool(equality_possible and defect <= tol),
         equality_defect=defect,
-        tol=float(tol),
+        tol=tol,
     )
 
 

@@ -24,6 +24,14 @@ def classify_gap(gap, tol):
     return verdict if np.ndim(gap) else str(verdict)
 
 
+def require_tol(tol) -> float:
+    """A caller's verdict tolerance as a float: an int or float, finite and
+    positive.  Every verdict that takes a caller's ``tol`` checks it here."""
+    if not (isinstance(tol, (int, float)) and 0.0 < tol < float("inf")):
+        raise UsageError(f"tol must be finite and positive, got {tol!r}")
+    return float(tol)
+
+
 @dataclass(frozen=True)
 class InequalityReport:
     """Both sides of a verified inequality and the signed gap rhs - lhs."""
@@ -49,9 +57,7 @@ def inequality_report(
     dims: int,
     atoms: int,
 ) -> InequalityReport:
-    tol = float(tol)
-    if not (isfinite(tol) and tol >= 0.0):
-        raise UsageError(f"tol must be finite and >= 0, got {tol!r}")
+    tol = require_tol(tol)
     lhs = float(lhs)
     rhs = float(rhs)
     if not (isfinite(lhs) and isfinite(rhs)):

@@ -6,8 +6,9 @@ of a campaign seed is counter-based Philox keyed by
 ``SeedSequence(entropy=seed, spawn_key=(j, k))``, so a campaign can hand trial
 k of function j its own generator and produce bit-identical results at any
 block size.  Campaigns get the same generators more cheaply:
-:func:`philox_keys` derives the keys of many paths at once, with numpy's
-``SeedSequence`` arithmetic on arrays, and :func:`reseed` resets one Philox
+:func:`philox_keys` derives the keys of many paths at once: it takes the
+seed's pool from numpy's ``SeedSequence`` and mixes the spawn keys in with
+its arithmetic on arrays, and :func:`reseed` resets one Philox
 generator to the fresh state of a key.
 
 A fresh generator also draws bounded integers more cheaply.  numpy's
@@ -61,8 +62,8 @@ def _hash_consts(init: int, mult: int, count: int) -> list[int]:
 
 def _hashmix(v, h, h_next):
     """SeedSequence's hashmix of word v, where h is the hash constant before
-    the call and h_next after it.  Works on ints and on uint64 arrays holding
-    32-bit words: a product of two words fits in 64 bits."""
+    the call and h_next after it, on uint64 arrays holding 32-bit words: a
+    product of two words fits in 64 bits."""
     v = ((v ^ h) * h_next) & _MASK32
     return v ^ (v >> 16)
 
@@ -81,34 +82,23 @@ def philox_keys(seed: int, fi, t) -> np.ndarray:
     np.uint64)`` for every pair, bit for bit.
 
     Trusted: seed is a non-negative int and fi, t are equal-length arrays of
-    non-negative integers below 2**64.  The seed's words are mixed into the
-    pool once per call, with Python ints; each spawn-key word (one per 32 bits
-    of fi and of t, at least one each) is then mixed into the N pools as
-    uint64 arrays holding 32-bit words, one row per pool word.
+    non-negative integers below 2**64.  The pool of the seed's words is
+    numpy's own, ``SeedSequence(seed).pool``: without a spawn key numpy
+    hashes a missing pool word as 0, as the padding a spawn key brings does.
+    Each spawn-key word (one per 32 bits of fi and of t, at least one each)
+    is then mixed into the N pools as uint64 arrays holding 32-bit words, one
+    row per pool word.
     """
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # With a spawn key, SeedSequence pads the seed's words to the pool size.
-    words += [0] * (_POOL - len(words))
-    # One hash per pool word, 12 while mixing the pool, then one per pool word
-    # for each word beyond it: the seed's, and at most four of the spawn key.
-    h = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(words) + _POOL))
-    pool = [_hashmix(w, h[i], h[i + 1]) for i, w in enumerate(words[:_POOL])]
-    k = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k], h[k + 1]))
-                k += 1
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(w, h[k], h[k + 1]))
-            k += 1
-
+    # The seed's w words took one hash constant per pool word, 12 while mixing
+    # the pool, then one per pool word for each of its words beyond the
+    # fourth: 4 * max(w, 4) in all.  At most four spawn-key words follow.
+    w = max(-(-seed.bit_length() // 32), 1)
+    k = _POOL * max(w, _POOL)
+    h = np.array(_hash_consts(_INIT_A, _MULT_A, k + _POOL * _POOL), dtype=np.uint64)
+    mixer = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
     # Every further word is mixed into each pool word in turn, taking the
     # next hash constants; k is the index of the next one, per pair once a
     # pair's word count differs from another's.
-    h = np.array(h, dtype=np.uint64)
-    mixer = np.array(pool, dtype=np.uint64)[:, None]
     for v in (np.asarray(fi, dtype=np.uint64), np.asarray(t, dtype=np.uint64)):
         mixer = _mix(mixer, _hashmix(v & _MASK32, h[k + _DST], h[k + _DST + 1]))
         k = k + _POOL
@@ -213,14 +203,6 @@ def fresh_counts(rng: np.random.Generator, ranges):
     return both if span_b > 1 else first
 
 
-def draw_factors(shape: tuple[int, ...], n: int, rng: np.random.Generator) -> np.ndarray:
-    """The SPD samplers' draw: a ``shape + (n, n)`` stack of iid N(0, 1)
-    factors in one call, bit for bit the factors drawn one by one in C order.
-    ``standard_normal`` gives the doubles of ``normal(0.0, 1.0)``, which adds
-    0.0 to each, so they differ at most in the sign of an exact zero."""
-    return rng.standard_normal((*shape, n, n))
-
-
 def spd_stack(g: np.ndarray) -> np.ndarray:
     """The SPD samplers' construction: G G^T + DEFAULT_FLOOR*I, min eigenvalue
     >= DEFAULT_FLOOR, for every factor of a (..., n, n) stack, each with the
@@ -235,10 +217,10 @@ def _unit_trace(s: np.ndarray) -> np.ndarray:
 
 def sample_spd(n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample one SPD matrix G G^T + DEFAULT_FLOOR*I, G with iid N(0, 1)
-    entries: :func:`spd_stack` of a :func:`draw_factors` draw."""
+    entries: :func:`spd_stack` of one ``standard_normal`` draw."""
     if n < 1 or n > MAX_DIM:
         raise UsageError(f"dimension must be in [1, {MAX_DIM}], got {n}")
-    return spd_stack(draw_factors((), n, rng))
+    return spd_stack(rng.standard_normal((n, n)))
 
 
 def sample_density(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -248,7 +230,7 @@ def sample_density(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def atom_stacks(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho, X, Y) stacks of shape (k, n, n), densities and SPD observables,
-    built from k atoms' (k, 3, n, n) factors.  A :func:`draw_factors` draw of
+    built from k atoms' (k, 3, n, n) factors.  A ``standard_normal`` draw of
     that shape goes atom by atom, rho then X then Y, so it is bit for bit
     ``sample_density, sample_spd, sample_spd`` called per atom."""
     s = spd_stack(g)

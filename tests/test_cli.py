@@ -141,6 +141,26 @@ def test_campaign_seed_override_changes_output(tmp_path, capsys):
     assert json.loads(out2)["seed"] == 8
 
 
+@pytest.mark.parametrize("flag, value, key", [("--dim", "3", "dims = 3-3"), ("--tol", "0.05", "tol = 0.05")])
+def test_campaign_override_matches_its_config_key(tmp_path, capsys, flag, value, key):
+    base = "mode = rm\nfunctions = geometric,wyd:0.25\ntrials = 6\nseed = 4\n"
+    cfg, keyed = tmp_path / "camp.cfg", tmp_path / "keyed.cfg"
+    cfg.write_text(base)
+    keyed.write_text(base + key + "\n")
+    overridden = run_cli(capsys, "campaign", "--config", str(cfg), flag, value)
+    assert overridden[0] == 0
+    assert overridden == run_cli(capsys, "campaign", "--config", str(keyed))
+    assert overridden != run_cli(capsys, "campaign", "--config", str(cfg))
+
+
+def test_campaign_nan_tol_override_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text("mode = num\nfunctions = geometric\ntrials = 5\n")
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg), "--tol", "nan")
+    assert code == 2 and out == ""
+    assert "tol" in err and err.count("\n") == 1
+
+
 def test_campaign_violation_exit_code(tmp_path, capsys):
     cfg = tmp_path / "camp.cfg"
     cfg.write_text("mode = num\nfunctions = counterexample-g\ntrials = 100\nseed = 3\n")

@@ -300,3 +300,36 @@ def test_readme_tolerance_table_matches_tolerances():
     # Same names, same values, and each row's kind is its constant's.
     table = {name: (float(value), kind) for name, value, kind in TABLE_ROW.findall((ROOT / "README.md").read_text())}
     assert table == _tolerance_constants((ROOT / "src" / "meanineq" / TOLERANCES).read_text())
+
+
+#: The one module that decides which caller's ``tol`` is admissible
+#: (``reports.require_tol``); a check of its own elsewhere could admit a
+#: ``tol`` that the others reject.
+TOL_CHECK = "reports.py"
+
+
+def _tol_messages(tree: ast.AST) -> list[str]:
+    """String literals, plain or the literal parts of f-strings, that start
+    with ``tol must``: the message of a check of a caller's ``tol``."""
+    return sorted(
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("tol must")
+    )
+
+
+def test_tol_scan_catches_inline_checks():
+    tree = ast.parse(
+        "if not 0.0 < tol < inf:\n    raise UsageError(f\"tol must be positive, got {tol!r}\")\n"
+        "msg = 'tol must be finite'\nok = f'the tol must be {tol}'\n"
+    )
+    assert _tol_messages(tree) == ["line 2: 'tol must be positive, got '", "line 3: 'tol must be finite'"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_checks_tol_only_in_reports(path):
+    found = _tol_messages(ast.parse(path.read_text()))
+    if path.name == TOL_CHECK:
+        assert found != []
+    else:
+        assert found == []

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanineq import (
+    CampaignConfig,
     DomainError,
     UsageError,
     check_density,
@@ -15,8 +16,10 @@ from meanineq import (
     sample_density,
     sample_matrix_space,
     sample_operator_triple,
+    sample_scalar_space,
     sample_spd,
     split_rng,
+    validate_config,
 )
 from meanineq.campaign import DEFAULT_ATOMS, DEFAULT_DIMS, _count_ranges
 from meanineq.sampling import DEFAULT_FLOOR, _bounded, fresh_counts, philox_keys, reseed
@@ -106,6 +109,30 @@ def test_stacked_samplers_keep_the_per_atom_stream(n):
     assert _state(rng) == _state(ref)
 
 
+@pytest.mark.parametrize(
+    "sampler, ranges",
+    [
+        (sample_scalar_space, {"atoms": (0, 0)}),
+        (sample_scalar_space, {"atoms": (3, 1)}),
+        (sample_operator_triple, {"dims": (0, 0)}),
+        (sample_operator_triple, {"dims": (65, 65)}),
+    ],
+    ids=["atoms-0-0", "atoms-3-1", "dims-0-0", "dims-65-65"],
+)
+def test_samplers_reject_bad_ranges_before_drawing(sampler, ranges):
+    # A sampler rejects a range as validate_config does, with its message,
+    # and its generator has drawn nothing.
+    with pytest.raises(UsageError) as expected:
+        validate_config(CampaignConfig("rm", ("geometric",), 1, **ranges))
+    assert str(expected.value).startswith(f"{next(iter(ranges))} range must satisfy")
+    rng = split_rng(12, 0)
+    before = _state(rng)
+    with pytest.raises(UsageError) as exc:
+        sampler(rng, **ranges)
+    assert str(exc.value) == str(expected.value)
+    assert _state(rng) == before
+
+
 def test_check_density_rejects():
     with pytest.raises(DomainError):
         check_density(np.eye(2))  # trace 2
@@ -121,7 +148,7 @@ def test_split_paths_are_independent():
     assert not np.allclose(x, z)
 
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 9]
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 9, 2**200 + 12345]
 SPAWN = [0, 1, 7, 2**32 - 1, 2**32, 2**33]
 TRIALS = [0, 1, 99, 2**32 - 1, 2**32, 2**32 + 5, 2**40]
 

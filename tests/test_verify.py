@@ -8,19 +8,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanineq import (
+    CampaignConfig,
     DomainError,
     NotPositiveDefiniteError,
     UsageError,
+    check_axioms,
+    check_jensen_sum,
+    check_transformer,
+    concavity_probe,
     construct_counterexample,
     get_function,
     load_space,
+    loewner_leq,
     matrix_space,
     operator_mean_spec,
     sample_density,
     sample_spd,
     save_matrix,
     scalar_space,
+    search_violation,
     split_rng,
+    trace_perspective_check,
+    validate_config,
     verify_numeric,
     verify_operator,
     verify_random_matrix,
@@ -475,6 +484,41 @@ def test_verify_numeric_rejects_bad_tol(tol):
     space = construct_counterexample(G, 0.5, 2.0, 0.5)
     with pytest.raises(UsageError, match="tol"):
         verify_numeric(space, G, tol=tol)
+
+
+_A, _B, _RHO = np.diag([1.0, 2.0]), np.diag([3.0, 5.0]), np.eye(2) / 2
+_GEO_SPEC = operator_mean_spec("geometric")
+#: Every public verdict that takes a caller's tol, called with a tol.
+TOL_SITES = {
+    "verify_numeric": lambda tol: verify_numeric(construct_counterexample(G, 0.5, 2.0, 0.5), G, tol),
+    "verify_operator": lambda tol: verify_operator(_RHO, _A, _B, _GEO_SPEC, tol),
+    "trace_perspective_check": lambda tol: trace_perspective_check(GEO, _A, _B, tol),
+    "search_violation": lambda tol: search_violation(G, split_rng(1, 0), 10, tol),
+    "check_transformer": lambda tol: check_transformer(_GEO_SPEC, _A, _B, np.eye(2), tol),
+    "check_jensen_sum": lambda tol: check_jensen_sum(_GEO_SPEC, [(np.eye(2), _A, _B)], tol),
+    "loewner_leq": lambda tol: loewner_leq(_A, _B, tol),
+    "check_axioms": lambda tol: check_axioms(GEO, tol=tol),
+    "concavity_probe": lambda tol: concavity_probe(GEO, tol=tol),
+    "validate_config": lambda tol: validate_config(CampaignConfig("num", ("geometric",), 1, tol=tol)),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+@pytest.mark.parametrize("site", TOL_SITES)
+def test_every_verdict_needs_a_finite_positive_tol(site, tol):
+    # A NaN tol would let a violated Loewner order read True: every verdict
+    # rejects a tol that is not finite and positive, with one message.
+    with pytest.raises(UsageError, match="tol must be finite and positive"):
+        TOL_SITES[site](tol)
+    TOL_SITES[site](1e-9)
+
+
+def test_search_checks_tol_before_it_draws():
+    rng = split_rng(1, 0)
+    before = repr(rng.bit_generator.state)
+    with pytest.raises(UsageError, match="tol"):
+        search_violation(G, rng, 10, float("nan"))
+    assert repr(rng.bit_generator.state) == before
 
 
 def test_mixed_densities_are_rejected(tmp_path):
