@@ -8,13 +8,17 @@ in one table, and an error names the file and line it is found in.
 Trial k of function j always draws the stream of ``split_rng(seed, j, k)``,
 so replays are bit-identical, and the worst case is rebuilt from its
 (function, trial) coordinates rather than stored.  A campaign does not build
-that generator per trial: it keeps one Philox generator and, before each
-trial's draw, reseeds it with the trial's exact ``SeedSequence`` key, derived
-for up to KEY_CHUNK consecutive (function, trial) pairs at once by
-``sampling.philox_keys`` and handed over as int tuples.  Trials run
-in-process, in order: threads would serialize on the interpreter lock.  A
-campaign's generator and reseed state are its own, so campaigns may run in
-concurrent threads.
+that generator per trial: it splits its pairs into contiguous ranges, and
+each range keeps one Philox generator and, before each trial's draw, reseeds
+it with the trial's exact ``SeedSequence`` key, derived for up to KEY_CHUNK
+consecutive (function, trial) pairs at once by ``sampling.philox_keys`` and
+handed over as int tuples.  Each range runs in-process, in order, on a
+thread of its own.  A num campaign, or one of matrices below
+THREAD_MIN_DIM, is one range: its trials are mostly Python, which holds the
+interpreter lock.  Larger matrices spend most of a trial in LAPACK, which
+releases it, so they get one range per core that BLAS leaves free
+(``_range_count``).  A range's generator and reseed state are its own, so
+ranges, and whole campaigns, may run in concurrent threads.
 
 A trial only makes its generator calls (``Draw``): its dimension and atom
 count, its atoms' Dirichlet weights (exponentials, not yet normalised), then
@@ -29,7 +33,7 @@ hold a spare word, so they draw the counts with ``integers``, as does the
 rebuild of a trial from its ``split_rng`` generator; the values are drawn by
 one body, ``_draw``, either way.  A block of trials is a range of
 consecutive (function, trial) pairs in campaign order, across function
-boundaries, that ends at the campaign's last pair or once its draws hold
+boundaries, that ends at its range's last pair or once its draws hold
 BLOCK_ELEMENTS values of x.  A block does the arithmetic of
 its draws at once (``_build``): it normalises the weights of all its draws
 of one atom count as one array, raises 2 to the scaled uniforms, and builds
@@ -48,6 +52,9 @@ verifies its restarts in blocks of SEARCH_CHUNK in the same way.
 from __future__ import annotations
 
 import math
+import operator
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -85,6 +92,15 @@ SEARCH_CHUNK = 1024
 #: Trial keys are derived this many (function, trial) pairs at a time, in
 #: campaign order and across function boundaries: 64 KB of keys.
 KEY_CHUNK = 4096
+
+#: Matrix campaigns whose smallest dimension is at least this split their
+#: pairs over threads (``_range_count``).  Below it, too little of a trial's
+#: time is numpy work that releases the interpreter lock.  Two ranges against
+#: one, op campaigns at n x n on a 2-core VM with BLAS on one thread, median
+#: wall ratio per pass of 10-16 interleaved rounds: 1.07-1.13x at n <= 20 in
+#: every pass; 0.76-1.09x at n = 24 and 0.70-1.08x at 32, by pass; 0.66-0.69x
+#: at 40 and 0.61-0.68x at 48 in every pass (BENCH_23.json, "crossover").
+THREAD_MIN_DIM = 40
 
 DEFAULT_DIMS = (2, 6)
 DEFAULT_ATOMS = (1, 12)
@@ -131,6 +147,12 @@ class CampaignSummary:
 
 def validate_config(config: CampaignConfig) -> None:
     """Reject a bad configuration before any trial runs."""
+    _validated(config)
+
+
+def _validated(config: CampaignConfig) -> CampaignConfig:
+    """``config`` once checked, with its counts as Python ints: numpy
+    integers are accepted, and a campaign reports what it ran."""
     if config.mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {config.mode!r}")
     if not config.functions:
@@ -141,29 +163,54 @@ def validate_config(config: CampaignConfig) -> None:
         f = get_function(fid)
         if config.mode in ("op", "rm"):
             OperatorMeanSpec(f)
-    if config.trials < 0:
+    trials = _integer("trials", config.trials)
+    if trials < 0:
         raise UsageError(f"trials must be >= 0, got {config.trials!r}")
-    if len(config.functions) * config.trials >= 2**63:  # numpy counts the pairs as int64
-        raise UsageError(f"functions x trials must be below 2**63, got {len(config.functions)} x {config.trials}")
-    if config.seed < 0:
+    if len(config.functions) * trials >= 2**63:  # numpy counts the pairs as int64
+        raise UsageError(f"functions x trials must be below 2**63, got {len(config.functions)} x {trials}")
+    seed = _integer("seed", config.seed)
+    if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {config.seed!r}")
-    _check_ranges(config.dims, config.atoms)
+    dims, atoms = _check_ranges(config.dims, config.atoms)
     if config.tol is not None:
         require_tol(config.tol)
+    return replace(config, trials=trials, seed=seed, dims=dims, atoms=atoms)
 
 
-def _check_ranges(dims: tuple[int, int], atoms: tuple[int, int]) -> None:
-    """Reject a draw range that campaigns and the public samplers do not
-    draw: each needs 1 <= min <= max, dimensions at most MAX_DIM and atom
-    counts below 2**63."""
-    lo, hi = dims
-    if not (1 <= lo <= hi <= MAX_DIM):
+def _integer(name: str, value) -> int:
+    """``value`` as an int when it is an integer (``operator.index``) other
+    than a bool, else a UsageError that names ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise UsageError(f"{name} must be an integer, got {value!r}")
+
+
+def _bounds(name: str, pair) -> tuple[int, int]:
+    """A (min, max) range of integers, else a UsageError that names ``name``."""
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be a (min, max) pair, got {pair!r}") from None
+    return _integer(name, lo), _integer(name, hi)
+
+
+def _check_ranges(dims: tuple[int, int], atoms: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The dims and atoms ranges as pairs of Python ints, once checked to be
+    ranges that campaigns and the public samplers draw: each needs integers
+    with 1 <= min <= max, dimensions at most MAX_DIM and atom counts below
+    2**63."""
+    n = _bounds("dims", dims)
+    if not (1 <= n[0] <= n[1] <= MAX_DIM):
         raise UsageError(f"dims range must satisfy 1 <= min <= max <= {MAX_DIM}, got {dims!r}")
-    lo, hi = atoms
-    if not (1 <= lo <= hi):
+    k = _bounds("atoms", atoms)
+    if not (1 <= k[0] <= k[1]):
         raise UsageError(f"atoms range must satisfy 1 <= min <= max, got {atoms!r}")
-    if hi >= 2**63:  # numpy draws the atom count as an int64
-        raise UsageError(f"atoms max must be below 2**63, got {hi}")
+    if k[1] >= 2**63:  # numpy draws the atom count as an int64
+        raise UsageError(f"atoms max must be below 2**63, got {k[1]}")
+    return n, k
 
 
 def _range(value: str) -> tuple[int, int]:
@@ -321,7 +368,7 @@ def _sampled(rng: np.random.Generator, mode: str, dims: tuple[int, int], atoms: 
     ``sampling.fresh_counts`` would not, so the counts come from
     ``integers``; the draw and the generator's end state are those of the
     v1 stream.  Bad ranges are rejected before anything is drawn."""
-    _check_ranges(dims, atoms)
+    dims, atoms = _check_ranges(dims, atoms)
     n, k = (int(rng.integers(lo, hi + 1)) for lo, hi in _count_ranges(mode, dims, atoms))
     return _space(_draw(rng, mode, n, k))
 
@@ -358,20 +405,19 @@ def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
 
 
 def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key: tuple[int, int], counts) -> Draw:
-    """Trial t of function fi's own work, run once per trial in campaign order:
-    its draw from ``rng`` after ``counts``, the campaign's
-    ``sampling.fresh_counts``, has reseeded it with the trial's key and drawn
-    the trial's counts."""
+    """Trial t of function fi's own work, run once per trial, in campaign
+    order within its range and maybe on another range's thread at once: its
+    draw from ``rng`` after ``counts``, the range's ``sampling.fresh_counts``,
+    has reseeded it with the trial's key and drawn the trial's counts."""
     return _draw(rng, config.mode, *counts(key))
 
 
-def _trial_keys(config: CampaignConfig):
-    """The split_rng keys of every (function, trial) pair in campaign order,
-    as the int tuples ``reseed`` takes, derived KEY_CHUNK pairs per
-    ``philox_keys`` call."""
-    total = len(config.functions) * config.trials
-    for lo in range(0, total, KEY_CHUNK):
-        pair = np.arange(lo, min(lo + KEY_CHUNK, total), dtype=np.uint64)
+def _trial_keys(config: CampaignConfig, lo: int, hi: int):
+    """The split_rng keys of the (function, trial) pairs lo, ..., hi - 1 in
+    campaign order, as the int tuples ``reseed`` takes, derived KEY_CHUNK
+    pairs per ``philox_keys`` call."""
+    for start in range(lo, hi, KEY_CHUNK):
+        pair = np.arange(start, min(start + KEY_CHUNK, hi), dtype=np.uint64)
         yield from map(tuple, philox_keys(config.seed, pair // config.trials, pair % config.trials).tolist())
 
 
@@ -399,35 +445,80 @@ def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> di
     return {"function": fid, "trial": t, "space": space_to_jsonable(space)}
 
 
-def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
-    """Run every (function, trial) pair and aggregate.
-
-    Trials are drawn in one pass over the pairs in campaign order, each from
-    the campaign's one Philox generator reseeded with the trial's key, and
-    evaluated in blocks of consecutive pairs written in place into ``gaps``
-    and ``violated`` (see the module notes); errors name the first failing
-    trial.  Trials run in this process at any ``workers`` value; the
-    parameter is kept for existing callers and does not change the summary.
-    """
-    validate_config(config)
-    tol, trials = config.resolved_tol(), config.trials
-    fs = [get_function(fid) for fid in config.functions]
+def _run_range(config: CampaignConfig, fs: list, tol: float, lo: int, hi: int, gaps: np.ndarray, violated: np.ndarray) -> None:
+    """Draw and evaluate the campaign's pairs [lo, hi) in blocks, written in
+    place into their slices of ``gaps`` and ``violated``, from a Philox
+    generator and ``fresh_counts`` closure of the range's own."""
+    trials = config.trials
     rng = np.random.Generator(np.random.Philox(0))  # reseeded before every draw
     counts = fresh_counts(rng, _count_ranges(config.mode, config.dims, config.atoms))
     # A block closes once its draws hold BLOCK_ELEMENTS values of x: x is one of
     # a draw's two raw value sets in num mode, of three (rho, X, Y) otherwise.
     limit = BLOCK_ELEMENTS * (2 if config.mode == "num" else 3)
-    gaps = np.empty((len(fs), trials))  # row fi: function fi's trials
-    violated = np.empty(gaps.shape, dtype=bool)
-    lo, draws, size = 0, [], 0  # the open block's first pair, its draws, its raw values
-    for pair, key in enumerate(_trial_keys(config), 1):
+    start, draws, size = lo, [], 0  # the open block's first pair, its draws, its raw values
+    for pair, key in enumerate(_trial_keys(config, lo, hi), lo + 1):
         draws.append(_run_trial(config, *divmod(pair - 1, trials), rng, key, counts))
         size += draws[-1].raw.size
-        if size >= limit or pair == gaps.size:  # the block of pairs [lo, pair)
-            block = _block_gaps(config, fs, lo, draws)
-            gaps.flat[lo:pair] = block
-            violated.flat[lo:pair] = classify_gap(block, tol) == VERDICT_VIOLATED
-            lo, draws, size = pair, [], 0
+        if size >= limit or pair == hi:  # the block of pairs [start, pair)
+            block = _block_gaps(config, fs, start, draws)
+            gaps.flat[start:pair] = block
+            violated.flat[start:pair] = classify_gap(block, tol) == VERDICT_VIOLATED
+            start, draws, size = pair, [], 0
+
+
+def _range_count(config: CampaignConfig) -> int:
+    """The number of contiguous pair ranges a campaign runs at once, one per
+    thread: one in num mode or below THREAD_MIN_DIM, else the usable cores
+    over the BLAS threads the environment sets (none set: BLAS takes every
+    core, so one range), and never more than the campaign's pairs."""
+    if config.mode == "num" or config.dims[0] < THREAD_MIN_DIM:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    setting = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
+    blas = int(setting) if setting.strip().isdigit() else 0
+    if blas < 1:
+        return 1
+    return max(1, min(cores // blas, len(config.functions) * config.trials))
+
+
+def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
+    """Run every (function, trial) pair and aggregate.
+
+    The pairs, in campaign order, are split into ``_range_count`` contiguous
+    ranges.  Range 0 runs on the calling thread and each other range on a
+    thread of its own; each draws its trials from its own Philox generator,
+    reseeded with each trial's key, and evaluates them in blocks of
+    consecutive pairs written in place into its slices of ``gaps`` and
+    ``violated`` (see the module notes).  The summary does not depend on the
+    split, and an error names the first failing trial of the first failing
+    range.  ``workers`` is kept for existing callers and is not read.
+    """
+    config = _validated(config)
+    tol, trials = config.resolved_tol(), config.trials
+    fs = [get_function(fid) for fid in config.functions]
+    gaps = np.empty((len(fs), trials))  # row fi: function fi's trials
+    violated = np.empty(gaps.shape, dtype=bool)
+    n = _range_count(config)
+    bounds = [gaps.size * i // n for i in range(n + 1)]
+    errors: list[BaseException | None] = [None] * n
+
+    def run(i: int) -> None:
+        try:
+            _run_range(config, fs, tol, bounds[i], bounds[i + 1], gaps, violated)
+        except BaseException as exc:  # raised by the calling thread, below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,), name=f"meanineq-range-{i}") for i in range(1, n)]
+    for thread in threads:
+        thread.start()
+    try:
+        _run_range(config, fs, tol, bounds[0], bounds[1], gaps, violated)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
     violations = violated.sum(axis=1).tolist()
     lows = gaps.min(axis=1).tolist() if trials else [None] * len(fs)
@@ -472,6 +563,7 @@ def search_violation(
     restart, no refinement: the objective is piecewise smooth with kinks
     exactly where violations live.
     """
+    budget = _integer("search budget", budget)
     if budget < 1:
         raise UsageError(f"search budget must be >= 1, got {budget!r}")
     require_tol(tol)  # before any restart is drawn

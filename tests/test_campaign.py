@@ -402,31 +402,44 @@ def test_sampled_scalar_space_views_match_its_arrays():
 def _recorded_reports(cfg, monkeypatch):
     """run_campaign's summary, its per-trial (function, lhs, rhs, gap, verdict,
     atoms, dims) records (read off its block tails), the draws its _run_trial
-    calls returned, and the number of trials in each block it evaluated."""
+    calls returned, and the number of trials in each block it evaluated, all
+    in campaign order.  Threads of one campaign run blocks and trials in any
+    order, so each is recorded under its first pair and sorted by it."""
+    import threading
+
     from meanineq import campaign, classify_gap
 
-    reports, draws, blocks = [], [], []
-    run_trial, block_sides = campaign._run_trial, campaign.block_sides
-    tol = cfg.resolved_tol()
+    blocks, draws = [], []  # (first pair, block's records), ((function, trial), draw)
+    run_trial, block_gaps, block_sides = campaign._run_trial, campaign._block_gaps, campaign.block_sides
+    tol, current = cfg.resolved_tol(), threading.local()
 
-    def record_trial(*args):
-        draws.append(run_trial(*args))
-        return draws[-1]
+    def record_trial(config, fi, t, *args):
+        draws.append(((fi, t), run_trial(config, fi, t, *args)))
+        return draws[-1][1]
+
+    def record_gaps(config, fs, lo, block_draws):
+        current.lo = lo
+        return block_gaps(config, fs, lo, block_draws)
 
     def record_block(runs, counts, buckets):
-        blocks.append(len(counts))
         lhs, rhs = block_sides(runs, counts, buckets)
         fids = [f.id for f, count in runs for _ in range(count)]
         dims = {i: space.dims for rows, space in buckets for i in rows}
-        for i, (fid, lo, hi) in enumerate(zip(fids, lhs.tolist(), rhs.tolist())):
-            reports.append((fid, lo, hi, hi - lo, classify_gap(hi - lo, tol), counts[i], dims[i]))
+        records = [
+            (fid, lo, hi, hi - lo, classify_gap(hi - lo, tol), counts[i], dims[i])
+            for i, (fid, lo, hi) in enumerate(zip(fids, lhs.tolist(), rhs.tolist()))
+        ]
+        blocks.append((current.lo, records))
         return lhs, rhs
 
     monkeypatch.setattr(campaign, "_run_trial", record_trial)
+    monkeypatch.setattr(campaign, "_block_gaps", record_gaps)
     monkeypatch.setattr(campaign, "block_sides", record_block)
     summary = run_campaign(cfg)
     monkeypatch.undo()
-    return summary, reports, draws, blocks
+    blocks.sort(key=lambda block: block[0])
+    reports = [r for _, records in blocks for r in records]
+    return summary, reports, [d for _, d in sorted(draws, key=lambda d: d[0])], [len(r) for _, r in blocks]
 
 
 def _bits(function, lhs, rhs, gap, verdict, atoms, dims):
@@ -704,3 +717,196 @@ def test_campaigns_keep_numpy_ma_unimported():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+_COUNTS_CFG = CampaignConfig(mode="rm", functions=("geometric",), trials=2, dims=(2, 3), atoms=(1, 3), seed=1)
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("trials", {"trials": 2.5}),
+        ("seed", {"seed": 1.5}),
+        ("trials", {"trials": True}),
+        ("dims", {"dims": (2.5, 3)}),
+        ("atoms", {"atoms": (1, 2.5)}),
+        ("search budget", 10.5),
+        ("search budget", "10"),
+    ],
+    ids=["trials-float", "seed-float", "trials-bool", "dims-float", "atoms-float", "budget-float", "budget-str"],
+)
+def test_counts_must_be_integers(key, bad):
+    # Each of these once failed deep inside with a TypeError or AttributeError.
+    if key == "search budget":
+        rng = split_rng(0, 0)
+        with pytest.raises(UsageError, match=f"^{key} must be an integer"):
+            search_violation(get_function("geometric"), rng, bad)
+        assert rng.random() == split_rng(0, 0).random()  # nothing was drawn
+        return
+    cfg = dataclasses.replace(_COUNTS_CFG, **bad)
+    for call in (validate_config, run_campaign):
+        with pytest.raises(UsageError, match=f"^{key} must be an integer"):
+            call(cfg)
+
+
+def test_numpy_integer_counts_are_accepted():
+    # A campaign runs, and reports, the Python ints its counts stand for.
+    from meanineq.cli import emit_report
+
+    want = run_campaign(_COUNTS_CFG)
+    got = run_campaign(
+        dataclasses.replace(_COUNTS_CFG, trials=np.int64(2), seed=np.int64(1), dims=(np.int64(2), 3), atoms=(1, np.int32(3)))
+    )
+    assert got == want
+    assert emit_report(got, "json") == emit_report(want, "json")
+    assert search_violation(get_function("geometric"), split_rng(0, 0), np.int64(10)) == search_violation(
+        get_function("geometric"), split_rng(0, 0), 10
+    )
+
+
+def _within(timeout, fn):
+    """fn() run on a thread that must end within ``timeout`` seconds; its
+    result, or the error it raised."""
+    import threading
+
+    done = {}
+
+    def target():
+        try:
+            done["result"] = fn()
+        except Exception as exc:  # re-raised below, on the test's thread
+            done["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive()
+    if "error" in done:
+        raise done["error"]
+    return done["result"]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CampaignConfig(mode="op", functions=("logarithmic", "arithmetic", "harmonic"), trials=12, dims=(2, 6), seed=18),
+        CampaignConfig(mode="rm", functions=("geometric", "harmonic", "wyd:0.25"), trials=6, dims=(2, 6), seed=17),
+        CampaignConfig(mode="num", functions=("geometric", "counterexample-g"), trials=40, seed=19),
+        CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=3, dims=(40, 44), seed=20),
+    ],
+    ids=["op", "rm", "num", "op-40-44"],
+)
+@pytest.mark.parametrize("block", [37, 4096])
+def test_output_does_not_depend_on_the_range_count(cfg, block, monkeypatch):
+    # Ranges of 1, 2, 3 and 8 threads (more than this machine's cores, and
+    # over some of the pairs of a function), with blocks that end inside
+    # every range or hold whole ranges, and a thread switch every
+    # microsecond: every range writes only its own pairs, so a lost or
+    # misplaced write would change the bytes.
+    import sys
+
+    from meanineq import campaign
+    from meanineq.cli import emit_report
+
+    monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(campaign, "_range_count", lambda config: 1)
+    one = emit_report(run_campaign(cfg), "json")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (2, 3, 8):
+            monkeypatch.setattr(campaign, "_range_count", lambda config, n=n: n)
+            assert _within(120, lambda: emit_report(run_campaign(cfg), "json")) == one, n
+    finally:
+        sys.setswitchinterval(interval)
+    assert cfg.mode != "num" or '"worst_case"' in one
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [({(0, 1), (0, 4), (0, 7)}, 1), ({(0, 4), (0, 7)}, 4), ({(0, 7)}, 7)],
+    ids=["ranges-0-1-2", "ranges-1-2", "range-2"],
+)
+def test_errors_name_the_first_failing_range_s_trial(bad, named, monkeypatch):
+    # Trials 0-2, 3-5 and 6-8 are ranges 0, 1 and 2.  Ranges 0 and 1
+    # evaluate their blocks only once range 2 has failed, and the first
+    # failing trial in campaign order is still the one named.
+    import threading
+
+    from meanineq import NotPositiveDefiniteError, campaign
+
+    _with_bad_trials(monkeypatch, bad, atom=_indefinite)
+    monkeypatch.setattr(campaign, "_range_count", lambda config: 3)
+    block_gaps, last_failed = campaign._block_gaps, threading.Event()
+
+    def last_range_fails_first(config, fs, lo, draws):
+        if lo < 6:
+            last_failed.wait(60)
+            return block_gaps(config, fs, lo, draws)
+        try:
+            return block_gaps(config, fs, lo, draws)
+        except NotPositiveDefiniteError:
+            last_failed.set()
+            raise
+
+    monkeypatch.setattr(campaign, "_block_gaps", last_range_fails_first)
+    cfg = CampaignConfig(mode="op", functions=("harmonic",), trials=9, dims=(2, 4), seed=3)
+    threads = threading.active_count()
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        _within(60, lambda: run_campaign(cfg))
+    assert str(exc.value).startswith(f"function 'harmonic', trial {named}: first argument is not positive definite")
+    assert last_failed.is_set()
+    assert threading.active_count() == threads
+
+
+def test_range_count_follows_the_cores_blas_leaves_free(monkeypatch):
+    import os
+
+    from meanineq.campaign import THREAD_MIN_DIM, _range_count
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    cfg = CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=50, dims=(THREAD_MIN_DIM, 64))
+    assert _range_count(cfg) == _range_count(dataclasses.replace(cfg, mode="rm")) == 8
+    assert _range_count(dataclasses.replace(cfg, trials=3)) == 6  # capped by the pairs
+    assert _range_count(dataclasses.replace(cfg, trials=0)) == 1
+    assert _range_count(dataclasses.replace(cfg, mode="num")) == 1
+    assert _range_count(dataclasses.replace(cfg, dims=(THREAD_MIN_DIM - 1, 64))) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert _range_count(cfg) == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+    assert _range_count(cfg) == 1
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert _range_count(cfg) == 4
+    monkeypatch.delenv("OMP_NUM_THREADS")  # BLAS runs a thread on every core
+    assert _range_count(cfg) == 1
+
+
+def test_threaded_campaign_leaves_no_thread_running():
+    # Under -X dev (warnings shown, resource checks on), a fresh interpreter
+    # has one thread after importing the package and again after a campaign
+    # split over its cores.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import threading\n"
+        "import meanineq\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "from meanineq.campaign import THREAD_MIN_DIM, CampaignConfig, _range_count, run_campaign\n"
+        "from meanineq.cli import emit_report\n"
+        "dims = (THREAD_MIN_DIM, THREAD_MIN_DIM)\n"
+        "cfg = CampaignConfig(mode='op', functions=('geometric', 'harmonic'), trials=2, dims=dims, seed=5)\n"
+        "emit_report(run_campaign(cfg), 'json')\n"
+        "print(_range_count(cfg), threading.active_count())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-X", "dev", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert out.stdout.split() == [str(min(cores, 4)), "1"]
