@@ -34,15 +34,19 @@ rebuild of a trial from its ``split_rng`` generator; the values are drawn by
 one body, ``_draw``, either way.  A block of trials is a range of
 consecutive (function, trial) pairs in campaign order, across function
 boundaries, that ends at its range's last pair or once its draws hold
-BLOCK_ELEMENTS values of x.  A block does the arithmetic of
-its draws at once (``_build``): it normalises the weights of all its draws
-of one atom count as one array, raises 2 to the scaled uniforms, and builds
-its valid-by-construction spaces once per matrix dimension (one SPD
-construction for all the bucket's factors).  ``verify.block_sides`` then
-evaluates it at once: per bucket two stacked Cholesky factorizations and one
-eigensolve, of the inner matrix, with only f on its spectrum run per
-function, then all weighted sums as padded arrays and one rhs call per
-function.  Every trial's lhs and rhs have the bits of building and verifying
+BLOCK_ELEMENTS values of x, or MATRIX_BLOCK_FACTOR times as many in matrix
+mode.  A block does the arithmetic of its draws at once (``_build``): it
+normalises the weights of all its draws of one atom count as one array and
+raises 2 to the scaled uniforms.  Its matrix draws are grouped in buckets,
+one per dimension, and ``verify.block_sides`` evaluates the buckets one
+after another: ``_build`` builds a bucket's valid-by-construction spaces
+(one SPD construction for all its factors) only when it is asked for, the
+kernel runs two stacked Cholesky factorizations and one eigensolve, of the
+inner matrix, with only f on its spectrum run per function, and the
+bucket's stacks are freed once its values are in the block's padded
+layout.  So a matrix block holds its raw draws and one bucket's stacks at a
+time.  All weighted sums are then taken as padded arrays, with one rhs call
+per function.  Every trial's lhs and rhs have the bits of building and verifying
 it alone.  A block writes its gaps, and whether ``classify_gap`` finds each
 violated, into its slice of the campaign's two (functions, trials) arrays,
 9 bytes a trial, whose reductions give the counts and extremes.  A search
@@ -55,6 +59,7 @@ import math
 import operator
 import os
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -81,9 +86,19 @@ MODES = ("num", "op", "rm")
 #: Scalar-instance sampler range: values are log-uniform on [1/16, 16].
 VALUE_LOG2_RANGE = 4.0
 
-#: A block of trials is evaluated once its spaces hold this many values of x
-#: (one 64 x 64 matrix), which bounds the memory of its stacks.
+#: A block of trials is evaluated once its draws hold this many values of x
+#: (one 64 x 64 matrix) in num mode, which bounds a num block's draws and its
+#: padded layout.
 BLOCK_ELEMENTS = 4096
+
+#: Matrix blocks close at this many times BLOCK_ELEMENTS values of x.  A
+#: matrix block holds its raw draws, three values per value of x, and the
+#: stacks of one dimension bucket at a time; fewer, larger blocks pay the
+#: fixed cost of a block less often.  On the op-large benchmark (n = 48-64,
+#: 2-core VM, BLAS on one thread), 8 against 1 cut trial_us by about 10% for
+#: 1.6 MB more peak RSS; 4 was as fast as 8, and 16 faster for 1.7 MB more
+#: (BENCH_24.json).
+MATRIX_BLOCK_FACTOR = 8
 
 #: A search draws and verifies this many restarts at a time, which bounds its
 #: memory: about 0.3 KB per restart.
@@ -335,31 +350,33 @@ def _stacked(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
 
 
-def _build(draws: list[Draw]) -> list[tuple[list[int], FiniteJointSpace]]:
+def _build(draws: list[Draw]) -> Iterator[tuple[list[int], FiniteJointSpace]]:
     """Draws of one mode as the trusted (rows, space) buckets of
     ``verify.atom_values``, one per matrix dimension, with the bits of
     building each draw alone.  The block's weights are normalised at once
-    (``_probabilities``), its scalar values raised at once, and each bucket's
-    matrices built at once from its draws' stacked factors."""
+    (``_probabilities``) and its scalar values raised at once.  The buckets
+    are yielded one at a time, and each bucket's matrices are built at once
+    from its draws' stacked factors only when it is asked for, so that a
+    block holds its raw draws and the stacks of one bucket, not of all."""
     counts = np.array([d.atoms for d in draws])
     p = _probabilities(_stacked([d.weights for d in draws]), counts)
     if draws[0].raw.ndim == 2:
         x, y = _log_uniform(_stacked([d.raw for d in draws], 1))
-        return [(np.arange(len(draws)), FiniteJointSpace(p, x, y))]
+        yield np.arange(len(draws)), FiniteJointSpace(p, x, y)
+        return
     dims = [d.raw.shape[-1] for d in draws]
     buckets: dict[int, list[int]] = {}
     for i, n in enumerate(dims):
         buckets.setdefault(n, []).append(i)
     atom_dims = np.repeat(dims, counts)
-    out = []
     for n, rows in buckets.items():
         rho, x, y = atom_stacks(_stacked([draws[i].raw for i in rows]))
-        out.append((rows, FiniteJointSpace(p[atom_dims == n], x, y, rho)))
-    return out
+        yield rows, FiniteJointSpace(p[atom_dims == n], x, y, rho)
+        del rho, x, y  # before the next bucket's stacks are built
 
 
 def _space(draw: Draw) -> FiniteJointSpace:
-    return _build([draw])[0][1]
+    return next(_build([draw]))[1]
 
 
 def _sampled(rng: np.random.Generator, mode: str, dims: tuple[int, int], atoms: tuple[int, int]) -> FiniteJointSpace:
@@ -452,9 +469,10 @@ def _run_range(config: CampaignConfig, fs: list, tol: float, lo: int, hi: int, g
     trials = config.trials
     rng = np.random.Generator(np.random.Philox(0))  # reseeded before every draw
     counts = fresh_counts(rng, _count_ranges(config.mode, config.dims, config.atoms))
-    # A block closes once its draws hold BLOCK_ELEMENTS values of x: x is one of
-    # a draw's two raw value sets in num mode, of three (rho, X, Y) otherwise.
-    limit = BLOCK_ELEMENTS * (2 if config.mode == "num" else 3)
+    # A block closes once its draws hold its mode's cap of values of x: x is
+    # one of a draw's two raw value sets in num mode, of three (rho, X, Y)
+    # otherwise.
+    limit = BLOCK_ELEMENTS * (2 if config.mode == "num" else 3 * MATRIX_BLOCK_FACTOR)
     start, draws, size = lo, [], 0  # the open block's first pair, its draws, its raw values
     for pair, key in enumerate(_trial_keys(config, lo, hi), lo + 1):
         draws.append(_run_trial(config, *divmod(pair - 1, trials), rng, key, counts))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import MAX_DIM, sym_matrix, symmetrize
+from .linalg import MAX_DIM, sym_matrix
 from .tolerances import DENSITY_PSD_TOL, DENSITY_TRACE_TOL
 
 #: Diagonal shift of SPD sampling: every sample's min eigenvalue is at least this.
@@ -206,8 +206,10 @@ def fresh_counts(rng: np.random.Generator, ranges):
 def spd_stack(g: np.ndarray) -> np.ndarray:
     """The SPD samplers' construction: G G^T + DEFAULT_FLOOR*I, min eigenvalue
     >= DEFAULT_FLOOR, for every factor of a (..., n, n) stack, each with the
-    bits it gets alone."""
-    return symmetrize(g @ g.swapaxes(-1, -2) + DEFAULT_FLOOR * np.eye(g.shape[-1]))
+    bits it gets alone.  numpy's G G^T is exactly symmetric (entries (i, j)
+    and (j, i) come from the same products), so it needs no symmetrizing;
+    ``test_spd_stack_is_exactly_symmetric`` pins that."""
+    return g @ g.swapaxes(-1, -2) + DEFAULT_FLOOR * np.eye(g.shape[-1])
 
 
 def _unit_trace(s: np.ndarray) -> np.ndarray:

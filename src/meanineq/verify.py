@@ -250,7 +250,9 @@ def atom_values(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
 
     ``runs`` are (f, count) pairs: f is the function of the next count spaces.
     ``buckets`` are (rows, space) pairs, one per atom shape: ``space`` stacks
-    the atoms of the spaces ``rows`` (ascending), one after another.  A bucket
+    the atoms of the spaces ``rows`` (ascending), one after another.  They are
+    taken one at a time, and a bucket is let go once its values are in the
+    layout, so a lazy iterable of buckets has one alive at a time.  A bucket
     takes one kernel call, f on each run's atoms, and every atom gets the bits
     it gets alone: the kernels work slice by slice.  Kernel errors name an
     atom by its index in its bucket."""
@@ -271,6 +273,7 @@ def atom_values(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
             values = (perspective_traces(atom_runs, s.rho, s.x, s.y), *traces)
         t, j = np.nonzero(atom[rows])  # the bucket's atoms, in its order
         layout[:, rows[t], j] = (s.p, *values)
+        del s, values  # before the next bucket is built
     return layout[0], layout[1:]
 
 

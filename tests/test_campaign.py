@@ -319,6 +319,35 @@ def test_campaign_memory_per_trial_stays_small():
     assert (large - small) / (2 * (3 * 10**4 - 10**3)) < 24, (small, large)
 
 
+def test_a_matrix_block_holds_one_bucket_at_a_time():
+    # One block of sixteen op draws, four at each dimension 61-64, has four
+    # buckets.  With its draws already made, its traced peak must stay within
+    # that of a block of one such bucket plus half a bucket's (rho, X, Y)
+    # stacks: building every bucket before the first kernel call adds three
+    # buckets' stacks, and building the next before freeing the last, one.
+    import tracemalloc
+
+    from meanineq import campaign
+
+    rng = split_rng(4, 0)
+    draws = [campaign._draw(rng, "op", n, 1) for n in (61, 62, 63, 64) for _ in range(4)]
+    fs = [get_function("geometric")]
+
+    def peak(block):
+        config = CampaignConfig(mode="op", functions=("geometric",), trials=len(block), dims=(61, 64))
+        tracemalloc.start()
+        try:
+            campaign._block_gaps(config, fs, 0, block)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(draws)  # one-time allocations of a first block
+    one_bucket, four_buckets = peak(draws[-4:]), peak(draws)
+    stacks = 3 * 4 * 64 * 64 * 8  # bytes of the n = 64 bucket's rho, X and Y
+    assert four_buckets < one_bucket + stacks / 2, (one_bucket, four_buckets, stacks)
+
+
 def test_scaled_uniforms_are_numpys_uniform():
     # numpy draws uniform(low, high) as low + (high - low) * random(), so a
     # trial's uniforms give the values the log2 uniforms gave, bit for bit.
@@ -422,9 +451,15 @@ def _recorded_reports(cfg, monkeypatch):
         return block_gaps(config, fs, lo, block_draws)
 
     def record_block(runs, counts, buckets):
-        lhs, rhs = block_sides(runs, counts, buckets)
+        dims = {}  # each row's dimension, read off its bucket as block_sides takes it
+
+        def recorded_buckets():
+            for rows, space in buckets:
+                dims.update((i, space.dims) for i in rows)
+                yield rows, space
+
+        lhs, rhs = block_sides(runs, counts, recorded_buckets())
         fids = [f.id for f, count in runs for _ in range(count)]
-        dims = {i: space.dims for rows, space in buckets for i in rows}
         records = [
             (fid, lo, hi, hi - lo, classify_gap(hi - lo, tol), counts[i], dims[i])
             for i, (fid, lo, hi) in enumerate(zip(fids, lhs.tolist(), rhs.tolist()))
@@ -452,9 +487,10 @@ def _bits(function, lhs, rhs, gap, verdict, atoms, dims):
         CampaignConfig(mode="num", functions=("geometric", "wyd:0.25", "counterexample-g"), trials=60, seed=201),
         CampaignConfig(mode="op", functions=("logarithmic", "wyd:0.75"), trials=40, dims=(2, 6), seed=202),
         CampaignConfig(mode="rm", functions=("harmonic", "geometric"), trials=15, dims=(2, 6), seed=203),
-        # Every 48-64 matrix holds over half of BLOCK_ELEMENTS, so blocks
-        # flush every one or two trials, partway through each function.
-        CampaignConfig(mode="op", functions=("geometric", "arithmetic"), trials=5, dims=(48, 64), seed=201),
+        # A 48-64 matrix holds 2304 to 4096 values of x, so a block at the
+        # matrix cap holds 8 to 14 trials and blocks flush partway through
+        # each function's 20 trials.
+        CampaignConfig(mode="op", functions=("geometric", "arithmetic"), trials=20, dims=(48, 64), seed=201),
     ],
     ids=["num", "op-2-6", "rm-2-6", "op-48-64"],
 )
@@ -512,13 +548,15 @@ def _with_bad_trials(monkeypatch, bad, draw=None, atom=None):
 
     def build_with_bad_spaces(draws):
         built.append(len(draws))
-        buckets = build(draws)
-        for rows, space in buckets:
+        return edited_buckets(draws)
+
+    def edited_buckets(draws):  # build's buckets, each edited as it is taken
+        for rows, space in build(draws):
             starts = np.cumsum([0] + [draws[i].atoms for i in rows])
             for j, i in zip(starts, rows):
                 if atom and any(draws[i] is d for d in bad_draws):
                     atom(space, j)
-        return buckets
+            yield rows, space
 
     monkeypatch.setattr(campaign, "_run_trial", run_trial_with_bad_draws)
     monkeypatch.setattr(campaign, "_build", build_with_bad_spaces)
@@ -632,19 +670,24 @@ def test_campaign_spaces_are_the_split_rng_spaces(cfg, chunk, monkeypatch):
             seed=20,
         ),
         CampaignConfig(mode="op", functions=("geometric", "harmonic", "arithmetic"), trials=2, dims=(2, 6), seed=21),
+        CampaignConfig(mode="op", functions=("geometric", "harmonic", "wyd:0.5"), trials=12, dims=(48, 64), seed=22),
     ],
-    ids=["rm", "op", "num", "num-one-trial", "op-two-trials"],
+    ids=["rm", "op", "num", "num-one-trial", "op-two-trials", "op-48-64"],
 )
 def test_output_does_not_depend_on_the_block_size(cfg, monkeypatch):
-    # A block of 1 value of x holds one trial; 37 ends blocks inside
-    # functions and in the next one; 4096 holds whole campaigns here.
+    # A block of 1 value of x holds one trial when matrix blocks are at the
+    # num cap (factor 1); 37 ends blocks inside functions and in the next
+    # one; 4096 holds whole campaigns here but at 48-64, where matrix blocks
+    # of 1, 8 (the default) and 16 times 4096 values of x hold 1-2, 8-14 and
+    # 16-28 trials.
     from meanineq import campaign
     from meanineq.cli import emit_report
 
     unpatched = emit_report(run_campaign(cfg), "json")
-    for size in (1, 37, 4096):
+    for size, factor in itertools.product((1, 37, 4096), (1, campaign.MATRIX_BLOCK_FACTOR, 16)):
         monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", size)
-        assert emit_report(run_campaign(cfg), "json") == unpatched, size
+        monkeypatch.setattr(campaign, "MATRIX_BLOCK_FACTOR", factor)
+        assert emit_report(run_campaign(cfg), "json") == unpatched, (size, factor)
     assert cfg.mode != "num" or '"worst_case"' in unpatched
 
 

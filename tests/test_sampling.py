@@ -22,8 +22,21 @@ from meanineq import (
     validate_config,
 )
 from meanineq.campaign import DEFAULT_ATOMS, DEFAULT_DIMS, _count_ranges
-from meanineq.sampling import DEFAULT_FLOOR, _bounded, fresh_counts, philox_keys, reseed
+from meanineq.sampling import DEFAULT_FLOOR, _bounded, fresh_counts, philox_keys, reseed, spd_stack
 from meanineq.tolerances import COND_LIMIT
+
+
+def test_spd_stack_is_exactly_symmetric():
+    # spd_stack does not symmetrize: numpy's G G^T takes entries (i, j) and
+    # (j, i) from the same products.  Pinned for 2-D factors, (3, n, n) and
+    # (k, 3, n, n) stacks, and strided factors, so a numpy change that breaks
+    # it is caught here.
+    rng = split_rng(31, 0)
+    for n in range(1, 65):
+        strided = rng.standard_normal((2, 3, n + 1, 2 * n))[:, :, :n, ::2]
+        for g in (rng.standard_normal((n, n)), rng.standard_normal((3, n, n)), rng.standard_normal((4, 3, n, n)), strided):
+            s = spd_stack(g)
+            assert np.array_equal(s, s.swapaxes(-1, -2)), (n, g.shape, g.strides)
 
 
 def test_spd_floor_guarantee():
