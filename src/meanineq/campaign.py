@@ -56,7 +56,6 @@ verifies its restarts in blocks of SEARCH_CHUNK in the same way.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from collections.abc import Iterator
@@ -65,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MeanIneqError, UsageError, content_lines, located, place, read_input
+from .errors import MeanIneqError, UsageError, content_lines, located, place, read_input, require_integer
 from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import OperatorMeanSpec
@@ -160,14 +159,10 @@ class CampaignSummary:
     atoms: tuple[int, int]
 
 
-def validate_config(config: CampaignConfig) -> None:
-    """Reject a bad configuration before any trial runs."""
-    _validated(config)
-
-
-def _validated(config: CampaignConfig) -> CampaignConfig:
-    """``config`` once checked, with its counts as Python ints: numpy
-    integers are accepted, and a campaign reports what it ran."""
+def validate_config(config: CampaignConfig) -> CampaignConfig:
+    """Reject a bad configuration before any trial runs; return ``config``
+    once checked, with its counts as Python ints: numpy integers are
+    accepted, and a campaign reports what it ran."""
     if config.mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {config.mode!r}")
     if not config.functions:
@@ -178,12 +173,12 @@ def _validated(config: CampaignConfig) -> CampaignConfig:
         f = get_function(fid)
         if config.mode in ("op", "rm"):
             OperatorMeanSpec(f)
-    trials = _integer("trials", config.trials)
+    trials = require_integer("trials", config.trials)
     if trials < 0:
         raise UsageError(f"trials must be >= 0, got {config.trials!r}")
     if len(config.functions) * trials >= 2**63:  # numpy counts the pairs as int64
         raise UsageError(f"functions x trials must be below 2**63, got {len(config.functions)} x {trials}")
-    seed = _integer("seed", config.seed)
+    seed = require_integer("seed", config.seed)
     if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {config.seed!r}")
     dims, atoms = _check_ranges(config.dims, config.atoms)
@@ -192,24 +187,13 @@ def _validated(config: CampaignConfig) -> CampaignConfig:
     return replace(config, trials=trials, seed=seed, dims=dims, atoms=atoms)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int when it is an integer (``operator.index``) other
-    than a bool, else a UsageError that names ``name``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise UsageError(f"{name} must be an integer, got {value!r}")
-
-
 def _bounds(name: str, pair) -> tuple[int, int]:
     """A (min, max) range of integers, else a UsageError that names ``name``."""
     try:
         lo, hi = pair
     except (TypeError, ValueError):
         raise UsageError(f"{name} must be a (min, max) pair, got {pair!r}") from None
-    return _integer(name, lo), _integer(name, hi)
+    return require_integer(name, lo), require_integer(name, hi)
 
 
 def _check_ranges(dims: tuple[int, int], atoms: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -274,9 +258,7 @@ def parse_campaign_config(text: str, path=None) -> CampaignConfig:
         for key in ("mode", "functions", "trials"):
             if key not in fields:
                 raise UsageError(f"missing required config key {key!r}")
-        config = CampaignConfig(**fields)
-        validate_config(config)
-    return config
+        return validate_config(CampaignConfig(**fields))
 
 
 def load_campaign_config(path) -> CampaignConfig:
@@ -431,8 +413,8 @@ def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator
 
 def _trial_keys(config: CampaignConfig, lo: int, hi: int):
     """The split_rng keys of the (function, trial) pairs lo, ..., hi - 1 in
-    campaign order, as the int tuples ``reseed`` takes, derived KEY_CHUNK
-    pairs per ``philox_keys`` call."""
+    campaign order, as the int tuples a ``sampling.fresh_counts`` closure
+    takes, derived KEY_CHUNK pairs per ``philox_keys`` call."""
     for start in range(lo, hi, KEY_CHUNK):
         pair = np.arange(start, min(start + KEY_CHUNK, hi), dtype=np.uint64)
         yield from map(tuple, philox_keys(config.seed, pair // config.trials, pair % config.trials).tolist())
@@ -511,7 +493,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     split, and an error names the first failing trial of the first failing
     range.  ``workers`` is kept for existing callers and is not read.
     """
-    config = _validated(config)
+    config = validate_config(config)
     tol, trials = config.resolved_tol(), config.trials
     fs = [get_function(fid) for fid in config.functions]
     gaps = np.empty((len(fs), trials))  # row fi: function fi's trials
@@ -529,11 +511,9 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     threads = [threading.Thread(target=run, args=(i,), name=f"meanineq-range-{i}") for i in range(1, n)]
     for thread in threads:
         thread.start()
-    try:
-        _run_range(config, fs, tol, bounds[0], bounds[1], gaps, violated)
-    finally:
-        for thread in threads:
-            thread.join()
+    run(0)
+    for thread in threads:
+        thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
@@ -581,7 +561,7 @@ def search_violation(
     restart, no refinement: the objective is piecewise smooth with kinks
     exactly where violations live.
     """
-    budget = _integer("search budget", budget)
+    budget = require_integer("search budget", budget)
     if budget < 1:
         raise UsageError(f"search budget must be >= 1, got {budget!r}")
     require_tol(tol)  # before any restart is drawn

@@ -292,15 +292,9 @@ def _run(args: argparse.Namespace, out) -> int:
         return 0 if report.passed else 1
 
     if args.command == "campaign":
-        config = load_campaign_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.trials is not None:
-            config = replace(config, trials=args.trials)
-        if args.dim is not None:
-            config = replace(config, dims=(args.dim, args.dim))
-        if args.tol is not None:
-            config = replace(config, tol=args.tol)
+        dims = None if args.dim is None else (args.dim, args.dim)
+        overrides = {"seed": args.seed, "trials": args.trials, "dims": dims, "tol": args.tol}
+        config = replace(load_campaign_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
         summary = run_campaign(config)
         out.write(emit_report(summary, args.format) + "\n")
         return 1 if summary.violations > 0 else 0

@@ -9,8 +9,13 @@ and keeps each other line's 1-based number.  An error about an input is
 raised inside :func:`located`, which prefixes its message with the
 :func:`place` it is about: ``<kind> file <path>, line <n>``, or
 ``<kind> file <path>`` for the whole file.
+
+A caller's integer (a count, a seed, a path entry, a dimension) is checked
+by :func:`require_integer` wherever it enters the package, so every public
+boundary admits the same integers.
 """
 
+import operator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -41,6 +46,18 @@ class PreconditionError(MeanIneqError):
 
 class NumericError(MeanIneqError):
     """A numerical kernel failed to converge or produced non-finite output."""
+
+
+def require_integer(name: str, value) -> int:
+    """``value`` as an int when it is an integer (``operator.index``: Python
+    and numpy integers) other than a bool, else a UsageError that names
+    ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 @contextmanager

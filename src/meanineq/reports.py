@@ -25,9 +25,10 @@ def classify_gap(gap, tol):
 
 
 def require_tol(tol) -> float:
-    """A caller's verdict tolerance as a float: an int or float, finite and
-    positive.  Every verdict that takes a caller's ``tol`` checks it here."""
-    if not (isinstance(tol, (int, float)) and 0.0 < tol < float("inf")):
+    """A caller's verdict tolerance as a float: an int or float other than a
+    bool, finite and positive.  Every verdict that takes a caller's ``tol``
+    checks it here."""
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and 0.0 < tol < float("inf")):
         raise UsageError(f"tol must be finite and positive, got {tol!r}")
     return float(tol)
 

@@ -5,11 +5,13 @@ global state is touched.  :func:`split_rng` defines the stream: path (j, k)
 of a campaign seed is counter-based Philox keyed by
 ``SeedSequence(entropy=seed, spawn_key=(j, k))``, so a campaign can hand trial
 k of function j its own generator and produce bit-identical results at any
-block size.  Campaigns get the same generators more cheaply:
-:func:`philox_keys` derives the keys of many paths at once: it takes the
-seed's pool from numpy's ``SeedSequence`` and mixes the spawn keys in with
-its arithmetic on arrays, and :func:`reseed` resets one Philox
-generator to the fresh state of a key.
+block size.  The seed and every path entry must be non-negative integers
+(``errors.require_integer``), so no other value replays a stream it does not
+name.  Campaigns get the same generators more cheaply: :func:`philox_keys`
+derives the keys of many paths at once: it takes the seed's pool from
+numpy's ``SeedSequence`` and mixes the spawn keys in with its arithmetic on
+arrays, and :func:`fresh_counts` resets one Philox generator to the fresh
+state of a key before each trial.
 
 A fresh generator also draws bounded integers more cheaply.  numpy's
 ``integers(lo, hi + 1)`` takes a span s = hi - lo + 1 below 2**32 from 32-bit
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, require_integer
 from .linalg import MAX_DIM, sym_matrix
 from .tolerances import DENSITY_PSD_TOL, DENSITY_TRACE_TOL
 
@@ -46,10 +48,16 @@ _DST = np.arange(_POOL)[:, None]
 
 
 def split_rng(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic child generator for (seed, path); streams are independent per path."""
-    if int(seed) < 0:  # every seeded entry point derives its generators here
+    """Deterministic child generator for (seed, path); streams are independent
+    per path.  The seed and the path entries must be non-negative integers:
+    every seeded entry point derives its generators here."""
+    entropy = require_integer("seed", seed)
+    if entropy < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    spawn_key = tuple(require_integer("path entry", p) for p in path)
+    if any(p < 0 for p in spawn_key):
+        raise UsageError(f"path entries must be non-negative, got {path!r}")
+    ss = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -124,15 +132,6 @@ def _fresh_state(key: tuple[int, int] = (0, 0)) -> dict:
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-def reseed(rng: np.random.Generator, key: tuple[int, int]) -> np.random.Generator:
-    """Reset a Philox-backed generator to the state a fresh ``Philox`` keyed
-    by ``key``, two Python ints below 2**64, starts in.  With a row of
-    :func:`philox_keys` as a tuple, rng then draws what the matching
-    :func:`split_rng` generator draws."""
-    rng.bit_generator.state = _fresh_state(key)
-    return rng
 
 
 def _bounded(ranges) -> list[tuple[int, int, int]] | None:
@@ -219,7 +218,9 @@ def _unit_trace(s: np.ndarray) -> np.ndarray:
 
 def sample_spd(n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample one SPD matrix G G^T + DEFAULT_FLOOR*I, G with iid N(0, 1)
-    entries: :func:`spd_stack` of one ``standard_normal`` draw."""
+    entries: :func:`spd_stack` of one ``standard_normal`` draw.  ``n`` must
+    be an integer in [1, MAX_DIM]."""
+    n = require_integer("dimension", n)
     if n < 1 or n > MAX_DIM:
         raise UsageError(f"dimension must be in [1, {MAX_DIM}], got {n}")
     return spd_stack(rng.standard_normal((n, n)))

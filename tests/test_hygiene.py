@@ -333,3 +333,36 @@ def test_src_checks_tol_only_in_reports(path):
         assert found != []
     else:
         assert found == []
+
+
+#: The one module that decides which of a caller's values is an integer
+#: (``errors.require_integer``); a check of its own elsewhere could admit a
+#: float or a bool that the others reject.
+INTEGER_CHECK = "errors.py"
+
+
+def _integer_messages(tree: ast.AST) -> list[str]:
+    """String literals, plain or the literal parts of f-strings, that hold
+    ``must be an integer``: the message of a check of a caller's integer."""
+    return sorted(
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be an integer" in node.value
+    )
+
+
+def test_integer_scan_catches_inline_checks():
+    tree = ast.parse(
+        "if not isinstance(n, int):\n    raise UsageError(f\"{name} must be an integer, got {n!r}\")\n"
+        "msg = 'seed must be an integer'\nok = f'seed must be a non-negative integer, got {seed}'\n"
+    )
+    assert _integer_messages(tree) == ["line 2: ' must be an integer, got '", "line 3: 'seed must be an integer'"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_checks_integers_only_in_errors(path):
+    found = _integer_messages(ast.parse(path.read_text()))
+    if path.name == INTEGER_CHECK:
+        assert found != []
+    else:
+        assert found == []

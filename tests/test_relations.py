@@ -1,0 +1,113 @@
+"""Exact relations: transformations of a space that leave its exact gap
+unchanged in real arithmetic must leave the computed verdict unchanged and
+move the computed gap by roundoff only.
+
+This is metamorphic testing: no reference implementation is needed, only a
+relation the mathematics guarantees.
+
+* Scalar spaces: permuting the atoms, swapping X and Y (every catalog mean
+  is symmetric; counterexample-g too, as t g(1/t) = g(t)), and splitting
+  each atom (p, x, y) into two atoms of weight p/2.  The bound is
+  4 k eps max(|lhs|, |rhs|) for a space of k atoms: lhs is a sum of k
+  products, and the means move each by a few ulp.
+* Matrix spaces: conjugating every atom's rho, X and Y by one orthogonal U,
+  since P_f(U A U^T, U B U^T) = U P_f(A, B) U^T and the trace is invariant.
+  The bound is MATRIX_RELATIVE max(|lhs|, |rhs|).
+
+The bounds are fixed constants until the verifier carries an error bound of
+its own beside every gap; the tests then check that bound instead.
+"""
+
+import numpy as np
+import pytest
+
+from meanineq import (
+    get_function,
+    matrix_space,
+    operator_mean_spec,
+    sample_matrix_space,
+    sample_operator_triple,
+    sample_scalar_space,
+    scalar_space,
+    split_rng,
+    verify_numeric,
+    verify_operator,
+    verify_random_matrix,
+)
+
+EPS = np.finfo(float).eps
+#: One id per catalog entry; the concave ones have operator means.
+SCALAR_IDS = ("arithmetic", "wyd:0.25", "geometric", "harmonic", "logarithmic", "counterexample-g")
+MATRIX_IDS = SCALAR_IDS[:-1]
+SPACES = 200
+#: |delta gap| / max(|lhs|, |rhs|) allowed under conjugation.
+MATRIX_RELATIVE = 1e-10
+
+
+def _permuted(space, rng):
+    order = rng.permutation(space.atoms)
+    return scalar_space(zip(space.p[order], space.x[order], space.y[order]))
+
+
+def _swapped(space, rng):
+    return scalar_space(zip(space.p, space.y, space.x))
+
+
+def _split(space, rng):
+    twice = [np.repeat(v, 2) for v in (space.p / 2, space.x, space.y)]
+    return scalar_space(zip(*twice))
+
+
+def _assert_same(before, after, bound):
+    assert after.verdict == before.verdict
+    assert abs(after.gap - before.gap) <= bound * max(abs(before.lhs), abs(before.rhs))
+
+
+@pytest.mark.parametrize("relation", [_permuted, _swapped, _split], ids=["permute", "swap", "split"])
+@pytest.mark.parametrize("fid", SCALAR_IDS)
+def test_scalar_relations_keep_the_gap(fid, relation):
+    f = get_function(fid)
+    for i in range(SPACES):
+        rng = split_rng(2025, SCALAR_IDS.index(fid), i)
+        space = sample_scalar_space(rng)
+        before, after = verify_numeric(space, f), verify_numeric(relation(space, rng), f)
+        _assert_same(before, after, 4 * space.atoms * EPS)
+
+
+def _orthogonal(n, rng):
+    """A Haar-random n x n orthogonal matrix: the Q of a Gaussian's QR with
+    the signs of R's diagonal taken out."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+#: (dims, spaces per id) of each matrix size class; fewer of the large ones
+#: keep the run to seconds.
+SIZES = [((2, 6), SPACES), ((7, 16), 60), ((48, 64), 8)]
+
+
+@pytest.mark.parametrize("dims, count", SIZES, ids=["dims-2-6", "dims-7-16", "dims-48-64"])
+@pytest.mark.parametrize("fid", MATRIX_IDS)
+def test_op_conjugation_keeps_the_gap(fid, dims, count):
+    spec = operator_mean_spec(fid)
+    for i in range(count):
+        rng = split_rng(2026, MATRIX_IDS.index(fid), i)
+        rho, a, b = sample_operator_triple(rng, dims)
+        u = _orthogonal(len(a), rng)
+        before = verify_operator(rho, a, b, spec)
+        after = verify_operator(*(u @ m @ u.T for m in (rho, a, b)), spec)  # symmetrized on entry
+        _assert_same(before, after, MATRIX_RELATIVE)
+
+
+@pytest.mark.parametrize("dims, count", SIZES, ids=["dims-2-6", "dims-7-16", "dims-48-64"])
+@pytest.mark.parametrize("fid", MATRIX_IDS)
+def test_rm_conjugation_keeps_the_gap(fid, dims, count):
+    spec = operator_mean_spec(fid)
+    for i in range(count):
+        rng = split_rng(2027, MATRIX_IDS.index(fid), i)
+        space = sample_matrix_space(rng, dims, (1, 4))
+        u = _orthogonal(space.dims, rng)
+        x, y, rho = (u @ ms @ u.T for ms in (space.x, space.y, space.rho))  # symmetrized on entry
+        before = verify_random_matrix(space, spec)
+        after = verify_random_matrix(matrix_space(zip(space.p, x, y, rho)), spec)
+        _assert_same(before, after, MATRIX_RELATIVE)

@@ -22,7 +22,7 @@ from meanineq import (
     validate_config,
 )
 from meanineq.campaign import DEFAULT_ATOMS, DEFAULT_DIMS, _count_ranges
-from meanineq.sampling import DEFAULT_FLOOR, _bounded, fresh_counts, philox_keys, reseed, spd_stack
+from meanineq.sampling import DEFAULT_FLOOR, _bounded, _fresh_state, fresh_counts, philox_keys, spd_stack
 from meanineq.tolerances import COND_LIMIT
 
 
@@ -51,6 +51,18 @@ def test_spd_determinism():
     assert np.array_equal(a, b)
     c = sample_spd(5, split_rng(9, 2, 4))
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("sampler", [sample_spd, sample_density])
+@pytest.mark.parametrize("n", [2.5, True, 3.0, "3", None])
+def test_samplers_need_an_integer_dimension(sampler, n):
+    # A dimension that is not an integer is a usage error, not a TypeError
+    # from inside numpy, and nothing is drawn.
+    rng = split_rng(0, 0)
+    with pytest.raises(UsageError, match="^dimension must be an integer"):
+        sampler(n, rng)
+    assert _state(rng) == _state(split_rng(0, 0))
+    assert np.array_equal(sampler(np.int64(3), rng), sampler(3, split_rng(0, 0)))
 
 
 def test_spd_rejects_bad_params():
@@ -161,6 +173,31 @@ def test_split_paths_are_independent():
     assert not np.allclose(x, z)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.5, 0), "seed must be an integer, got 1.5"),
+        ((True, 0), "seed must be an integer, got True"),
+        ((-0.5,), "seed must be an integer, got -0.5"),
+        ((-1, 0), "seed must be a non-negative integer, got -1"),
+        ((0, 2.9), "path entry must be an integer, got 2.9"),
+        ((0, 1, False), "path entry must be an integer, got False"),
+        ((0, -1), "path entries must be non-negative, got (-1,)"),
+    ],
+    ids=["seed-float", "seed-bool", "seed-negative-float", "seed-negative", "path-float", "path-bool", "path-negative"],
+)
+def test_split_rng_needs_non_negative_integers(args, message):
+    # Each of these once drew another (seed, path)'s stream, or raised
+    # numpy's ValueError, instead of a usage error.
+    with pytest.raises(UsageError) as exc:
+        split_rng(*args)
+    assert str(exc.value) == message
+
+
+def test_split_rng_takes_numpy_integers():
+    assert _state(split_rng(np.int64(3), np.uint64(2), np.int32(1))) == _state(split_rng(3, 2, 1))
+
+
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 9, 2**200 + 12345]
 SPAWN = [0, 1, 7, 2**32 - 1, 2**32, 2**33]
 TRIALS = [0, 1, 99, 2**32 - 1, 2**32, 2**32 + 5, 2**40]
@@ -197,8 +234,15 @@ def test_philox_keys_match_seed_sequence_property(seed, pairs):
 
 
 def _key(seed, fi, t):
-    """split_rng(seed, fi, t)'s key as the int tuple reseed takes."""
+    """split_rng(seed, fi, t)'s key as the int tuple a Philox state takes."""
     return tuple(philox_keys(seed, [fi], [t]).tolist()[0])
+
+
+def reseed(rng, key):
+    """``rng`` reset to the state a fresh Philox keyed by ``key`` starts in,
+    as a campaign's ``fresh_counts`` resets its generator before each trial."""
+    rng.bit_generator.state = _fresh_state(key)
+    return rng
 
 
 def test_reseeded_generator_draws_the_split_rng_stream():

@@ -503,11 +503,12 @@ TOL_SITES = {
 }
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, True])
 @pytest.mark.parametrize("site", TOL_SITES)
 def test_every_verdict_needs_a_finite_positive_tol(site, tol):
     # A NaN tol would let a violated Loewner order read True: every verdict
-    # rejects a tol that is not finite and positive, with one message.
+    # rejects a tol that is not finite and positive, with one message.  A
+    # bool is not a tol, though Python counts True as the int 1.
     with pytest.raises(UsageError, match="tol must be finite and positive"):
         TOL_SITES[site](tol)
     TOL_SITES[site](1e-9)
