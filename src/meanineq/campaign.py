@@ -41,16 +41,18 @@ raises 2 to the scaled uniforms.  Its matrix draws are grouped in buckets,
 one per dimension, and ``verify.block_sides`` evaluates the buckets one
 after another: ``_build`` builds a bucket's valid-by-construction spaces
 (one SPD construction for all its factors) only when it is asked for, the
-kernel runs two stacked Cholesky factorizations and one eigensolve, of the
-inner matrix, with only f on its spectrum run per function, and the
-bucket's stacks are freed once its values are in the block's padded
-layout.  So a matrix block holds its raw draws and one bucket's stacks at a
-time.  All weighted sums are then taken as padded arrays, with one rhs call
-per function.  Every trial's lhs and rhs have the bits of building and verifying
-it alone.  A block writes its gaps, and whether ``classify_gap`` finds each
-violated, into its slice of the campaign's two (functions, trials) arrays,
-9 bytes a trial, whose reductions give the counts and extremes.  A search
-verifies its restarts in blocks of SEARCH_CHUNK in the same way.
+kernel admits all its atoms with two stacked Cholesky factorizations, reads
+the arithmetic and harmonic runs' traces out of closed forms and the other
+runs' out of one eigensolve of their inner matrices, with only f on the
+spectrum run per function, and the bucket's stacks are freed once its
+values are in the block's padded layout.  So a matrix block holds its raw
+draws and one bucket's stacks at a time.  All weighted sums are then taken
+as padded arrays, with one rhs call per function.  Every trial's lhs and
+rhs have the bits of building and verifying it alone.  A block writes its
+gaps, and whether ``classify_gap`` finds each violated, into its slice of
+the campaign's two (functions, trials) arrays, 9 bytes a trial, whose
+reductions give the counts and extremes.  A search verifies its restarts
+in blocks of SEARCH_CHUNK in the same way.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .functions import RepresentingFunction, get_function
 from .linalg import MAX_DIM
 from .operator_means import OperatorMeanSpec
 from .reports import VERDICT_VIOLATED, InequalityReport, classify_gap, require_tol
-from .sampling import atom_stacks, fresh_counts, philox_keys, split_rng
+from .sampling import atom_stacks, fresh_counts, philox_keys, require_seed, split_rng
 from .tolerances import MATRIX_TOL, SCALAR_TOL
 from .verify import (
     FiniteJointSpace,
@@ -161,14 +163,18 @@ class CampaignSummary:
 
 def validate_config(config: CampaignConfig) -> CampaignConfig:
     """Reject a bad configuration before any trial runs; return ``config``
-    once checked, with its counts as Python ints: numpy integers are
-    accepted, and a campaign reports what it ran."""
+    once checked, with its function ids as a tuple, its counts as Python
+    ints and its tol as a float: any sequence of ids but a bare string, and
+    numpy scalars, are accepted, and a campaign reports what it ran."""
     if config.mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {config.mode!r}")
-    if not config.functions:
+    if isinstance(config.functions, str):
+        raise UsageError(f"functions must be a sequence of function ids, not the string {config.functions!r}")
+    functions = tuple(config.functions or ())
+    if not functions:
         raise UsageError("campaign needs at least one function id")
-    for i, fid in enumerate(config.functions):
-        if fid in config.functions[:i]:
+    for i, fid in enumerate(functions):
+        if fid in functions[:i]:
             raise UsageError(f"function id {fid!r} is listed more than once")
         f = get_function(fid)
         if config.mode in ("op", "rm"):
@@ -176,15 +182,12 @@ def validate_config(config: CampaignConfig) -> CampaignConfig:
     trials = require_integer("trials", config.trials)
     if trials < 0:
         raise UsageError(f"trials must be >= 0, got {config.trials!r}")
-    if len(config.functions) * trials >= 2**63:  # numpy counts the pairs as int64
-        raise UsageError(f"functions x trials must be below 2**63, got {len(config.functions)} x {trials}")
-    seed = require_integer("seed", config.seed)
-    if seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {config.seed!r}")
+    if len(functions) * trials >= 2**63:  # numpy counts the pairs as int64
+        raise UsageError(f"functions x trials must be below 2**63, got {len(functions)} x {trials}")
+    seed = require_seed(config.seed)
     dims, atoms = _check_ranges(config.dims, config.atoms)
-    if config.tol is not None:
-        require_tol(config.tol)
-    return replace(config, trials=trials, seed=seed, dims=dims, atoms=atoms)
+    tol = None if config.tol is None else require_tol(config.tol)
+    return replace(config, functions=functions, trials=trials, dims=dims, atoms=atoms, tol=tol, seed=seed)
 
 
 def _bounds(name: str, pair) -> tuple[int, int]:
@@ -557,10 +560,12 @@ def search_violation(
     all), verifies each chunk's two-point spaces (Y constant 1) as one block
     (``verify.two_point_gaps``), and keeps a running first smallest gap among
     the restarts with x1 != x2 and 0 < p < 1.  That restart is rebuilt as
-    :func:`construct_counterexample`'s space and labelled with ``seed``.  Pure
+    :func:`construct_counterexample`'s space and labelled with ``seed``, a
+    non-negative integer or None, checked before any restart is drawn.  Pure
     restart, no refinement: the objective is piecewise smooth with kinks
     exactly where violations live.
     """
+    seed = None if seed is None else require_seed(seed)
     budget = require_integer("search budget", budget)
     if budget < 1:
         raise UsageError(f"search budget must be >= 1, got {budget!r}")

@@ -10,7 +10,12 @@ commuting arguments is a*f(b/a) per joint eigenvalue pair.  By congruence
 invariance any factor A = L L^T may stand in for A^(1/2) (Kubo and Ando,
 1980; Bhatia, *Positive Definite Matrices*, ch. 4): the kernel takes
 Cholesky factors and one eigensolve, of L^-1 B L^-T, and reads out either
-the matrix or, for campaigns, only Tr(rho P_f(A, B)).  This module
+the matrix or, for campaigns, only Tr(rho P_f(A, B)).  Every kernel admits
+its arguments first, with the same checks and messages.  The trace readout
+takes closed forms for two means, A∇B = (A + B) / 2 and A!B = 2 A (A + B)^-1
+B (``CLOSED_TRACES``): no eigensolve and no inner clamp; the other runs of
+a stack share one eigensolve.  The matrix readout, and so ``operator_mean``,
+stays on the eigen route for every mean.  This module
 also carries the transformer-inequality checks, the Jensen inequality for
 sums of congruences, state expectations Tr(rho A), and a commuting-pair
 oracle used to cross-check the perspective against scalar means.
@@ -124,51 +129,75 @@ def _cholesky(s: np.ndarray, label: str) -> np.ndarray:
         raise NumericError(f"{label} passed the guard but has no Cholesky factor") from None
 
 
-def perspective_factor(f, sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, f(Λ)) with P_f(A, B) = F diag(f(Λ)) F^T, for trusted symmetric A, B
-    of one shape, B known PD within the guard.
-
-    By congruence invariance, P_f(A, B) = L f(L^-1 B L^-T) L^T for A = L L^T.
-    With B = R R^T and K = L^-1 R, the inner matrix K K^T = Q Λ Q^T takes the
-    one eigensolve, and F = L Q, which is not orthogonal.  A is admitted by
-    its own factor: λmin(A) >= 1 / ||L^-1||_F^2 > 0 and λmax(A) <= tr A, so
-    A passes when tr A ||L^-1||_F^2 <= COND_LIMIT / 2 (a margin of 2 over
-    the guard); otherwise it is judged by ``require_pd(eigvalsh(A), "first
-    argument", COND_LIMIT)``, as are A and B when they have no Cholesky
-    factor.  Inner eigenvalues in (-CLAMP_TOL λmax, 0] of a slice are
-    clamped up to CLAMP_TOL λmax; a lower one rejects the inputs.
-
-    A and B may be (..., n, n) stacks, one pair per atom (a 2-D pair is a
-    stack of one): every slice gets the checks, and the bits, it gets alone.
-    ``f`` is one function, or (f, count) runs over consecutive slices of a
-    stack, each run's f applied to its inner spectra."""
+def _admit(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, L^-1, R) with A = L L^T and B = R R^T, once every slice of the
+    trusted symmetric stacks A and B, B known PD within the guard, is admitted.
+    A is admitted by its own factor: λmin(A) >= 1 / ||L^-1||_F^2 > 0 and
+    λmax(A) <= tr A, so A passes when tr A ||L^-1||_F^2 <= COND_LIMIT / 2 (a
+    margin of 2 over the guard); otherwise it is judged by ``require_pd(
+    eigvalsh(A), "first argument", COND_LIMIT)``, as are A and B when they
+    have no Cholesky factor.  Every perspective kernel runs this first, on
+    all its slices, so a closed form rejects what the eigen route rejects."""
     l = _cholesky(sa, "first argument")
     inv_l = np.linalg.inv(l)
     inv_norm2 = np.square(inv_l).sum(axis=(-2, -1))  # ||L^-1||_F^2 = tr A^-1
     trace = np.trace(sa, axis1=-2, axis2=-1)
     if not (trace * inv_norm2 <= COND_LIMIT / 2).all():
         require_pd(np.linalg.eigvalsh(sa), "first argument", COND_LIMIT)
-    k = inv_l @ _cholesky(sb, "second argument")
+    return l, inv_l, _cholesky(sb, "second argument")
+
+
+def _eigen_factor(runs, l, k, atoms=None, count=None) -> tuple[np.ndarray, np.ndarray]:
+    """(F, f(Λ)) of admitted slices, each (f, count) run's f on its
+    consecutive slices' inner spectra, from one eigensolve of the stack of
+    inner matrices K K^T, K = L^-1 R.  ``atoms`` gives each slice's index in
+    the caller's stack of ``count`` atoms, which the errors name (default:
+    the slices are that stack)."""
     lam_m, q_m = spectrum(k @ k.swapaxes(-1, -2))
     lows = lam_m[..., 0].ravel().tolist()
+    if atoms is None:
+        atoms, count = range(len(lows)), len(lows)
     if min(lows) <= 0.0:
         clamp = CLAMP_TOL * lam_m[..., -1:]
-        for i, (low, bound) in enumerate(zip(lows, clamp.ravel().tolist())):
+        for i, low, bound in zip(atoms, lows, clamp.ravel().tolist()):
             if low <= -bound:
                 raise DomainError(
-                    f"{atom_label('inner perspective matrix', i, len(lows))} has "
+                    f"{atom_label('inner perspective matrix', i, count)} has "
                     f"eigenvalue {low!r}; inputs are not numerically positive definite"
                 )
         lam_m = np.where(lam_m[..., :1] <= 0.0, np.maximum(lam_m, clamp), lam_m)
-    runs = [(f, len(lam_m))] if isinstance(f, RepresentingFunction) else f
     images = np.concatenate([g.fn(lam_m[rows]) for g, rows in run_slices(runs)])
     if not np.isfinite(images).all():
         i = int(np.flatnonzero(~np.isfinite(images).all(axis=-1))[0])
         raise DomainError(
-            f"{atom_label('scalar function', i, len(lows))} produced non-finite "
+            f"{atom_label('scalar function', atoms[i], count)} produced non-finite "
             "eigenvalue images"
         )
     return l @ q_m, images
+
+
+def _runs(f, count: int) -> list:
+    """``f`` as (f, count) runs: one function is one run over ``count`` slices."""
+    return [(f, count)] if isinstance(f, RepresentingFunction) else f
+
+
+def perspective_factor(f, sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, f(Λ)) with P_f(A, B) = F diag(f(Λ)) F^T, for trusted symmetric A, B
+    of one shape, B known PD within the guard.
+
+    By congruence invariance, P_f(A, B) = L f(L^-1 B L^-T) L^T for A = L L^T.
+    With B = R R^T and K = L^-1 R, the inner matrix K K^T = Q Λ Q^T takes the
+    one eigensolve, and F = L Q, which is not orthogonal.  A and B are
+    admitted as ``_admit`` admits them.  Inner eigenvalues in (-CLAMP_TOL
+    λmax, 0] of a slice are clamped up to CLAMP_TOL λmax; a lower one
+    rejects the inputs.
+
+    A and B may be (..., n, n) stacks, one pair per atom (a 2-D pair is a
+    stack of one): every slice gets the checks, and the bits, it gets alone.
+    ``f`` is one function, or (f, count) runs over consecutive slices of a
+    stack, each run's f applied to its inner spectra."""
+    l, inv_l, r = _admit(sa, sb)
+    return _eigen_factor(_runs(f, len(sa)), l, inv_l @ r)
 
 
 def perspective_kernel(f, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -178,13 +207,70 @@ def perspective_kernel(f, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     return rebuild(images, factor)
 
 
+def state_traces(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Tr(rho M) of each slice of (k, n, n) stacks: the campaign's E X and
+    E Y atoms and the arithmetic closed form add the same bits."""
+    return np.einsum("kij,kji->k", rho, m)
+
+
+def _arithmetic_traces(rho: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """Tr(rho A∇B) = (Tr rho A + Tr rho B) / 2."""
+    return (state_traces(rho, sa) + state_traces(rho, sb)) / 2.0
+
+
+def _harmonic_traces(rho: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """Tr(rho A!B) = 2 Tr(rho A X) with X = (A + B)^-1 B, one solve a slice."""
+    return 2.0 * state_traces(rho @ sa, np.linalg.solve(sa + sb, sb))
+
+
+#: The trace readouts Tr(rho P_f(A, B)) that have a closed form in the
+#: Kubo-Ando calculus (Kubo and Ando, *Math. Ann.* 246, 1980): A∇B = (A + B)
+#: / 2 and A!B = 2 A (A + B)^-1 B.  Keyed by the ``fn`` of the catalog entry
+#: of each id, so a function that only shares the id takes the eigen route.
+CLOSED_TRACES = {
+    get_function("arithmetic").fn: _arithmetic_traces,
+    get_function("harmonic").fn: _harmonic_traces,
+}
+
+
+def _eigen_traces(runs, rho, l, k, atoms, count) -> np.ndarray:
+    """Tr(rho P_f) of admitted slices from :func:`_eigen_factor`, as
+    sum_i f(λ_i) w_i with w = diag(F^T rho F); F and its products are freed
+    on return."""
+    factor, images = _eigen_factor(runs, l, k, atoms, count)
+    return (images * ((rho @ factor) * factor).sum(axis=-2)).sum(axis=-1)
+
+
 def perspective_traces(f, rho: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """Tr(rho P_f(A, B)) of each slice of (k, n, n) stacks, for
-    :func:`perspective_factor`'s arguments and with its checks, without
-    forming P: sum_i f(λ_i) w_i, with w = diag(F^T rho F)."""
-    factor, images = perspective_factor(f, sa, sb)
-    w = ((rho @ factor) * factor).sum(axis=-2)
-    return (images * w).sum(axis=-1)
+    :func:`perspective_factor`'s arguments, without forming P.
+
+    Every slice is admitted first, as ``_admit`` admits it.  A run whose
+    ``f.fn`` is in CLOSED_TRACES takes its closed form, with no eigensolve
+    and no inner clamp.  The other runs' slices are gathered into one
+    eigensolve, with :func:`perspective_factor`'s clamp and checks; their
+    errors name an atom by its index in the whole stack.  Every slice gets
+    the bits it gets alone."""
+    l, inv_l, r = _admit(sa, sb)
+    runs = run_slices(_runs(f, len(sa)))
+    eigen = np.ones(len(sa), dtype=bool)
+    for g, rows in runs:
+        eigen[rows] = g.fn not in CLOSED_TRACES
+    at = np.flatnonzero(eigen)
+    gathered = len(at) < len(sa)
+    if gathered:  # the eigen route's slices only
+        l, inv_l, r = l[at], inv_l[at], r[at]
+    k = inv_l @ r
+    del inv_l, r  # before the eigensolve
+    traces = np.empty(len(sa))
+    if len(at):
+        eigen_runs = [(g, rows.stop - rows.start) for g, rows in runs if g.fn not in CLOSED_TRACES]
+        traces[at] = _eigen_traces(eigen_runs, rho[at] if gathered else rho, l, k, at, len(sa))
+    del l, k  # before the closed forms
+    for g, rows in runs:
+        if g.fn in CLOSED_TRACES:
+            traces[rows] = CLOSED_TRACES[g.fn](rho[rows], sa[rows], sb[rows])
+    return traces
 
 
 def operator_mean(spec: OperatorMeanSpec, a, b) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -25,10 +26,10 @@ def classify_gap(gap, tol):
 
 
 def require_tol(tol) -> float:
-    """A caller's verdict tolerance as a float: an int or float other than a
-    bool, finite and positive.  Every verdict that takes a caller's ``tol``
-    checks it here."""
-    if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and 0.0 < tol < float("inf")):
+    """A caller's verdict tolerance as a float: a real scalar other than a
+    bool (Python or numpy: ``numbers.Real``), finite and positive.  Every
+    verdict that takes a caller's ``tol`` checks it here."""
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and 0.0 < tol < float("inf")):
         raise UsageError(f"tol must be finite and positive, got {tol!r}")
     return float(tol)
 

@@ -47,13 +47,19 @@ _POOL = 4
 _DST = np.arange(_POOL)[:, None]
 
 
+def require_seed(seed) -> int:
+    """A caller's seed as an int: a non-negative integer, else a UsageError."""
+    value = require_integer("seed", seed)
+    if value < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
+
+
 def split_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic child generator for (seed, path); streams are independent
     per path.  The seed and the path entries must be non-negative integers:
     every seeded entry point derives its generators here."""
-    entropy = require_integer("seed", seed)
-    if entropy < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
+    entropy = require_seed(seed)
     spawn_key = tuple(require_integer("path entry", p) for p in path)
     if any(p < 0 for p in spawn_key):
         raise UsageError(f"path entries must be non-negative, got {path!r}")

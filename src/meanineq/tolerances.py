@@ -26,7 +26,8 @@ COND_LIMIT = 1e8
 
 #: Relative, to the inner matrix's lambda_max.  Inner perspective eigenvalues
 #: above -CLAMP_TOL lambda_max are roundoff, clamped up to CLAMP_TOL
-#: lambda_max; lower ones reject the inputs.
+#: lambda_max; lower ones reject the inputs.  Eigen route only: the
+#: closed-form arithmetic and harmonic traces have no inner matrix.
 CLAMP_TOL = 1e-12
 
 #: Relative, to ||A||_F ||B||_F.  Largest commutator norm of a commuting pair.

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError, NumericError, UsageError, content_lines, located, place, read_input
 from .functions import RepresentingFunction, means, run_slices
 from .linalg import load_matrix, require_pd, sym_matrix
-from .operator_means import OperatorMeanSpec, perspective_traces
+from .operator_means import OperatorMeanSpec, perspective_traces, state_traces
 from .reports import InequalityReport, inequality_report
 from .sampling import check_density
 from .tolerances import COND_LIMIT, MATRIX_TOL, PROB_SUM_TOL, SCALAR_TOL
@@ -253,9 +253,10 @@ def atom_values(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
     the atoms of the spaces ``rows`` (ascending), one after another.  They are
     taken one at a time, and a bucket is let go once its values are in the
     layout, so a lazy iterable of buckets has one alive at a time.  A bucket
-    takes one kernel call, f on each run's atoms, and every atom gets the bits
-    it gets alone: the kernels work slice by slice.  Kernel errors name an
-    atom by its index in its bucket."""
+    takes one kernel call, f on each run's atoms (in matrix mode at most one
+    eigensolve, for the runs without a closed form), and every atom gets the
+    bits it gets alone: the kernels work slice by slice.  Kernel errors name
+    an atom by its index in its bucket."""
     counts = np.asarray(counts)
     atom = np.arange(counts.max() + 1) <= counts[:, None]
     atom[:, 0] = False
@@ -269,7 +270,7 @@ def atom_values(runs, counts, buckets) -> tuple[np.ndarray, np.ndarray]:
         if s.x.ndim == 1:
             values = (_means(atom_runs, s.x, s.y), s.x, s.y)
         else:
-            traces = (np.einsum("kij,kji->k", s.rho, v) for v in (s.x, s.y))
+            traces = (state_traces(s.rho, v) for v in (s.x, s.y))
             values = (perspective_traces(atom_runs, s.rho, s.x, s.y), *traces)
         t, j = np.nonzero(atom[rows])  # the bucket's atoms, in its order
         layout[:, rows[t], j] = (s.p, *values)

@@ -792,6 +792,25 @@ def test_counts_must_be_integers(key, bad):
             call(cfg)
 
 
+@pytest.mark.parametrize("bad", [1.5, -1, True], ids=["float", "negative", "bool"])
+def test_search_seed_is_a_non_negative_integer(bad):
+    # A search's seed is its replay coordinate, which split_rng would reject.
+    rng = split_rng(0, 0)
+    with pytest.raises(UsageError, match="^seed must be a"):
+        search_violation(get_function("geometric"), rng, 10, seed=bad)
+    assert rng.random() == split_rng(0, 0).random()  # nothing was drawn
+    assert search_violation(get_function("geometric"), split_rng(0, 0), 10, seed=np.int64(3)).seed == 3
+    assert search_violation(get_function("geometric"), split_rng(0, 0), 10).seed is None
+
+
+def test_validate_config_takes_function_ids_as_a_tuple():
+    with pytest.raises(UsageError, match="^functions must be a sequence of function ids, not the string 'geometric'"):
+        validate_config(CampaignConfig("num", "geometric", 1))
+    checked = validate_config(CampaignConfig("num", ["geometric", "harmonic"], 1))
+    assert checked.functions == ("geometric", "harmonic")
+    assert run_campaign(CampaignConfig("num", ["geometric"], 3)) == run_campaign(CampaignConfig("num", ("geometric",), 3))
+
+
 def test_numpy_integer_counts_are_accepted():
     # A campaign runs, and reports, the Python ints its counts stand for.
     from meanineq.cli import emit_report

@@ -1,6 +1,7 @@
 """Exact finite-space verification in all three modes."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -512,6 +513,20 @@ def test_every_verdict_needs_a_finite_positive_tol(site, tol):
     with pytest.raises(UsageError, match="tol must be finite and positive"):
         TOL_SITES[site](tol)
     TOL_SITES[site](1e-9)
+
+
+@pytest.mark.parametrize("site", TOL_SITES)
+def test_every_verdict_takes_a_numpy_real_tol(site):
+    # Any real scalar but a bool is a tol: a float32 runs as the float64 it
+    # converts to, as a numpy integer runs as its int.
+    def same(x, y):  # every field bit for bit, arrays included
+        return pickle.dumps(TOL_SITES[site](x)) == pickle.dumps(TOL_SITES[site](y))
+
+    assert same(np.float32(1e-3), float(np.float32(1e-3)))
+    assert same(np.int64(1), 1)
+    for bad in (np.bool_(True), np.float32("nan"), np.array([1e-3])):
+        with pytest.raises(UsageError, match="tol must be finite and positive"):
+            TOL_SITES[site](bad)
 
 
 def test_search_checks_tol_before_it_draws():
