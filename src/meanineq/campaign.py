@@ -8,17 +8,16 @@ in one table, and an error names the file and line it is found in.
 Trial k of function j always draws the stream of ``split_rng(seed, j, k)``,
 so replays are bit-identical, and the worst case is rebuilt from its
 (function, trial) coordinates rather than stored.  A campaign does not build
-that generator per trial: it splits its pairs into contiguous ranges, and
-each range keeps one Philox generator and, before each trial's draw, reseeds
-it with the trial's exact ``SeedSequence`` key, derived for up to KEY_CHUNK
-consecutive (function, trial) pairs at once by ``sampling.philox_keys`` and
-handed over as int tuples.  Each range runs in-process, in order, on a
-thread of its own.  A num campaign, or one of matrices below
-THREAD_MIN_DIM, is one range: its trials are mostly Python, which holds the
-interpreter lock.  Larger matrices spend most of a trial in LAPACK, which
-releases it, so they get one range per core that BLAS leaves free
-(``_range_count``).  A range's generator and reseed state are its own, so
-ranges, and whole campaigns, may run in concurrent threads.
+that generator per trial: each of its ranges keeps one Philox generator and,
+before each trial's draw, reseeds it with the trial's exact ``SeedSequence``
+key, derived for up to KEY_CHUNK consecutive (function, trial) pairs at once
+by ``sampling.philox_keys`` and handed over as int tuples.  Ranges run
+in-process, each on a thread of its own.  A num campaign, or one of matrices
+below THREAD_MIN_DIM, is one range: its trials are mostly Python, which
+holds the interpreter lock.  Larger matrices spend most of a trial in
+LAPACK, which releases it, so they get one range per core that BLAS leaves
+free (``_range_count``).  A range's generator and reseed state are its own,
+so ranges, and whole campaigns, may run in concurrent threads.
 
 A trial only makes its generator calls (``Draw``): its dimension and atom
 count, its atoms' Dirichlet weights (exponentials, not yet normalised), then
@@ -31,13 +30,24 @@ in one straight-line path for the ranges that draw (one for each mode at the
 default ranges).  The public samplers take a caller's generator, which may
 hold a spare word, so they draw the counts with ``integers``, as does the
 rebuild of a trial from its ``split_rng`` generator; the values are drawn by
-one body, ``_draw``, either way.  A block of trials is a range of
-consecutive (function, trial) pairs in campaign order, across function
-boundaries, that ends at its range's last pair or once its draws hold
-BLOCK_ELEMENTS values of x, or MATRIX_BLOCK_FACTOR times as many in matrix
-mode.  A block does the arithmetic of its draws at once (``_build``): it
-normalises the weights of all its draws of one atom count as one array and
-raises 2 to the scaled uniforms.  Its matrix draws are grouped in buckets,
+one body, ``_draw``, either way.
+
+A campaign of one range whose pairs fit in one block, or in num mode, walks
+its pairs once in campaign order: a block of trials is a range of
+consecutive (function, trial) pairs, across function boundaries, that ends
+at the last pair or once its draws hold BLOCK_ELEMENTS values of x, or
+MATRIX_BLOCK_FACTOR times as many in matrix mode.  Any other campaign takes
+its pairs KEY_CHUNK at a time, in campaign order, and reads each window's
+counts first, through the call each trial's draw makes again.  It sorts the
+window's pairs by (dimension, pair) and cuts that order into one piece per
+range of about equal sum of k n^3 (``_pieces``), and each range fills blocks
+at the same cap from its piece.  So a block holds trials of one or two
+dimensions, and each LAPACK call stacks many trials, not one or two; a
+block's rows are put back in campaign order.
+
+A block does the arithmetic of its draws at once (``_build``): it normalises
+the weights of all its draws of one atom count as one array and raises 2 to
+the scaled uniforms.  Its matrix draws are grouped in buckets,
 one per dimension, and ``verify.block_sides`` evaluates the buckets one
 after another: ``_build`` builds a bucket's valid-by-construction spaces
 (one SPD construction for all its factors) only when it is asked for, the
@@ -49,14 +59,18 @@ values are in the block's padded layout.  So a matrix block holds its raw
 draws and one bucket's stacks at a time.  All weighted sums are then taken
 as padded arrays, with one rhs call per function.  Every trial's lhs and
 rhs have the bits of building and verifying it alone.  A block writes its
-gaps, and whether ``classify_gap`` finds each violated, into its slice of
-the campaign's two (functions, trials) arrays, 9 bytes a trial, whose
-reductions give the counts and extremes.  A search verifies its restarts
-in blocks of SEARCH_CHUNK in the same way.
+gaps, and whether ``classify_gap`` finds each violated, into its pairs'
+entries of the campaign's two (functions, trials) arrays, 9 bytes a trial,
+whose reductions give the counts and extremes.  A failed block is set aside,
+and once the window's ranges are joined, the trials of its failed blocks are
+verified one by one in campaign order, so the error names the first failing
+trial in campaign order.  A search verifies its restarts in blocks of
+SEARCH_CHUNK in the same way.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import threading
@@ -407,8 +421,8 @@ def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
 
 
 def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key: tuple[int, int], counts) -> Draw:
-    """Trial t of function fi's own work, run once per trial, in campaign
-    order within its range and maybe on another range's thread at once: its
+    """Trial t of function fi's own work, run once per trial, in its range's
+    order and maybe on another range's thread at once: its
     draw from ``rng`` after ``counts``, the range's ``sampling.fresh_counts``,
     has reseeded it with the trial's key and drawn the trial's counts."""
     return _draw(rng, config.mode, *counts(key))
@@ -423,23 +437,30 @@ def _trial_keys(config: CampaignConfig, lo: int, hi: int):
         yield from map(tuple, philox_keys(config.seed, pair // config.trials, pair % config.trials).tolist())
 
 
-def _block_gaps(config: CampaignConfig, fs: list, lo: int, draws: list[Draw]) -> np.ndarray:
-    """The gaps rhs - lhs of the draws of the campaign's pairs lo, lo + 1, ...,
-    evaluated at once, each function's pairs one ``verify.atom_values`` run.
-    When the block fails, its draws are verified one by one, and the first
-    failing one raises, named by its (function, trial)."""
-    trials, hi = config.trials, lo + len(draws)
-    fis = range(lo // trials, (hi - 1) // trials + 1)
-    runs = [(fs[fi], min(hi, (fi + 1) * trials) - max(lo, fi * trials)) for fi in fis]
-    try:
-        lhs, rhs = block_sides(runs, [d.atoms for d in draws], _build(draws))
-    except MeanIneqError:
-        for i, d in enumerate(draws):
-            fi, t = divmod(lo + i, trials)
-            with located(f"function {config.functions[fi]!r}, trial {t}"):
-                block_sides([(fs[fi], 1)], [d.atoms], _build([d]))
-        raise
+def _block_gaps(config: CampaignConfig, fs: list, pairs, draws: list[Draw]) -> np.ndarray:
+    """The gaps rhs - lhs of the draws of the campaign's pairs ``pairs``, a
+    sequence in campaign order, evaluated at once, each function's pairs one
+    ``verify.atom_values`` run.  A failing block raises an error that does not
+    say which trial failed (``_raise_first_failure`` finds it)."""
+    trials = config.trials
+    fis = range(pairs[0] // trials, pairs[-1] // trials + 1)
+    ends = [bisect.bisect_left(pairs, (fi + 1) * trials) for fi in fis]
+    runs = [(fs[fi], end - start) for fi, start, end in zip(fis, [0, *ends], ends)]
+    lhs, rhs = block_sides(runs, [d.atoms for d in draws], _build(draws))
     return rhs - lhs
+
+
+def _raise_first_failure(config: CampaignConfig, fs: list, failed: list) -> None:
+    """Raise the error of the first failing trial in campaign order among the
+    failed blocks, (pairs, draws, error) triples: their trials are verified
+    one by one in campaign order, and the first failing one raises, named by
+    its (function, trial); if none fails alone, the first block's error."""
+    trials = sorted((pair, d) for pairs, draws, _ in failed for pair, d in zip(pairs, draws))  # pairs are unique
+    for pair, d in trials:
+        fi, t = divmod(pair, config.trials)
+        with located(f"function {config.functions[fi]!r}, trial {t}"):
+            block_sides([(fs[fi], 1)], [d.atoms], _build([d]))
+    raise min(failed, key=lambda block: block[0][0])[2]
 
 
 def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> dict:
@@ -447,33 +468,63 @@ def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> di
     return {"function": fid, "trial": t, "space": space_to_jsonable(space)}
 
 
-def _run_range(config: CampaignConfig, fs: list, tol: float, lo: int, hi: int, gaps: np.ndarray, violated: np.ndarray) -> None:
-    """Draw and evaluate the campaign's pairs [lo, hi) in blocks, written in
-    place into their slices of ``gaps`` and ``violated``, from a Philox
-    generator and ``fresh_counts`` closure of the range's own."""
-    trials = config.trials
-    rng = np.random.Generator(np.random.Philox(0))  # reseeded before every draw
-    counts = fresh_counts(rng, _count_ranges(config.mode, config.dims, config.atoms))
-    # A block closes once its draws hold its mode's cap of values of x: x is
-    # one of a draw's two raw value sets in num mode, of three (rho, X, Y)
-    # otherwise.
-    limit = BLOCK_ELEMENTS * (2 if config.mode == "num" else 3 * MATRIX_BLOCK_FACTOR)
-    start, draws, size = lo, [], 0  # the open block's first pair, its draws, its raw values
-    for pair, key in enumerate(_trial_keys(config, lo, hi), lo + 1):
-        draws.append(_run_trial(config, *divmod(pair - 1, trials), rng, key, counts))
+def _stream(config: CampaignConfig):
+    """A range's own Philox generator, reseeded before every draw, and its
+    ``fresh_counts`` closure."""
+    rng = np.random.Generator(np.random.Philox(0))
+    return rng, fresh_counts(rng, _count_ranges(config.mode, config.dims, config.atoms))
+
+
+def _block_limit(config: CampaignConfig) -> int:
+    """The raw values at which a block closes: BLOCK_ELEMENTS values of x, or
+    MATRIX_BLOCK_FACTOR times as many in matrix mode, x being one of a draw's
+    two raw value sets in num mode and one of three (rho, X, Y) otherwise."""
+    return BLOCK_ELEMENTS * (2 if config.mode == "num" else 3 * MATRIX_BLOCK_FACTOR)
+
+
+def _run_blocks(config: CampaignConfig, fs: list, tol: float, pairs, keys, stream, gaps: np.ndarray, violated: np.ndarray) -> list:
+    """Draw the trials of ``pairs``, campaign pair indices, in the order given
+    from their ``keys`` and the range's ``stream``, and evaluate them in
+    blocks that close at ``_block_limit`` raw values or at the last pair.  A
+    block's rows are put in campaign order, and its gaps and verdicts are
+    written in place into its pairs' entries of ``gaps`` and ``violated``.
+    Returns the failed blocks as (pairs, draws, error) triples; a ``range``
+    of pairs is in campaign order, so its first failed block ends it."""
+    trials, limit, last = config.trials, _block_limit(config), pairs[-1]
+    rng, counts = stream
+    ordered = isinstance(pairs, range)
+    block, draws, size, failed = [], [], 0, []
+    for pair, key in zip(pairs, keys):
+        block.append(pair)
+        draws.append(_run_trial(config, *divmod(pair, trials), rng, key, counts))
         size += draws[-1].raw.size
-        if size >= limit or pair == hi:  # the block of pairs [start, pair)
-            block = _block_gaps(config, fs, start, draws)
-            gaps.flat[start:pair] = block
-            violated.flat[start:pair] = classify_gap(block, tol) == VERDICT_VIOLATED
-            start, draws, size = pair, [], 0
+        if size < limit and pair != last:
+            continue
+        if ordered:
+            at = slice(block[0], pair + 1)
+        else:
+            rows = sorted(range(len(block)), key=block.__getitem__)
+            block, draws = [block[i] for i in rows], [draws[i] for i in rows]
+            at = block
+        try:
+            values = _block_gaps(config, fs, block, draws)
+        except MeanIneqError as exc:
+            failed.append((block, draws, exc))
+            if ordered:
+                break
+        else:
+            gaps.flat[at] = values
+            violated.flat[at] = classify_gap(values, tol) == VERDICT_VIOLATED
+        block, draws, size = [], [], 0
+    return failed
 
 
 def _range_count(config: CampaignConfig) -> int:
-    """The number of contiguous pair ranges a campaign runs at once, one per
-    thread: one in num mode or below THREAD_MIN_DIM, else the usable cores
-    over the BLAS threads the environment sets (none set: BLAS takes every
-    core, so one range), and never more than the campaign's pairs."""
+    """The number of ranges a campaign runs at once, one per thread, each on
+    its own piece of every window (``_pieces``): one in num mode or below
+    THREAD_MIN_DIM, else the usable cores over the BLAS threads the
+    environment sets (none set: BLAS takes every core, so one range), and
+    never more than the campaign's pairs."""
     if config.mode == "num" or config.dims[0] < THREAD_MIN_DIM:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -484,42 +535,97 @@ def _range_count(config: CampaignConfig) -> int:
     return max(1, min(cores // blas, len(config.functions) * config.trials))
 
 
+def _sorts(config: CampaignConfig, ranges: int) -> bool:
+    """Whether a campaign sorts its windows' pairs by dimension: when it runs
+    more than one range, or when a matrix window's pairs can draw more raw
+    values than one block holds."""
+    if ranges > 1:
+        return True
+    if config.mode == "num":
+        return False
+    (_, n), (_, k) = _count_ranges(config.mode, config.dims, config.atoms)
+    window = min(KEY_CHUNK, len(config.functions) * config.trials)
+    return window * k * 3 * n * n > _block_limit(config)
+
+
+def _pieces(config: CampaignConfig, lo: int, hi: int, counts, ranges: int) -> list[tuple[list[int], list]]:
+    """The window of pairs lo, ..., hi - 1, sorted by (dimension, pair) and
+    cut into ``ranges`` contiguous pieces of about equal sum of k n^3, each
+    as its (pairs, keys) lists: a pair goes to the piece its work's midpoint
+    falls in.  The counts (n, k) are read through ``counts``, the range 0
+    closure each trial's draw calls again."""
+    keys = list(_trial_keys(config, lo, hi))
+    n, k = np.array([counts(key) for key in keys], dtype=float).T
+    order = np.argsort(n, kind="stable")
+    work = (k * n**3)[order]
+    done = np.cumsum(work)
+    cuts = np.searchsorted(done - work / 2, done[-1] * np.arange(ranges + 1) / ranges).tolist()
+    return [((lo + order[a:b]).tolist(), [keys[i] for i in order[a:b]]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_ranges(config: CampaignConfig, fs: list, tol: float, pieces: list, streams: list, gaps, violated) -> list:
+    """``_run_blocks`` on every non-empty (pairs, keys) piece, each with a
+    stream of its own, the first on the calling thread and each other on a
+    thread of its own; once all are joined, the first piece's error other
+    than a failed block is raised, else the failed blocks of all are
+    returned."""
+    pieces = [piece for piece in pieces if piece[0]]
+    results: list = [[] for _ in pieces]  # each piece's failed blocks, or what it raised
+
+    def run(i: int) -> None:
+        try:
+            results[i] = _run_blocks(config, fs, tol, *pieces[i], streams[i], gaps, violated)
+        except BaseException as exc:  # raised by the calling thread, below
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,), name=f"meanineq-range-{i}") for i in range(1, len(pieces))]
+    for thread in threads:
+        thread.start()
+    if pieces:
+        run(0)
+    for thread in threads:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return [block for result in results for block in result]
+
+
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every (function, trial) pair and aggregate.
 
-    The pairs, in campaign order, are split into ``_range_count`` contiguous
-    ranges.  Range 0 runs on the calling thread and each other range on a
-    thread of its own; each draws its trials from its own Philox generator,
-    reseeded with each trial's key, and evaluates them in blocks of
-    consecutive pairs written in place into its slices of ``gaps`` and
-    ``violated`` (see the module notes).  The summary does not depend on the
-    split, and an error names the first failing trial of the first failing
-    range.  ``workers`` is kept for existing callers and is not read.
+    A campaign that neither runs more than one range (``_range_count``) nor
+    has a matrix window that can outgrow a block draws its pairs in campaign
+    order, on the calling thread, in blocks of consecutive pairs.  Any other
+    campaign goes through its pairs KEY_CHUNK at a time, in campaign order:
+    it reads each window's counts, sorts its pairs by dimension and cuts them
+    into one piece per range (``_pieces``).  The first piece runs on the
+    calling thread and each other one on a thread of its own, each from its
+    own Philox generator, reseeded with each trial's key, and in capped
+    blocks whose rows are in campaign order.  Each block writes its pairs'
+    entries of ``gaps`` and ``violated`` in place (see the module notes).
+    The summary does not depend on the split, and an error names the first
+    failing trial in campaign order: the first window with a failed block
+    holds it.  ``workers`` is kept for existing callers and is not read.
     """
     config = validate_config(config)
     tol, trials = config.resolved_tol(), config.trials
     fs = [get_function(fid) for fid in config.functions]
     gaps = np.empty((len(fs), trials))  # row fi: function fi's trials
     violated = np.empty(gaps.shape, dtype=bool)
-    n = _range_count(config)
-    bounds = [gaps.size * i // n for i in range(n + 1)]
-    errors: list[BaseException | None] = [None] * n
-
-    def run(i: int) -> None:
-        try:
-            _run_range(config, fs, tol, bounds[i], bounds[i + 1], gaps, violated)
-        except BaseException as exc:  # raised by the calling thread, below
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,), name=f"meanineq-range-{i}") for i in range(1, n)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    ranges = _range_count(config)
+    streams = [_stream(config) for _ in range(ranges)]
+    if _sorts(config, ranges):
+        windows = (
+            _pieces(config, lo, min(lo + KEY_CHUNK, gaps.size), streams[0][1], ranges)
+            for lo in range(0, gaps.size, KEY_CHUNK)
+        )
+    else:
+        windows = [[(range(gaps.size), _trial_keys(config, 0, gaps.size))]]
+    for pieces in windows:
+        failed = _run_ranges(config, fs, tol, pieces, streams, gaps, violated)
+        if failed:
+            _raise_first_failure(config, fs, failed)
 
     violations = violated.sum(axis=1).tolist()
     lows = gaps.min(axis=1).tolist() if trials else [None] * len(fs)

@@ -213,8 +213,13 @@ def spd_stack(g: np.ndarray) -> np.ndarray:
     >= DEFAULT_FLOOR, for every factor of a (..., n, n) stack, each with the
     bits it gets alone.  numpy's G G^T is exactly symmetric (entries (i, j)
     and (j, i) come from the same products), so it needs no symmetrizing;
-    ``test_spd_stack_is_exactly_symmetric`` pins that."""
-    return g @ g.swapaxes(-1, -2) + DEFAULT_FLOOR * np.eye(g.shape[-1])
+    ``test_spd_stack_is_exactly_symmetric`` pins that.  The floor is added
+    to the diagonal in place, through einsum's writeable view of it: the
+    diagonal gets the bits of adding DEFAULT_FLOOR * I, and the other
+    entries skip its + 0.0."""
+    s = g @ g.swapaxes(-1, -2)
+    np.einsum("...ii->...i", s)[...] += DEFAULT_FLOOR
+    return s
 
 
 def _unit_trace(s: np.ndarray) -> np.ndarray:

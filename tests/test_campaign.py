@@ -337,7 +337,7 @@ def test_a_matrix_block_holds_one_bucket_at_a_time():
         config = CampaignConfig(mode="op", functions=("geometric",), trials=len(block), dims=(61, 64))
         tracemalloc.start()
         try:
-            campaign._block_gaps(config, fs, 0, block)
+            campaign._block_gaps(config, fs, range(len(block)), block)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -433,12 +433,14 @@ def _recorded_reports(cfg, monkeypatch):
     atoms, dims) records (read off its block tails), the draws its _run_trial
     calls returned, and the number of trials in each block it evaluated, all
     in campaign order.  Threads of one campaign run blocks and trials in any
-    order, so each is recorded under its first pair and sorted by it."""
+    order, and a block may hold pairs of another's range, so each record is
+    kept under its pair and each block under its first pair, and sorted by
+    them."""
     import threading
 
     from meanineq import campaign, classify_gap
 
-    blocks, draws = [], []  # (first pair, block's records), ((function, trial), draw)
+    blocks, draws = [], []  # block's (pair, record) pairs, ((function, trial), draw)
     run_trial, block_gaps, block_sides = campaign._run_trial, campaign._block_gaps, campaign.block_sides
     tol, current = cfg.resolved_tol(), threading.local()
 
@@ -446,9 +448,9 @@ def _recorded_reports(cfg, monkeypatch):
         draws.append(((fi, t), run_trial(config, fi, t, *args)))
         return draws[-1][1]
 
-    def record_gaps(config, fs, lo, block_draws):
-        current.lo = lo
-        return block_gaps(config, fs, lo, block_draws)
+    def record_gaps(config, fs, pairs, block_draws):
+        current.pairs = pairs
+        return block_gaps(config, fs, pairs, block_draws)
 
     def record_block(runs, counts, buckets):
         dims = {}  # each row's dimension, read off its bucket as block_sides takes it
@@ -464,7 +466,7 @@ def _recorded_reports(cfg, monkeypatch):
             (fid, lo, hi, hi - lo, classify_gap(hi - lo, tol), counts[i], dims[i])
             for i, (fid, lo, hi) in enumerate(zip(fids, lhs.tolist(), rhs.tolist()))
         ]
-        blocks.append((current.lo, records))
+        blocks.append(list(zip(current.pairs, records)))
         return lhs, rhs
 
     monkeypatch.setattr(campaign, "_run_trial", record_trial)
@@ -472,9 +474,9 @@ def _recorded_reports(cfg, monkeypatch):
     monkeypatch.setattr(campaign, "block_sides", record_block)
     summary = run_campaign(cfg)
     monkeypatch.undo()
-    blocks.sort(key=lambda block: block[0])
-    reports = [r for _, records in blocks for r in records]
-    return summary, reports, [d for _, d in sorted(draws, key=lambda d: d[0])], [len(r) for _, r in blocks]
+    blocks.sort(key=lambda block: block[0][0])
+    reports = [r for _, r in sorted((record for block in blocks for record in block), key=lambda record: record[0])]
+    return summary, reports, [d for _, d in sorted(draws, key=lambda d: d[0])], [len(block) for block in blocks]
 
 
 def _bits(function, lhs, rhs, gap, verdict, atoms, dims):
@@ -855,8 +857,13 @@ def _within(timeout, fn):
         CampaignConfig(mode="rm", functions=("geometric", "harmonic", "wyd:0.25"), trials=6, dims=(2, 6), seed=17),
         CampaignConfig(mode="num", functions=("geometric", "counterexample-g"), trials=40, seed=19),
         CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=3, dims=(40, 44), seed=20),
+        # 20 pairs of 48-64 matrices outgrow one block at the default cap,
+        # so even one range sorts them by dimension.
+        CampaignConfig(mode="op", functions=("wyd:0.25", "harmonic"), trials=10, dims=(48, 64), seed=23),
+        # One dimension: the pieces cut it by the work of each pair's atoms.
+        CampaignConfig(mode="rm", functions=("logarithmic", "arithmetic"), trials=5, dims=(40, 40), atoms=(1, 3), seed=24),
     ],
-    ids=["op", "rm", "num", "op-40-44"],
+    ids=["op", "rm", "num", "op-40-44", "op-48-64", "rm-40-40"],
 )
 @pytest.mark.parametrize("block", [37, 4096])
 def test_output_does_not_depend_on_the_range_count(cfg, block, monkeypatch):
@@ -864,7 +871,8 @@ def test_output_does_not_depend_on_the_range_count(cfg, block, monkeypatch):
     # over some of the pairs of a function), with blocks that end inside
     # every range or hold whole ranges, and a thread switch every
     # microsecond: every range writes only its own pairs, so a lost or
-    # misplaced write would change the bytes.
+    # misplaced write would change the bytes.  Past one range, or past a
+    # block at 48-64, the pairs are sorted by dimension before the cut.
     import sys
 
     from meanineq import campaign
@@ -884,15 +892,98 @@ def test_output_does_not_depend_on_the_range_count(cfg, block, monkeypatch):
     assert cfg.mode != "num" or '"worst_case"' in one
 
 
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_sorted_windows_do_not_depend_on_the_window_size(ranges, monkeypatch):
+    # Windows of 7 pairs end inside each function's 10 trials, and each is
+    # sorted and cut on its own; at a quarter of the block cap, 7 pairs of
+    # 48-64 matrices can outgrow a block, so one range sorts them too.  A
+    # failing trial in the second window is named although the third fails
+    # as well.
+    from meanineq import NotPositiveDefiniteError, campaign
+    from meanineq.cli import emit_report
+
+    cfg = CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=10, dims=(48, 64), seed=27)
+    monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", 1024)
+    monkeypatch.setattr(campaign, "_range_count", lambda config: ranges)
+    one = emit_report(run_campaign(cfg), "json")
+    monkeypatch.setattr(campaign, "KEY_CHUNK", 7)
+    assert campaign._sorts(cfg, ranges)
+    assert emit_report(run_campaign(cfg), "json") == one
+    _with_bad_trials(monkeypatch, {(1, 4), (0, 9)}, atom=_indefinite)
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        _within(60, lambda: run_campaign(cfg))
+    assert str(exc.value).startswith("function 'geometric', trial 9: first argument is not positive definite")
+
+
+def test_sorted_blocks_stack_each_dimension_s_trials(monkeypatch):
+    # One range, 80 pairs of 48-50 matrices: six blocks at the cap.  Sorted
+    # by dimension, a block holds one or two dimensions, and the kernel makes
+    # one eigh call per (block, dimension) with a geometric trial (harmonic
+    # takes its closed form): 5 calls, where blocks in campaign order, each
+    # holding all three dimensions, made 9.
+    from meanineq import campaign
+
+    cfg = CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=40, dims=(48, 50), seed=25)
+    monkeypatch.setattr(campaign, "_range_count", lambda config: 1)
+    blocks, eigh_calls = [], []
+    block_gaps, eigh = campaign._block_gaps, np.linalg.eigh
+
+    def record_block(config, fs, pairs, draws):
+        blocks.append({d.raw.shape[-1] for pair, d in zip(pairs, draws) if pair < config.trials})
+        return block_gaps(config, fs, pairs, draws)
+
+    def counted_eigh(a):
+        eigh_calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(campaign, "_block_gaps", record_block)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    run_campaign(cfg)
+    monkeypatch.undo()
+    assert len(blocks) == 6
+    assert len(eigh_calls) == sum(len(dims) for dims in blocks) == 5
+
+
+@pytest.mark.parametrize("ranges", [1, 3])
+def test_errors_name_the_first_failing_trial_of_a_later_block(ranges, monkeypatch):
+    # Trial a fails and precedes trial b, which also fails, but b has the
+    # smaller dimension: sorted, b's block comes first in its range (or in an
+    # earlier range), and a is still the one named.
+    from meanineq import NotPositiveDefiniteError, campaign
+
+    cfg = CampaignConfig(mode="op", functions=("geometric",), trials=12, dims=(2, 6), seed=26)
+    dims = [_sample_space(cfg, 0, t).dims for t in range(cfg.trials)]
+    a = dims.index(max(dims))
+    b = next(t for t in range(a + 1, cfg.trials) if dims[t] < dims[a])
+    _with_bad_trials(monkeypatch, {(0, a), (0, b)}, atom=_indefinite)
+    monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", 1)  # every trial a block of its own
+    monkeypatch.setattr(campaign, "_range_count", lambda config: ranges)
+    evaluated, block_gaps = [], campaign._block_gaps
+
+    def record_block(config, fs, pairs, draws):
+        evaluated.extend(pairs)
+        return block_gaps(config, fs, pairs, draws)
+
+    monkeypatch.setattr(campaign, "_block_gaps", record_block)
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        _within(60, lambda: run_campaign(cfg))
+    assert str(exc.value).startswith(f"function 'geometric', trial {a}: first argument is not positive definite")
+    assert sorted(evaluated) == list(range(cfg.trials))
+    if ranges == 1:
+        assert evaluated.index(b) < evaluated.index(a)
+
+
 @pytest.mark.parametrize(
     "bad, named",
     [({(0, 1), (0, 4), (0, 7)}, 1), ({(0, 4), (0, 7)}, 4), ({(0, 7)}, 7)],
     ids=["ranges-0-1-2", "ranges-1-2", "range-2"],
 )
 def test_errors_name_the_first_failing_range_s_trial(bad, named, monkeypatch):
-    # Trials 0-2, 3-5 and 6-8 are ranges 0, 1 and 2.  Ranges 0 and 1
-    # evaluate their blocks only once range 2 has failed, and the first
-    # failing trial in campaign order is still the one named.
+    # Every trial has one dimension, so the sorted window keeps campaign
+    # order and its three pieces of equal work are trials 0-2, 3-5 and 6-8,
+    # ranges 0, 1 and 2.  Ranges 0 and 1 evaluate their blocks only once
+    # range 2 has failed, and the first failing trial in campaign order is
+    # still the one named.
     import threading
 
     from meanineq import NotPositiveDefiniteError, campaign
@@ -901,18 +992,18 @@ def test_errors_name_the_first_failing_range_s_trial(bad, named, monkeypatch):
     monkeypatch.setattr(campaign, "_range_count", lambda config: 3)
     block_gaps, last_failed = campaign._block_gaps, threading.Event()
 
-    def last_range_fails_first(config, fs, lo, draws):
-        if lo < 6:
+    def last_range_fails_first(config, fs, pairs, draws):
+        if pairs[0] < 6:
             last_failed.wait(60)
-            return block_gaps(config, fs, lo, draws)
+            return block_gaps(config, fs, pairs, draws)
         try:
-            return block_gaps(config, fs, lo, draws)
+            return block_gaps(config, fs, pairs, draws)
         except NotPositiveDefiniteError:
             last_failed.set()
             raise
 
     monkeypatch.setattr(campaign, "_block_gaps", last_range_fails_first)
-    cfg = CampaignConfig(mode="op", functions=("harmonic",), trials=9, dims=(2, 4), seed=3)
+    cfg = CampaignConfig(mode="op", functions=("harmonic",), trials=9, dims=(3, 3), seed=3)
     threads = threading.active_count()
     with pytest.raises(NotPositiveDefiniteError) as exc:
         _within(60, lambda: run_campaign(cfg))

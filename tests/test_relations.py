@@ -18,6 +18,10 @@ relation the mathematics guarantees.
   (f <= g on (0, inf) gives Tr rho P_f <= Tr rho P_g, within a few ulp of
   the larger trace) and the X <-> Y swap (every catalog mean is symmetric;
   bound MATRIX_RELATIVE).
+* Exact scaling through ``verify.block_sides``: X and Y of an op or rm
+  space scaled by c = 4^k, rho fixed, scale lhs, rhs and gap by exactly c.
+  c and its square root are powers of two, so the Cholesky factors, the
+  inverse, the solve and the traces only change exponents; no bound.
 
 The bounds are fixed constants until the verifier carries an error bound of
 its own beside every gap; the tests then check that bound instead.
@@ -40,6 +44,7 @@ from meanineq import (
     verify_random_matrix,
 )
 from meanineq.operator_means import perspective_traces
+from meanineq.verify import FiniteJointSpace, block_sides
 
 EPS = np.finfo(float).eps
 #: One id per catalog entry; the concave ones have operator means.
@@ -189,3 +194,38 @@ def test_swap_keeps_the_eigen_traces(n):
     for fid in MATRIX_IDS:
         if fid not in CLOSED_IDS:
             assert (errors[fid] <= MATRIX_RELATIVE).all(), fid
+
+
+#: The scale exponents: X and Y are scaled by 4^k.
+SCALE_EXPONENTS = range(-20, 21)
+
+
+def _scaled_sides(f, space):
+    """lhs, rhs and gap of ``space`` with X and Y scaled by 4^k for each k of
+    SCALE_EXPONENTS, as float lists in that order, from one block with a
+    row per k: the kernel gives each row the bits it gets alone."""
+    c = 4.0 ** np.array(SCALE_EXPONENTS)
+    rows, k = len(c), space.atoms
+    scaled = [np.concatenate(c[:, None, None, None] * v[None]) for v in (space.x, space.y)]
+    block = FiniteJointSpace(np.tile(space.p, rows), *scaled, np.concatenate([space.rho] * rows))
+    lhs, rhs = block_sides([(f, rows)], [k] * rows, [(np.arange(rows), block)])
+    return lhs.tolist(), rhs.tolist(), (rhs - lhs).tolist()
+
+
+def _op_space(rng, dims):
+    rho, a, b = sample_operator_triple(rng, dims)
+    return FiniteJointSpace(np.ones(1), a[None], b[None], rho[None])
+
+
+@pytest.mark.parametrize("dims, count", [((2, 6), 20), ((48, 64), 3)], ids=["dims-2-6", "dims-48-64"])
+@pytest.mark.parametrize("mode", ["op", "rm"])
+@pytest.mark.parametrize("fid", MATRIX_IDS)
+def test_matrix_gaps_scale_exactly_by_powers_of_four(fid, mode, dims, count):
+    f, at = get_function(fid), SCALE_EXPONENTS.index(0)
+    for i in range(count):
+        rng = split_rng(2029, MATRIX_IDS.index(fid), i)
+        space = _op_space(rng, dims) if mode == "op" else sample_matrix_space(rng, dims, (1, 3))
+        for sides in _scaled_sides(f, space):
+            c1 = sides[at]
+            got = [v.hex() for v in sides]
+            assert got == [(4.0**k * c1).hex() for k in SCALE_EXPONENTS], (fid, mode, i)

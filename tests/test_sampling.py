@@ -39,6 +39,18 @@ def test_spd_stack_is_exactly_symmetric():
             assert np.array_equal(s, s.swapaxes(-1, -2)), (n, g.shape, g.strides)
 
 
+def test_spd_stack_adds_the_floor_to_the_diagonal_only():
+    # In place on the diagonal: the bits of G G^T + DEFAULT_FLOOR * I, whose
+    # off-diagonal + 0.0 changes no entry of a Gaussian G G^T; g is untouched.
+    rng = split_rng(31, 1)
+    for shape in ((1, 1), (5, 5), (3, 7, 7), (4, 3, 64, 64)):
+        g = rng.standard_normal(shape)
+        before = g.copy()
+        want = g @ g.swapaxes(-1, -2) + DEFAULT_FLOOR * np.eye(shape[-1])
+        assert spd_stack(g).tobytes() == want.tobytes(), shape
+        assert np.array_equal(g, before)
+
+
 def test_spd_floor_guarantee():
     for k in range(20):
         a = sample_spd(4, split_rng(1, k))
