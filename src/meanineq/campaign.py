@@ -32,18 +32,20 @@ hold a spare word, so they draw the counts with ``integers``, as does the
 rebuild of a trial from its ``split_rng`` generator; the values are drawn by
 one body, ``_draw``, either way.
 
-A campaign of one range whose pairs fit in one block, or in num mode, walks
-its pairs once in campaign order: a block of trials is a range of
+A campaign of one range, in num mode or of matrices below THREAD_MIN_DIM,
+walks its pairs once in campaign order: a block of trials is a range of
 consecutive (function, trial) pairs, across function boundaries, that ends
 at the last pair or once its draws hold BLOCK_ELEMENTS values of x, or
-MATRIX_BLOCK_FACTOR times as many in matrix mode.  Any other campaign takes
-its pairs KEY_CHUNK at a time, in campaign order, and reads each window's
-counts first, through the call each trial's draw makes again.  It sorts the
-window's pairs by (dimension, pair) and cuts that order into one piece per
-range of about equal sum of k n^3 (``_pieces``), and each range fills blocks
-at the same cap from its piece.  So a block holds trials of one or two
-dimensions, and each LAPACK call stacks many trials, not one or two; a
-block's rows are put back in campaign order.
+MATRIX_BLOCK_FACTOR times as many in matrix mode.  Any other campaign
+(``_sorts``) takes its pairs KEY_CHUNK at a time, in campaign order, and
+reads each window's counts first, through the call each trial's draw makes
+again.  It sorts the window's pairs by (dimension, pair) and cuts that order
+into one piece per range of about equal sum of k n^3 (``_pieces``), and each
+range fills blocks at the same cap from its piece.  So a block holds a
+contiguous run of dimensions in sorted order, and each LAPACK call stacks
+every trial of its dimension in the block (on op-large, 20.4 buckets of 2.94
+trials per campaign against 47.6 of 1.26 in campaign order); a block's rows
+are put back in campaign order.
 
 A block does the arithmetic of its draws at once (``_build``): it normalises
 the weights of all its draws of one atom count as one array and raises 2 to
@@ -124,8 +126,9 @@ SEARCH_CHUNK = 1024
 KEY_CHUNK = 4096
 
 #: Matrix campaigns whose smallest dimension is at least this split their
-#: pairs over threads (``_range_count``).  Below it, too little of a trial's
-#: time is numpy work that releases the interpreter lock.  Two ranges against
+#: pairs over threads (``_range_count``) and sort them by dimension
+#: (``_sorts``).  Below it, too little of a trial's time is numpy work that
+#: releases the interpreter lock.  Two ranges against
 #: one, op campaigns at n x n on a 2-core VM with BLAS on one thread, median
 #: wall ratio per pass of 10-16 interleaved rounds: 1.07-1.13x at n <= 20 in
 #: every pass; 0.76-1.09x at n = 24 and 0.70-1.08x at 32, by pass; 0.66-0.69x
@@ -482,17 +485,20 @@ def _block_limit(config: CampaignConfig) -> int:
     return BLOCK_ELEMENTS * (2 if config.mode == "num" else 3 * MATRIX_BLOCK_FACTOR)
 
 
-def _run_blocks(config: CampaignConfig, fs: list, tol: float, pairs, keys, stream, gaps: np.ndarray, violated: np.ndarray) -> list:
+def _run_blocks(
+    config: CampaignConfig, fs: list, tol: float, pairs, keys, stream, gaps: np.ndarray, violated: np.ndarray, in_order: bool
+) -> list:
     """Draw the trials of ``pairs``, campaign pair indices, in the order given
     from their ``keys`` and the range's ``stream``, and evaluate them in
     blocks that close at ``_block_limit`` raw values or at the last pair.  A
     block's rows are put in campaign order, and its gaps and verdicts are
     written in place into its pairs' entries of ``gaps`` and ``violated``.
-    Returns the failed blocks as (pairs, draws, error) triples; a ``range``
-    of pairs is in campaign order, so its first failed block ends it."""
+    Returns the failed blocks as (pairs, draws, error) triples.  Pairs
+    ``in_order``, a range in campaign order, need no sorting, are written as
+    slices and stop at their first failed block, which holds their first
+    failing trial; sorted pairs go on to their last block."""
     trials, limit, last = config.trials, _block_limit(config), pairs[-1]
     rng, counts = stream
-    ordered = isinstance(pairs, range)
     block, draws, size, failed = [], [], 0, []
     for pair, key in zip(pairs, keys):
         block.append(pair)
@@ -500,7 +506,7 @@ def _run_blocks(config: CampaignConfig, fs: list, tol: float, pairs, keys, strea
         size += draws[-1].raw.size
         if size < limit and pair != last:
             continue
-        if ordered:
+        if in_order:
             at = slice(block[0], pair + 1)
         else:
             rows = sorted(range(len(block)), key=block.__getitem__)
@@ -510,7 +516,7 @@ def _run_blocks(config: CampaignConfig, fs: list, tol: float, pairs, keys, strea
             values = _block_gaps(config, fs, block, draws)
         except MeanIneqError as exc:
             failed.append((block, draws, exc))
-            if ordered:
+            if in_order:
                 break
         else:
             gaps.flat[at] = values
@@ -537,15 +543,10 @@ def _range_count(config: CampaignConfig) -> int:
 
 def _sorts(config: CampaignConfig, ranges: int) -> bool:
     """Whether a campaign sorts its windows' pairs by dimension: when it runs
-    more than one range, or when a matrix window's pairs can draw more raw
-    values than one block holds."""
-    if ranges > 1:
-        return True
-    if config.mode == "num":
-        return False
-    (_, n), (_, k) = _count_ranges(config.mode, config.dims, config.atoms)
-    window = min(KEY_CHUNK, len(config.functions) * config.trials)
-    return window * k * 3 * n * n > _block_limit(config)
+    more than one range, or when its matrices are at least THREAD_MIN_DIM,
+    where a trial is mostly LAPACK and stacking a dimension's trials in one
+    call saves more than reading each pair's counts twice costs."""
+    return ranges > 1 or (config.mode != "num" and config.dims[0] >= THREAD_MIN_DIM)
 
 
 def _pieces(config: CampaignConfig, lo: int, hi: int, counts, ranges: int) -> list[tuple[list[int], list]]:
@@ -563,7 +564,9 @@ def _pieces(config: CampaignConfig, lo: int, hi: int, counts, ranges: int) -> li
     return [((lo + order[a:b]).tolist(), [keys[i] for i in order[a:b]]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_ranges(config: CampaignConfig, fs: list, tol: float, pieces: list, streams: list, gaps, violated) -> list:
+def _run_ranges(
+    config: CampaignConfig, fs: list, tol: float, pieces: list, streams: list, gaps, violated, in_order: bool
+) -> list:
     """``_run_blocks`` on every non-empty (pairs, keys) piece, each with a
     stream of its own, the first on the calling thread and each other on a
     thread of its own; once all are joined, the first piece's error other
@@ -574,7 +577,7 @@ def _run_ranges(config: CampaignConfig, fs: list, tol: float, pieces: list, stre
 
     def run(i: int) -> None:
         try:
-            results[i] = _run_blocks(config, fs, tol, *pieces[i], streams[i], gaps, violated)
+            results[i] = _run_blocks(config, fs, tol, *pieces[i], streams[i], gaps, violated, in_order)
         except BaseException as exc:  # raised by the calling thread, below
             results[i] = exc
 
@@ -595,11 +598,11 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every (function, trial) pair and aggregate.
 
     A campaign that neither runs more than one range (``_range_count``) nor
-    has a matrix window that can outgrow a block draws its pairs in campaign
+    has matrices of at least THREAD_MIN_DIM draws its pairs in campaign
     order, on the calling thread, in blocks of consecutive pairs.  Any other
-    campaign goes through its pairs KEY_CHUNK at a time, in campaign order:
-    it reads each window's counts, sorts its pairs by dimension and cuts them
-    into one piece per range (``_pieces``).  The first piece runs on the
+    campaign (``_sorts``) goes through its pairs KEY_CHUNK at a time, in
+    campaign order: it reads each window's counts, sorts its pairs by
+    dimension and cuts them into one piece per range (``_pieces``).  The first piece runs on the
     calling thread and each other one on a thread of its own, each from its
     own Philox generator, reseeded with each trial's key, and in capped
     blocks whose rows are in campaign order.  Each block writes its pairs'
@@ -615,15 +618,16 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     violated = np.empty(gaps.shape, dtype=bool)
     ranges = _range_count(config)
     streams = [_stream(config) for _ in range(ranges)]
-    if _sorts(config, ranges):
+    in_order = not _sorts(config, ranges)
+    if in_order:
+        windows = [[(range(gaps.size), _trial_keys(config, 0, gaps.size))]]
+    else:
         windows = (
             _pieces(config, lo, min(lo + KEY_CHUNK, gaps.size), streams[0][1], ranges)
             for lo in range(0, gaps.size, KEY_CHUNK)
         )
-    else:
-        windows = [[(range(gaps.size), _trial_keys(config, 0, gaps.size))]]
     for pieces in windows:
-        failed = _run_ranges(config, fs, tol, pieces, streams, gaps, violated)
+        failed = _run_ranges(config, fs, tol, pieces, streams, gaps, violated, in_order)
         if failed:
             _raise_first_failure(config, fs, failed)
 

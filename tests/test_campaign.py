@@ -857,8 +857,8 @@ def _within(timeout, fn):
         CampaignConfig(mode="rm", functions=("geometric", "harmonic", "wyd:0.25"), trials=6, dims=(2, 6), seed=17),
         CampaignConfig(mode="num", functions=("geometric", "counterexample-g"), trials=40, seed=19),
         CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=3, dims=(40, 44), seed=20),
-        # 20 pairs of 48-64 matrices outgrow one block at the default cap,
-        # so even one range sorts them by dimension.
+        # At 48-64 even one range sorts its pairs by dimension, and 20 pairs
+        # outgrow one block at the default cap.
         CampaignConfig(mode="op", functions=("wyd:0.25", "harmonic"), trials=10, dims=(48, 64), seed=23),
         # One dimension: the pieces cut it by the work of each pair's atoms.
         CampaignConfig(mode="rm", functions=("logarithmic", "arithmetic"), trials=5, dims=(40, 40), atoms=(1, 3), seed=24),
@@ -871,8 +871,8 @@ def test_output_does_not_depend_on_the_range_count(cfg, block, monkeypatch):
     # over some of the pairs of a function), with blocks that end inside
     # every range or hold whole ranges, and a thread switch every
     # microsecond: every range writes only its own pairs, so a lost or
-    # misplaced write would change the bytes.  Past one range, or past a
-    # block at 48-64, the pairs are sorted by dimension before the cut.
+    # misplaced write would change the bytes.  Past one range, or at 40 and
+    # above, the pairs are sorted by dimension before the cut.
     import sys
 
     from meanineq import campaign
@@ -895,10 +895,9 @@ def test_output_does_not_depend_on_the_range_count(cfg, block, monkeypatch):
 @pytest.mark.parametrize("ranges", [1, 2])
 def test_sorted_windows_do_not_depend_on_the_window_size(ranges, monkeypatch):
     # Windows of 7 pairs end inside each function's 10 trials, and each is
-    # sorted and cut on its own; at a quarter of the block cap, 7 pairs of
-    # 48-64 matrices can outgrow a block, so one range sorts them too.  A
-    # failing trial in the second window is named although the third fails
-    # as well.
+    # sorted and cut on its own, at one range too (48-64); at a quarter of
+    # the block cap, a window holds several blocks.  A failing trial in the
+    # second window is named although the third fails as well.
     from meanineq import NotPositiveDefiniteError, campaign
     from meanineq.cli import emit_report
 
@@ -917,10 +916,10 @@ def test_sorted_windows_do_not_depend_on_the_window_size(ranges, monkeypatch):
 
 def test_sorted_blocks_stack_each_dimension_s_trials(monkeypatch):
     # One range, 80 pairs of 48-50 matrices: six blocks at the cap.  Sorted
-    # by dimension, a block holds one or two dimensions, and the kernel makes
-    # one eigh call per (block, dimension) with a geometric trial (harmonic
-    # takes its closed form): 5 calls, where blocks in campaign order, each
-    # holding all three dimensions, made 9.
+    # by dimension, a block holds a contiguous run of the dimensions, and the
+    # kernel makes one eigh call per (block, dimension) with a geometric
+    # trial (harmonic takes its closed form): 5 calls, where blocks in
+    # campaign order, each holding all three dimensions, made 9.
     from meanineq import campaign
 
     cfg = CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=40, dims=(48, 50), seed=25)
@@ -944,14 +943,51 @@ def test_sorted_blocks_stack_each_dimension_s_trials(monkeypatch):
     assert len(eigh_calls) == sum(len(dims) for dims in blocks) == 5
 
 
+@pytest.mark.parametrize(
+    "dims, ranges, sorts",
+    [((2, 6), 1, False), ((39, 40), 1, False), ((40, 41), 1, True), ((2, 6), 2, True)],
+)
+def test_one_range_sorts_only_matrices_of_thread_min_dim(dims, ranges, sorts, monkeypatch):
+    # Small matrices are mostly Python, so one range of them walks its pairs
+    # in campaign order and reads each count once, however many blocks its
+    # pairs fill (here blocks of two trials or more); a sorted campaign reads
+    # every count twice, once to sort and once to draw.
+    from meanineq import campaign
+
+    cfg = CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=6, dims=dims, seed=28)
+    monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", 2 * dims[1] ** 2)
+    monkeypatch.setattr(campaign, "MATRIX_BLOCK_FACTOR", 1)
+    monkeypatch.setattr(campaign, "_range_count", lambda config: ranges)
+    fresh_counts, reads, blocks = campaign.fresh_counts, [], []
+    block_gaps = campaign._block_gaps
+
+    def counted(rng, count_ranges):
+        counts = fresh_counts(rng, count_ranges)
+        return lambda key: reads.append(key) or counts(key)
+
+    def record_block(config, fs, pairs, draws):
+        blocks.append(list(pairs))
+        return block_gaps(config, fs, pairs, draws)
+
+    monkeypatch.setattr(campaign, "fresh_counts", counted)
+    monkeypatch.setattr(campaign, "_block_gaps", record_block)
+    run_campaign(cfg)
+    assert campaign._sorts(cfg, ranges) == sorts
+    assert len(reads) == (2 if sorts else 1) * 12
+    assert len(blocks) > 1
+    if not sorts:
+        assert [pair for block in blocks for pair in block] == list(range(12))
+
+
 @pytest.mark.parametrize("ranges", [1, 3])
 def test_errors_name_the_first_failing_trial_of_a_later_block(ranges, monkeypatch):
     # Trial a fails and precedes trial b, which also fails, but b has the
-    # smaller dimension: sorted, b's block comes first in its range (or in an
-    # earlier range), and a is still the one named.
+    # smaller dimension: sorted (at 40 and above, even on one range), b's
+    # block comes first in its range (or in an earlier range), and a is still
+    # the one named.
     from meanineq import NotPositiveDefiniteError, campaign
 
-    cfg = CampaignConfig(mode="op", functions=("geometric",), trials=12, dims=(2, 6), seed=26)
+    cfg = CampaignConfig(mode="op", functions=("geometric",), trials=12, dims=(40, 44), seed=26)
     dims = [_sample_space(cfg, 0, t).dims for t in range(cfg.trials)]
     a = dims.index(max(dims))
     b = next(t for t in range(a + 1, cfg.trials) if dims[t] < dims[a])
