@@ -191,12 +191,12 @@ def _axioms_csv(report: AxiomReport, probe: ConcavityVerdict) -> str:
     return _csv(header, [(SCHEMA_VERSION, report.function, *row) for row in rows])
 
 
-#: Each report type with its renderers; an axioms report is an
-#: (AxiomReport, ConcavityVerdict) pair, rendered from its two parts.
+#: Each report type with its renderers; an axioms report, an (AxiomReport,
+#: ConcavityVerdict) pair, is keyed by its parts' types.
 _RENDERERS = {
     InequalityReport: {"json": report_to_doc, "csv": _report_csv},
     CampaignSummary: {"json": campaign_to_doc, "csv": _campaign_csv},
-    tuple: {"json": lambda pair: axioms_to_doc(*pair), "csv": lambda pair: _axioms_csv(*pair)},
+    (AxiomReport, ConcavityVerdict): {"json": lambda pair: axioms_to_doc(*pair), "csv": lambda pair: _axioms_csv(*pair)},
 }
 
 
@@ -204,8 +204,8 @@ def emit_report(report, fmt: str = "json") -> str:
     """Render a report object to its final byte-stable text form."""
     if fmt not in ("json", "csv"):
         raise UsageError(f"unknown format {fmt!r}")
-    render = _RENDERERS.get(type(report))
-    if render is None or (isinstance(report, tuple) and len(report) != 2):
+    render = _RENDERERS.get(tuple(map(type, report)) if type(report) is tuple else type(report))
+    if render is None:
         raise UsageError(f"cannot emit report of type {type(report).__name__}")
     rendered = render[fmt](report)  # a document for json, the text for csv
     return _emit_json(rendered) if fmt == "json" else rendered

@@ -3,11 +3,14 @@
 Matrices are plain float64 ``numpy`` arrays; :func:`sym_matrix` is the
 validating constructor used at every public boundary (it enforces squareness,
 finiteness, the supported dimension range and exact symmetry by averaging).
-The eigensolver is LAPACK's symmetric driver via ``numpy.linalg.eigh``,
-wrapped so that eigenvalues are ascending and failures surface as package
-errors.  :func:`rebuild` is the one reconstruction Q diag(lam) Q^T: square
-roots and the commuting oracle assemble their matrices through it from a
-spectrum, and the perspective kernel from its non-orthogonal factor.
+This module is the one home of eigensolves, Cholesky factors and positive
+definite admission: no other calls numpy's eigensolvers or Cholesky, or reads
+COND_LIMIT, the guard of :func:`require_pd`'s rule.  The eigensolver is
+LAPACK's symmetric driver via ``numpy.linalg.eigh``, wrapped so that
+eigenvalues are ascending and failures surface as package errors.
+:func:`rebuild` is the one reconstruction Q diag(lam) Q^T: square roots and
+the commuting oracle assemble their matrices through it from a spectrum, and
+the perspective kernel from its non-orthogonal factor.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .errors import DomainError, NotPositiveDefiniteError, NumericError, UsageError
 from .errors import content_lines, located, place, read_input
 from .reports import VERDICT_VIOLATED, classify_gap, require_tol
-from .tolerances import LOAD_SYMMETRY_TOL, LOEWNER_TOL
+from .tolerances import COND_LIMIT, LOAD_SYMMETRY_TOL, LOEWNER_TOL
 
 #: Largest supported matrix dimension.
 MAX_DIM = 64
@@ -79,6 +82,11 @@ def spectrum(s: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(lam, q)
 
 
+def eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a trusted symmetric array or stack of them."""
+    return np.linalg.eigvalsh(s)
+
+
 def rebuild(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Q diag(lam) Q^T, re-symmetrized to absorb roundoff, for trusted lam and
     Q: a spectrum and its orthonormal eigenvectors, or any square Q, such as
@@ -87,9 +95,9 @@ def rebuild(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     return symmetrize((q * lam[..., None, :]) @ q.swapaxes(-1, -2))
 
 
-def require_pd(lam: np.ndarray, label: str, cond_limit: float | None = None) -> None:
-    """Reject an ascending spectrum with smallest eigenvalue <= 0 or, when a
-    limit is given, condition number above it: a rule free of units.
+def require_pd(lam: np.ndarray, label: str, cond_limit: float | None = COND_LIMIT) -> None:
+    """Reject an ascending spectrum with smallest eigenvalue <= 0 or, unless
+    the limit is None, condition number above it: a rule free of units.
 
     ``lam`` may be a (..., n) stack of spectra, one per atom; the first
     offending atom (in C order) is reported, and when the stack holds more
@@ -110,6 +118,36 @@ def require_pd(lam: np.ndarray, label: str, cond_limit: float | None = None) -> 
             )
 
 
+def require_admissible(s: np.ndarray, label: str) -> None:
+    """The guard on a trusted symmetric matrix or (..., n, n) stack: its
+    eigenvalues judged by :func:`require_pd`."""
+    require_pd(np.linalg.eigvalsh(s), label)
+
+
+def pd_factor(s: np.ndarray, label: str) -> np.ndarray:
+    """Lower Cholesky factor of each slice of a trusted symmetric stack.  When
+    one has none, the stack is judged by :func:`require_admissible`; a stack
+    that passes it yet has no factor raises NumericError."""
+    try:
+        return np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        require_admissible(s, label)
+        raise NumericError(f"{label} passed the guard but has no Cholesky factor") from None
+
+
+def certified_factor(s: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L^-1) of :func:`pd_factor`, once every slice is admitted by its own
+    factor: λmin >= 1 / ||L^-1||_F^2 > 0 and λmax <= tr S, so the stack passes
+    when tr S ||L^-1||_F^2 <= COND_LIMIT / 2 (a margin of 2 over the guard);
+    otherwise it is judged by :func:`require_admissible`."""
+    l = pd_factor(s, label)
+    inv_l = np.linalg.inv(l)
+    inv_norm2 = np.square(inv_l).sum(axis=(-2, -1))  # ||L^-1||_F^2 = tr S^-1
+    if not (np.trace(s, axis1=-2, axis2=-1) * inv_norm2 <= COND_LIMIT / 2).all():
+        require_admissible(s, label)
+    return l, inv_l
+
+
 def atom_label(label: str, i: int, count: int) -> str:
     """``label``, naming atom ``i`` when a stack holds more than one atom."""
     return f"{label} of atom {i}" if count > 1 else label
@@ -118,12 +156,12 @@ def atom_label(label: str, i: int, count: int) -> str:
 def sqrt_pd(a) -> np.ndarray:
     """Positive-definite square root; rejects matrices with min eigenvalue <= 0."""
     lam, q = sym_eigen(a)
-    require_pd(lam, "matrix")
+    require_pd(lam, "matrix", None)
     return rebuild(np.sqrt(lam), q)
 
 
 def min_eigenvalue(a) -> float:
-    return float(np.linalg.eigvalsh(sym_matrix(a))[0])
+    return float(eigenvalues(sym_matrix(a))[0])
 
 
 def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
@@ -146,12 +184,9 @@ def congruence(c, a) -> np.ndarray:
     ``c`` may be rectangular (n rows, k columns), compressing an n-dim
     symmetric matrix to a k-dim one.
     """
-    cm = np.asarray(c, dtype=float)
-    sa = sym_matrix(a)
+    cm, sa = np.asarray(c, dtype=float), sym_matrix(a)
     if cm.ndim != 2 or cm.shape[0] != sa.shape[0]:
-        raise UsageError(
-            f"congruence shape mismatch: C is {cm.shape}, A is {sa.shape}"
-        )
+        raise UsageError(f"congruence shape mismatch: C is {cm.shape}, A is {sa.shape}")
     if not np.all(np.isfinite(cm)):
         raise DomainError("congruence factor entries must be finite")
     return sym_matrix(cm.T @ sa @ cm)

@@ -10,15 +10,16 @@ commuting arguments is a*f(b/a) per joint eigenvalue pair.  By congruence
 invariance any factor A = L L^T may stand in for A^(1/2) (Kubo and Ando,
 1980; Bhatia, *Positive Definite Matrices*, ch. 4): the kernel takes
 Cholesky factors and one eigensolve, of L^-1 B L^-T, and reads out either
-the matrix or, for campaigns, only Tr(rho P_f(A, B)).  Every kernel admits
-its arguments first, with the same checks and messages.  The trace readout
-takes closed forms for two means, A∇B = (A + B) / 2 and A!B = 2 A (A + B)^-1
-B (``CLOSED_TRACES``): no eigensolve and no inner clamp; the other runs of
-a stack share one eigensolve.  The matrix readout, and so ``operator_mean``,
-stays on the eigen route for every mean.  This module
-also carries the transformer-inequality checks, the Jensen inequality for
-sums of congruences, state expectations Tr(rho A), and a commuting-pair
-oracle used to cross-check the perspective against scalar means.
+the matrix or, for campaigns, only Tr(rho P_f(A, B)).  Every kernel first
+admits its arguments, with the same checks and messages, through ``linalg``,
+the one home of eigensolves, Cholesky factors and PD admission.  The trace
+readout takes closed forms for two means, A∇B = (A + B) / 2 and A!B =
+2 A (A + B)^-1 B (``CLOSED_TRACES``): no eigensolve and no inner clamp; the
+other runs of a stack share one eigensolve.  The matrix readout, and so
+``operator_mean``, stays on the eigen route for every mean.  This module also
+carries the transformer-inequality checks, the Jensen inequality for sums of
+congruences, state expectations Tr(rho A), and a commuting-pair oracle used
+to cross-check the perspective against scalar means.
 
 All inequality checks here use the concave orientation: the catalog's
 operator monotone functions are operator concave, so compressions land
@@ -32,29 +33,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefiniteError, NumericError, PreconditionError, UsageError
+from .errors import DomainError, NotPositiveDefiniteError, PreconditionError, UsageError
 from .functions import RepresentingFunction, get_function, mean_num, means, run_slices
-from .linalg import (
-    atom_label,
-    congruence,
-    frobenius,
-    rebuild,
-    require_pd,
-    spectrum,
-    sym_eigen,
-    sym_matrix,
-)
+from .linalg import atom_label, certified_factor, congruence, eigenvalues, frobenius, pd_factor
+from .linalg import rebuild, require_admissible, require_pd, spectrum, sym_eigen, sym_matrix
 from .reports import VERDICT_HOLDS, VERDICT_VIOLATED, InequalityReport, classify_gap, inequality_report, require_tol
-from .tolerances import (
-    CLAMP_TOL,
-    COMMUTE_TOL,
-    COND_LIMIT,
-    DIAGONALIZE_RTOL,
-    INVERTIBLE_RTOL,
-    MATRIX_TOL,
-    NORM_FLOOR,
-    PARTITION_TOL,
-)
+from .tolerances import CLAMP_TOL, COMMUTE_TOL, DIAGONALIZE_RTOL, INVERTIBLE_RTOL, MATRIX_TOL, NORM_FLOOR, PARTITION_TOL
 
 
 @dataclass(frozen=True)
@@ -113,38 +97,17 @@ def operator_perspective(f: RepresentingFunction, a, b) -> np.ndarray:
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
-    require_pd(np.linalg.eigvalsh(sb), "second argument", COND_LIMIT)
+    require_admissible(sb, "second argument")
     return perspective_kernel(f, sa, sb)
-
-
-def _cholesky(s: np.ndarray, label: str) -> np.ndarray:
-    """Lower Cholesky factor of each slice of a trusted symmetric stack.  When
-    one has none, the stack is judged as ``require_pd(eigvalsh(s), label,
-    COND_LIMIT)`` judges it; a stack that passes that yet has no factor
-    raises NumericError."""
-    try:
-        return np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        require_pd(np.linalg.eigvalsh(s), label, COND_LIMIT)
-        raise NumericError(f"{label} passed the guard but has no Cholesky factor") from None
 
 
 def _admit(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L, L^-1, R) with A = L L^T and B = R R^T, once every slice of the
-    trusted symmetric stacks A and B, B known PD within the guard, is admitted.
-    A is admitted by its own factor: λmin(A) >= 1 / ||L^-1||_F^2 > 0 and
-    λmax(A) <= tr A, so A passes when tr A ||L^-1||_F^2 <= COND_LIMIT / 2 (a
-    margin of 2 over the guard); otherwise it is judged by ``require_pd(
-    eigvalsh(A), "first argument", COND_LIMIT)``, as are A and B when they
-    have no Cholesky factor.  Every perspective kernel runs this first, on
-    all its slices, so a closed form rejects what the eigen route rejects."""
-    l = _cholesky(sa, "first argument")
-    inv_l = np.linalg.inv(l)
-    inv_norm2 = np.square(inv_l).sum(axis=(-2, -1))  # ||L^-1||_F^2 = tr A^-1
-    trace = np.trace(sa, axis1=-2, axis2=-1)
-    if not (trace * inv_norm2 <= COND_LIMIT / 2).all():
-        require_pd(np.linalg.eigvalsh(sa), "first argument", COND_LIMIT)
-    return l, inv_l, _cholesky(sb, "second argument")
+    trusted symmetric stacks A and B, B known PD within the guard, is
+    admitted: A by ``linalg.certified_factor``, B by ``linalg.pd_factor``.
+    Every perspective kernel runs this first, on all its slices, so a closed
+    form rejects what the eigen route rejects."""
+    return (*certified_factor(sa, "first argument"), pd_factor(sb, "second argument"))
 
 
 def _eigen_factor(runs, l, k, atoms=None, count=None) -> tuple[np.ndarray, np.ndarray]:
@@ -310,9 +273,9 @@ def _simultaneous_eigenbasis(sa: np.ndarray, sb: np.ndarray):
 
 def _commuting_pd_pair(a, b, tol: float, label: str):
     """Shared eigenbasis q and paired eigenvalues (da, db) of a commuting PD
-    pair, requiring ||AB - BA||_F <= tol * ||A||_F * ||B||_F, and every joint
-    eigenvalue above 0 and each argument's condition number within
-    COND_LIMIT: ``require_pd``'s rule, as every perspective has."""
+    pair, requiring ||AB - BA||_F <= tol * ||A||_F * ||B||_F, and each
+    argument's joint eigenvalues to pass ``linalg.require_pd``, as every
+    perspective's arguments do."""
     sa, sb = sym_matrix(a), sym_matrix(b)
     if sa.shape != sb.shape:
         raise UsageError(f"dimension mismatch: {sa.shape} vs {sb.shape}")
@@ -323,8 +286,8 @@ def _commuting_pd_pair(a, b, tol: float, label: str):
             f"commutator norm {comm:.3e} exceeds {limit:.3e}; pair is not commuting"
         )
     q, da, db = _simultaneous_eigenbasis(sa, sb)
-    require_pd(np.sort(da), f"{label} first argument", COND_LIMIT)
-    require_pd(np.sort(db), f"{label} second argument", COND_LIMIT)
+    require_pd(np.sort(da), f"{label} first argument")
+    require_pd(np.sort(db), f"{label} second argument")
     return q, da, db
 
 
@@ -363,7 +326,7 @@ def _transformer_report(
     equality_possible: bool,
 ) -> TransformerReport:
     tol = require_tol(tol)
-    gap_min = float(np.linalg.eigvalsh(rhs - lhs)[0])
+    gap_min = float(eigenvalues(rhs - lhs)[0])
     scale = max(frobenius(rhs), NORM_FLOOR)
     defect = frobenius(lhs - rhs) / scale
     # Loewner order has no equality verdict: only a violation is not holds.
@@ -436,7 +399,7 @@ def check_jensen_sum(
     if any(c.shape[1] != k for c in cs):
         raise UsageError("all congruence factors must share the same column dimension")
     total = sum(c.T @ c for c in cs)
-    excess = float(np.linalg.eigvalsh(sym_matrix(total) - np.eye(k))[-1])
+    excess = float(eigenvalues(sym_matrix(total) - np.eye(k))[-1])
     if excess > PARTITION_TOL:
         raise PreconditionError(
             f"partition-of-unity violation: sum of c_i^T c_i exceeds the identity "

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UsageError, require_integer
-from .linalg import MAX_DIM, sym_matrix
+from .linalg import MAX_DIM, eigenvalues, sym_matrix
 from .tolerances import DENSITY_PSD_TOL, DENSITY_TRACE_TOL
 
 #: Diagonal shift of SPD sampling: every sample's min eigenvalue is at least this.
@@ -258,7 +258,7 @@ def check_density(rho) -> np.ndarray:
     tr = float(np.trace(s))
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise DomainError(f"density matrix trace {tr!r} differs from 1 beyond tolerance")
-    low = float(np.linalg.eigvalsh(s)[0])
+    low = float(eigenvalues(s)[0])
     if low < -DENSITY_PSD_TOL:
         raise DomainError(
             f"density matrix has eigenvalue {low!r} below the PSD tolerance"

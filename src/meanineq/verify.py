@@ -29,11 +29,11 @@ import numpy as np
 
 from .errors import DomainError, NumericError, UsageError, content_lines, located, place, read_input
 from .functions import RepresentingFunction, means, run_slices
-from .linalg import load_matrix, require_pd, sym_matrix
+from .linalg import load_matrix, require_admissible, sym_matrix
 from .operator_means import OperatorMeanSpec, perspective_traces, state_traces
 from .reports import InequalityReport, inequality_report
 from .sampling import check_density
-from .tolerances import COND_LIMIT, MATRIX_TOL, PROB_SUM_TOL, SCALAR_TOL
+from .tolerances import MATRIX_TOL, PROB_SUM_TOL, SCALAR_TOL
 
 MODE_SCALAR = "scalar"
 MODE_MATRIX = "matrix"
@@ -109,7 +109,7 @@ def _observable(m, part: str, where: str | None) -> np.ndarray:
     guard; its errors start with ``where``."""
     with located(where):
         m = sym_matrix(m)
-        require_pd(np.linalg.eigvalsh(m), f"matrix atom {part}", COND_LIMIT)
+        require_admissible(m, f"matrix atom {part}")
         return m
 
 

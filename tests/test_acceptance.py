@@ -351,6 +351,12 @@ def test_criterion_11_campaign_determinism(capsys, monkeypatch):
             yield
         monkeypatch.undo()
 
+    def ranged(config, n):
+        """The campaign run as n ranges, each on a thread of its own."""
+        with monkeypatch.context() as m:
+            m.setattr(campaign, "_range_count", lambda config: n)
+            return run_campaign(config)
+
     ok = False
     try:
         config = CampaignConfig(
@@ -361,7 +367,7 @@ def test_criterion_11_campaign_determinism(capsys, monkeypatch):
             seed=1123,
         )
         runs = [run_campaign(config), run_campaign(config)]
-        parallel = [run_campaign(config, workers=2), run_campaign(config, workers=5)]
+        parallel = [ranged(config, 2), ranged(config, 5)]
         blocked = [run_campaign(config) for _ in blockings()]
         texts = [emit_report(s, "json") for s in runs + parallel + blocked]
         assert all(t == texts[0] for t in texts[1:])
@@ -373,7 +379,7 @@ def test_criterion_11_campaign_determinism(capsys, monkeypatch):
             mode="num", functions=("counterexample-g",), trials=150, seed=99
         )
         t1 = emit_report(run_campaign(config), "json")
-        t2 = emit_report(run_campaign(config, workers=3), "json")
+        t2 = emit_report(ranged(config, 3), "json")
         assert t1 == t2
         assert all(emit_report(run_campaign(config), "json") == t1 for _ in blockings())
         ok = True

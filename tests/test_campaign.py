@@ -78,6 +78,8 @@ def test_validate_config_direct():
     twice = ("counterexample-g", "counterexample-g")
     with pytest.raises(UsageError, match="'counterexample-g'"):
         validate_config(CampaignConfig(mode="num", functions=twice, trials=20))
+    with pytest.raises(UsageError, match=r"^dims must be a \(min, max\) pair, got 3$"):
+        validate_config(CampaignConfig("op", ("geometric",), 1, dims=3))
 
 
 def test_zero_trials_empty_summary():
@@ -138,7 +140,9 @@ def test_campaign_determinism_and_parallel_equivalence(monkeypatch):
     )
     s1 = run_campaign(cfg)
     s2 = run_campaign(cfg)
-    s4 = run_campaign(cfg, workers=4)
+    with monkeypatch.context() as m:  # four ranges, each on a thread of its own
+        m.setattr(campaign, "_range_count", lambda config: 4)
+        s4 = run_campaign(cfg)
     assert s1 == s2 == s4
     # Blocks of one trial and key chunks that end inside a function's trials.
     for block, chunk in itertools.product((1, 4096), (1, 7, 4096)):
@@ -1046,6 +1050,53 @@ def test_errors_name_the_first_failing_range_s_trial(bad, named, monkeypatch):
     assert str(exc.value).startswith(f"function 'harmonic', trial {named}: first argument is not positive definite")
     assert last_failed.is_set()
     assert threading.active_count() == threads
+
+
+def test_an_unexpected_range_error_is_raised_once_every_range_has_joined(monkeypatch):
+    # Trials 0-2, 3-5 and 6-8 are ranges 0, 1 and 2 (as above).  Range 2's
+    # first draw raises an error that is not a package error; ranges 0 and 1
+    # draw only after it, and run_campaign raises it once both are done.
+    import threading
+
+    from meanineq import campaign
+
+    run_trial, raised, drawn = campaign._run_trial, threading.Event(), []
+
+    def range_2_raises(config, fi, t, *rest):
+        if t >= 6:
+            raised.set()
+            raise RuntimeError(f"trial {t} broke")
+        raised.wait(60)
+        drawn.append(t)
+        return run_trial(config, fi, t, *rest)
+
+    monkeypatch.setattr(campaign, "_run_trial", range_2_raises)
+    monkeypatch.setattr(campaign, "_range_count", lambda config: 3)
+    cfg = CampaignConfig(mode="op", functions=("harmonic",), trials=9, dims=(3, 3), seed=3)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^trial 6 broke$"):
+        _within(60, lambda: run_campaign(cfg))
+    assert sorted(drawn) == list(range(6))
+    assert threading.active_count() == threads
+
+
+def test_a_block_that_fails_only_as_a_block_raises_its_own_error(monkeypatch):
+    # Every trial passes alone, so no trial is named: the block's own error
+    # is raised, as it reads.
+    from meanineq import DomainError, campaign
+
+    block_sides = campaign.block_sides
+
+    def fails_on_several_rows(runs, counts, buckets):
+        if len(counts) > 1:
+            raise DomainError("the block broke")
+        return block_sides(runs, counts, buckets)
+
+    monkeypatch.setattr(campaign, "block_sides", fails_on_several_rows)
+    cfg = CampaignConfig(mode="num", functions=("geometric", "harmonic"), trials=5, seed=4)
+    with pytest.raises(DomainError) as exc:
+        run_campaign(cfg)
+    assert str(exc.value) == "the block broke"
 
 
 def test_range_count_follows_the_cores_blas_leaves_free(monkeypatch):

@@ -119,6 +119,26 @@ def test_axioms_subcommand(capsys):
     assert doc["concavity"]["witness"] is not None
 
 
+@pytest.mark.parametrize("report", [(1, 2), (), (1, 2, 3), [1, 2], 5], ids=["pair", "empty", "triple", "list", "int"])
+def test_emit_report_rejects_what_is_not_a_report(report):
+    # A tuple is an axioms report only as an (AxiomReport, ConcavityVerdict) pair.
+    from meanineq import UsageError
+    from meanineq.cli import emit_report
+
+    for fmt in ("json", "csv"):
+        with pytest.raises(UsageError, match=f"^cannot emit report of type {type(report).__name__}$"):
+            emit_report(report, fmt)
+
+
+def test_emit_report_renders_an_axioms_pair():
+    from meanineq import check_axioms, concavity_probe, get_function
+    from meanineq.cli import emit_report
+
+    f = get_function("geometric")
+    doc = json.loads(emit_report((check_axioms(f), concavity_probe(f))))
+    assert doc["function"] == "geometric" and doc["concavity"]["verdict"] == "concave"
+
+
 def test_campaign_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "camp.cfg"
     cfg.write_text("mode = num\nfunctions = geometric,harmonic\ntrials = 40\nseed = 7\n")

@@ -183,6 +183,8 @@ def test_unknown_ids_rejected():
         get_function("quadratic")
     with pytest.raises(UsageError):
         get_function("wyd:oops")
+    with pytest.raises(UsageError, match="^function id must be a string, got 3$"):
+        get_function(3)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5, 1.5, float("nan")])

@@ -274,6 +274,54 @@ def test_src_defines_thresholds_only_in_tolerances(path):
         assert found == []
 
 
+#: The one module that runs an eigensolve or a Cholesky factorization and
+#: reads the admission guard; a second home could admit a matrix the first
+#: rejects, or spend a second eigensolve on a decision already made.
+SPECTRUM = "linalg.py"
+SOLVERS = {"eigh", "eigvalsh", "cholesky"}
+GUARD = "COND_LIMIT"
+
+
+def _spectrum_decisions(tree: ast.AST) -> list[str]:
+    """Uses of an attribute named in SOLVERS (``np.linalg.eigh``, or through
+    any alias), imports of those names, and imports or reads of GUARD."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SOLVERS | {GUARD} and isinstance(node.ctx, ast.Load):
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id == GUARD and isinstance(node.ctx, ast.Load):
+            found.append(f"line {node.lineno}: {GUARD}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name in SOLVERS | {GUARD}]
+    return sorted(found)
+
+
+def test_spectrum_scan_catches_solvers_and_the_guard():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy.linalg import eigh\nfrom .tolerances import COND_LIMIT\n"
+        "lam = np.linalg.eigvalsh(a)\nl = numpy.linalg.cholesky(a)\nok = high / low <= tolerances.COND_LIMIT\n"
+        "solve = la.eigh\nCOND_LIMIT = 1e8\nif x > COND_LIMIT:\n    pass\nlam, q = spectrum(a)\n"
+    )
+    assert _spectrum_decisions(tree) == [
+        "line 2: import eigh",
+        "line 3: import COND_LIMIT",
+        "line 4: .eigvalsh",
+        "line 5: .cholesky",
+        "line 6: .COND_LIMIT",
+        "line 7: .eigh",
+        "line 9: COND_LIMIT",
+    ]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_decides_spectra_only_in_linalg(path):
+    found = _spectrum_decisions(ast.parse(path.read_text()))
+    if path.name == SPECTRUM:
+        assert found != []
+    else:
+        assert found == []
+
+
 #: A row of README's tolerance table: name, value and the first word of its kind.
 TABLE_ROW = re.compile(r"^\| `([A-Z_]+)` \| `([^`]+)` \| (\w+)", re.M)
 

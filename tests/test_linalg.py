@@ -179,6 +179,8 @@ def test_basic_ops():
     )
     with pytest.raises(UsageError):
         congruence(np.ones((3, 2)), a)
+    with pytest.raises(DomainError, match="^congruence factor entries must be finite$"):
+        congruence(np.array([[1.0, np.nan], [0.0, 1.0]]), a)
 
 
 def test_congruence_rectangular_compression():

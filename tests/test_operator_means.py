@@ -219,6 +219,39 @@ def test_inner_clamp_does_not_depend_on_the_scale(monkeypatch):
             ), (low, c)
 
 
+EYE2 = np.eye(2)
+#: Argument errors of the operator checks, each with its message as it reads.
+ARGUMENT_ERRORS = {
+    "trace-dims": (
+        lambda: trace_perspective_check(get_function("geometric"), EYE2, np.eye(3)),
+        "dimension mismatch: (2, 2) vs (3, 3)",
+    ),
+    "transformer-rows": (
+        lambda: check_transformer(operator_mean_spec("geometric"), EYE2, EYE2, np.ones((3, 2))),
+        "transformer factor shape (3, 2) does not match (2, 2)",
+    ),
+    "jensen-columns": (
+        lambda: check_jensen_sum(operator_mean_spec("geometric"), [(EYE2, EYE2, EYE2), (np.ones((2, 3)), EYE2, EYE2)]),
+        "all congruence factors must share the same column dimension",
+    ),
+    "oracle-spec": (
+        lambda: commuting_oracle(get_function("geometric"), EYE2, EYE2),
+        "commuting_oracle needs an OperatorMeanSpec",
+    ),
+    "jensen-spec": (
+        lambda: check_jensen_sum(get_function("geometric"), [(EYE2, EYE2, EYE2)]),
+        "check_jensen_sum needs an OperatorMeanSpec",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_ERRORS.values(), ids=ARGUMENT_ERRORS.keys())
+def test_argument_errors_read_as_pinned(call, message):
+    with pytest.raises(UsageError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_oracle_rejects_non_commuting():
     spec = operator_mean_spec("geometric")
     with pytest.raises(PreconditionError):

@@ -22,6 +22,11 @@ relation the mathematics guarantees.
   space scaled by c = 4^k, rho fixed, scale lhs, rhs and gap by exactly c.
   c and its square root are powers of two, so the Cholesky factors, the
   inverse, the solve and the traces only change exponents; no bound.
+* Congruence through ``verify.block_sides``: X and Y of every atom mapped
+  to C X C^T and C Y C^T by one invertible C, each rho to C^-T rho C^-1
+  renormalised and the probabilities reweighted to match, divide lhs, rhs
+  and gap by one positive number (Kubo and Ando's transformer equality).
+  The bound is MATRIX_RELATIVE kappa(C)^2 max(|lhs|, |rhs|).
 
 The bounds are fixed constants until the verifier carries an error bound of
 its own beside every gap; the tests then check that bound instead.
@@ -31,6 +36,7 @@ import numpy as np
 import pytest
 
 from meanineq import (
+    DomainError,
     get_function,
     matrix_space,
     operator_mean_spec,
@@ -43,7 +49,9 @@ from meanineq import (
     verify_operator,
     verify_random_matrix,
 )
+from meanineq.linalg import symmetrize
 from meanineq.operator_means import perspective_traces
+from meanineq.tolerances import COND_LIMIT
 from meanineq.verify import FiniteJointSpace, block_sides
 
 EPS = np.finfo(float).eps
@@ -229,3 +237,57 @@ def test_matrix_gaps_scale_exactly_by_powers_of_four(fid, mode, dims, count):
             c1 = sides[at]
             got = [v.hex() for v in sides]
             assert got == [(4.0**k * c1).hex() for k in SCALE_EXPONENTS], (fid, mode, i)
+
+
+#: The condition numbers of the congruence factors C.
+FACTOR_CONDITIONS = (1.0, 10.0, 100.0)
+
+
+def _factor(n, kappa, rng):
+    """C = U D, U Haar-random orthogonal and D a shuffled geometric ramp from
+    1 to kappa, so that kappa(C) = kappa."""
+    return _orthogonal(n, rng) * rng.permutation(np.geomspace(1.0, kappa, n))
+
+
+def _congruent(space, c):
+    """The space of atoms (p_i s_i / S, C X_i C^T, C Y_i C^T, rho_i'), with
+    rho_i' = C^-T rho_i C^-1 / s_i, s_i = Tr(C^-T rho_i C^-1) and S the sum of
+    p_i s_i, and S: Tr(rho_i' C M C^T) = Tr(rho_i M) / s_i, so its lhs, rhs and
+    gap are the space's divided by S.  One atom has p = 1 and S = s."""
+    inv = np.linalg.inv(c)
+    r = inv.T @ space.rho @ inv
+    s = np.trace(r, axis1=-2, axis2=-1)
+    total = float(space.p @ s)
+    x, y = (symmetrize(c @ m @ c.T) for m in (space.x, space.y))
+    return FiniteJointSpace(space.p * s / total, x, y, symmetrize(r / s[:, None, None])), total
+
+
+def _sides(f, space):
+    (lhs,), (rhs,) = block_sides([(f, 1)], [space.atoms], [([0], space)])
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("dims, count", [((2, 6), 20), ((48, 64), 3)], ids=["dims-2-6", "dims-48-64"])
+@pytest.mark.parametrize("mode", ["op", "rm"])
+@pytest.mark.parametrize("fid", MATRIX_IDS)
+def test_matrix_gaps_follow_a_congruence(fid, mode, dims, count):
+    # P_f(C A C^T, C B C^T) = C P_f(A, B) C^T for invertible C.  C X C^T has
+    # condition number up to kappa(C)^2 kappa(X), so the bound is
+    # MATRIX_RELATIVE kappa(C)^2 of max(|lhs|, |rhs|); the guard may reject a
+    # C X C^T beyond COND_LIMIT, and only such a one.
+    f = get_function(fid)
+    for i in range(count):
+        rng = split_rng(2030, MATRIX_IDS.index(fid), i)
+        space = _op_space(rng, dims) if mode == "op" else sample_matrix_space(rng, dims, (1, 3))
+        lhs, rhs = _sides(f, space)
+        for kappa in FACTOR_CONDITIONS:
+            moved, total = _congruent(space, _factor(space.dims, kappa, rng))
+            try:
+                lhs_c, rhs_c = _sides(f, moved)
+            except DomainError as exc:
+                lam = np.linalg.eigvalsh(np.concatenate([moved.x, moved.y]))
+                assert "exceeds the guard" in str(exc) and (lam[:, -1] / lam[:, 0]).max() > COND_LIMIT
+                continue
+            bound = MATRIX_RELATIVE * kappa**2 * max(abs(lhs), abs(rhs))
+            for before, after in ((lhs, lhs_c), (rhs, rhs_c), (rhs - lhs, rhs_c - lhs_c)):
+                assert abs(total * after - before) <= bound, (fid, mode, i, kappa)

@@ -37,7 +37,7 @@ from meanineq import (
 )
 from meanineq.functions import means
 from meanineq.campaign import sample_scalar_space
-from meanineq.verify import FiniteJointSpace, atom_values, weighted_sums
+from meanineq.verify import FiniteJointSpace, atom_values, verify_matrix, weighted_sums
 
 GEO = get_function("geometric")
 G = get_function("counterexample-g")
@@ -281,6 +281,9 @@ def test_verify_operator_rejects():
         verify_operator(np.eye(2) / 2.0, np.diag([1.0, -1.0]), np.eye(2), spec)
     with pytest.raises(UsageError):
         verify_operator(np.eye(2) / 2.0, np.eye(3), np.eye(3), spec)
+    space = matrix_space([(1.0, np.eye(2), np.eye(2), np.eye(2) / 2.0)])
+    with pytest.raises(UsageError, match="^matrix verification needs an OperatorMeanSpec$"):
+        verify_matrix(space, get_function("geometric"), 1e-8, "op")
 
 
 def test_random_matrix_one_atom_reduces_to_operator_bitwise():
