@@ -32,20 +32,17 @@ hold a spare word, so they draw the counts with ``integers``, as does the
 rebuild of a trial from its ``split_rng`` generator; the values are drawn by
 one body, ``_draw``, either way.
 
-A campaign of one range, in num mode or of matrices below THREAD_MIN_DIM,
-walks its pairs once in campaign order: a block of trials is a range of
-consecutive (function, trial) pairs, across function boundaries, that ends
-at the last pair or once its draws hold BLOCK_ELEMENTS values of x, or
-MATRIX_BLOCK_FACTOR times as many in matrix mode.  Any other campaign
-(``_sorts``) takes its pairs KEY_CHUNK at a time, in campaign order, and
-reads each window's counts first, through the call each trial's draw makes
-again.  It sorts the window's pairs by (dimension, pair) and cuts that order
-into one piece per range of about equal sum of k n^3 (``_pieces``), and each
-range fills blocks at the same cap from its piece.  So a block holds a
-contiguous run of dimensions in sorted order, and each LAPACK call stacks
-every trial of its dimension in the block (on op-large, 20.4 buckets of 2.94
-trials per campaign against 47.6 of 1.26 in campaign order); a block's rows
-are put back in campaign order.
+A campaign walks its pairs KEY_CHUNK at a time, in campaign order, and each
+range fills blocks from its piece of a window: a block ends at the piece's
+last pair or once its draws hold BLOCK_ELEMENTS values of x, or
+MATRIX_BLOCK_FACTOR times as many in matrix mode.  A window is one piece,
+unless the campaign sorts (``_sorts``): it then reads the window's counts,
+through the call each trial's draw makes again, sorts its pairs by
+(dimension, pair) and cuts them into one piece per range of about equal sum
+of k n^3 (``_pieces``).  So a block holds a run of dimensions, and each
+LAPACK call stacks every trial of its dimension in the block (on op-large,
+20.4 buckets of 2.94 trials per campaign against 47.6 of 1.26 in campaign
+order).  One stable argsort puts a block's rows in campaign order.
 
 A block does the arithmetic of its draws at once (``_build``): it normalises
 the weights of all its draws of one atom count as one array and raises 2 to
@@ -63,19 +60,21 @@ as padded arrays, with one rhs call per function.  Every trial's lhs and
 rhs have the bits of building and verifying it alone.  A block writes its
 gaps, and whether ``classify_gap`` finds each violated, into its pairs'
 entries of the campaign's two (functions, trials) arrays, 9 bytes a trial,
-whose reductions give the counts and extremes.  A failed block is set aside,
-and once the window's ranges are joined, the trials of its failed blocks are
-verified one by one in campaign order, so the error names the first failing
-trial in campaign order.  A search verifies its restarts in blocks of
+whose reductions give the counts and extremes.  A failed block is
+resolved at once: of its trials, verified one by one in campaign order, it
+keeps the error of the first that fails alone, named by its (function,
+trial), else its own error, and none of its draws.  Once a window's ranges
+are joined, the first such trial's error is raised, else that of the failed
+block that starts first.  A search verifies its restarts in blocks of
 SEARCH_CHUNK in the same way.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import threading
+import traceback
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -180,9 +179,10 @@ class CampaignSummary:
 
 def validate_config(config: CampaignConfig) -> CampaignConfig:
     """Reject a bad configuration before any trial runs; return ``config``
-    once checked, with its function ids as a tuple, its counts as Python
-    ints and its tol as a float: any sequence of ids but a bare string, and
-    numpy scalars, are accepted, and a campaign reports what it ran."""
+    once checked, with its function ids as a tuple of ``get_function(fid).id``
+    (two of one function are rejected), its counts as Python ints and its tol
+    as a float: any sequence of ids but a bare string, and numpy scalars, are
+    accepted, and a campaign reports what it ran."""
     if config.mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {config.mode!r}")
     if isinstance(config.functions, str):
@@ -190,12 +190,12 @@ def validate_config(config: CampaignConfig) -> CampaignConfig:
     functions = tuple(config.functions or ())
     if not functions:
         raise UsageError("campaign needs at least one function id")
+    functions = tuple(get_function(fid).id for fid in functions)
     for i, fid in enumerate(functions):
         if fid in functions[:i]:
             raise UsageError(f"function id {fid!r} is listed more than once")
-        f = get_function(fid)
         if config.mode in ("op", "rm"):
-            OperatorMeanSpec(f)
+            OperatorMeanSpec(get_function(fid))
     trials = require_integer("trials", config.trials)
     if trials < 0:
         raise UsageError(f"trials must be >= 0, got {config.trials!r}")
@@ -431,39 +431,39 @@ def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator
     return _draw(rng, config.mode, *counts(key))
 
 
-def _trial_keys(config: CampaignConfig, lo: int, hi: int):
+def _trial_keys(config: CampaignConfig, lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """The split_rng keys of the (function, trial) pairs lo, ..., hi - 1 in
     campaign order, as the int tuples a ``sampling.fresh_counts`` closure
-    takes, derived KEY_CHUNK pairs per ``philox_keys`` call."""
-    for start in range(lo, hi, KEY_CHUNK):
-        pair = np.arange(start, min(start + KEY_CHUNK, hi), dtype=np.uint64)
-        yield from map(tuple, philox_keys(config.seed, pair // config.trials, pair % config.trials).tolist())
+    takes, derived by one ``philox_keys`` call."""
+    pair = np.arange(lo, hi, dtype=np.uint64)
+    return map(tuple, philox_keys(config.seed, pair // config.trials, pair % config.trials).tolist())
 
 
-def _block_gaps(config: CampaignConfig, fs: list, pairs, draws: list[Draw]) -> np.ndarray:
-    """The gaps rhs - lhs of the draws of the campaign's pairs ``pairs``, a
-    sequence in campaign order, evaluated at once, each function's pairs one
+def _block_gaps(config: CampaignConfig, fs: list, pairs: np.ndarray, draws: list[Draw]) -> np.ndarray:
+    """The gaps rhs - lhs of the draws of the campaign's pairs ``pairs``, an
+    array in campaign order, evaluated at once, each function's pairs one
     ``verify.atom_values`` run.  A failing block raises an error that does not
-    say which trial failed (``_raise_first_failure`` finds it)."""
+    say which trial failed (``_first_failure`` finds it)."""
     trials = config.trials
-    fis = range(pairs[0] // trials, pairs[-1] // trials + 1)
-    ends = [bisect.bisect_left(pairs, (fi + 1) * trials) for fi in fis]
-    runs = [(fs[fi], end - start) for fi, start, end in zip(fis, [0, *ends], ends)]
+    fis = np.arange(pairs[0] // trials, pairs[-1] // trials + 1)
+    ends = np.searchsorted(pairs, (fis + 1) * trials).tolist()
+    runs = [(fs[fi], end - start) for fi, start, end in zip(fis.tolist(), [0, *ends], ends)]
     lhs, rhs = block_sides(runs, [d.atoms for d in draws], _build(draws))
     return rhs - lhs
 
 
-def _raise_first_failure(config: CampaignConfig, fs: list, failed: list) -> None:
-    """Raise the error of the first failing trial in campaign order among the
-    failed blocks, (pairs, draws, error) triples: their trials are verified
-    one by one in campaign order, and the first failing one raises, named by
-    its (function, trial); if none fails alone, the first block's error."""
-    trials = sorted((pair, d) for pairs, draws, _ in failed for pair, d in zip(pairs, draws))  # pairs are unique
-    for pair, d in trials:
+def _first_failure(config: CampaignConfig, fs: list, pairs: np.ndarray, draws: list[Draw], error: MeanIneqError):
+    """A failed block's ((rank, pair), error): of its trials ``pairs``, in
+    campaign order, the first to fail alone, rank 0 and named, else its
+    first pair and own ``error``, rank 1."""
+    for pair, d in zip(pairs.tolist(), draws):
         fi, t = divmod(pair, config.trials)
-        with located(f"function {config.functions[fi]!r}, trial {t}"):
-            block_sides([(fs[fi], 1)], [d.atoms], _build([d]))
-    raise min(failed, key=lambda block: block[0][0])[2]
+        try:
+            with located(f"function {config.functions[fi]!r}, trial {t}"):
+                block_sides([(fs[fi], 1)], [d.atoms], _build([d]))
+        except MeanIneqError as alone:
+            return (0, pair), alone
+    return (1, pairs[0]), error
 
 
 def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> dict:
@@ -485,18 +485,13 @@ def _block_limit(config: CampaignConfig) -> int:
     return BLOCK_ELEMENTS * (2 if config.mode == "num" else 3 * MATRIX_BLOCK_FACTOR)
 
 
-def _run_blocks(
-    config: CampaignConfig, fs: list, tol: float, pairs, keys, stream, gaps: np.ndarray, violated: np.ndarray, in_order: bool
-) -> list:
+def _run_blocks(config: CampaignConfig, fs: list, tol: float, pairs, keys, stream, gaps, violated) -> list:
     """Draw the trials of ``pairs``, campaign pair indices, in the order given
     from their ``keys`` and the range's ``stream``, and evaluate them in
     blocks that close at ``_block_limit`` raw values or at the last pair.  A
-    block's rows are put in campaign order, and its gaps and verdicts are
-    written in place into its pairs' entries of ``gaps`` and ``violated``.
-    Returns the failed blocks as (pairs, draws, error) triples.  Pairs
-    ``in_order``, a range in campaign order, need no sorting, are written as
-    slices and stop at their first failed block, which holds their first
-    failing trial; sorted pairs go on to their last block."""
+    block's rows are put in campaign order, and its gaps and verdicts written
+    into its pairs' entries of ``gaps`` and ``violated``.  Returns the failed
+    blocks, each resolved at once by ``_first_failure``."""
     trials, limit, last = config.trials, _block_limit(config), pairs[-1]
     rng, counts = stream
     block, draws, size, failed = [], [], 0, []
@@ -506,21 +501,20 @@ def _run_blocks(
         size += draws[-1].raw.size
         if size < limit and pair != last:
             continue
-        if in_order:
-            at = slice(block[0], pair + 1)
-        else:
-            rows = sorted(range(len(block)), key=block.__getitem__)
-            block, draws = [block[i] for i in rows], [draws[i] for i in rows]
-            at = block
+        at = np.array(block)
+        rows = np.argsort(at, kind="stable")
+        at, draws, error = at[rows], [draws[i] for i in rows.tolist()], None
         try:
-            values = _block_gaps(config, fs, block, draws)
+            values = _block_gaps(config, fs, at, draws)
         except MeanIneqError as exc:
-            failed.append((block, draws, exc))
-            if in_order:
-                break
+            error = exc
         else:
             gaps.flat[at] = values
             violated.flat[at] = classify_gap(values, tol) == VERDICT_VIOLATED
+        if error is not None:  # resolved outside the handler, so no error chains to it
+            failed.append(_first_failure(config, fs, at, draws, error))
+            for held in (error, failed[-1][1]):  # neither error's frames keep the draws alive
+                traceback.clear_frames(held.__traceback__)
         block, draws, size = [], [], 0
     return failed
 
@@ -564,9 +558,7 @@ def _pieces(config: CampaignConfig, lo: int, hi: int, counts, ranges: int) -> li
     return [((lo + order[a:b]).tolist(), [keys[i] for i in order[a:b]]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_ranges(
-    config: CampaignConfig, fs: list, tol: float, pieces: list, streams: list, gaps, violated, in_order: bool
-) -> list:
+def _run_ranges(config: CampaignConfig, fs: list, tol: float, pieces: list, streams: list, gaps, violated) -> list:
     """``_run_blocks`` on every non-empty (pairs, keys) piece, each with a
     stream of its own, the first on the calling thread and each other on a
     thread of its own; once all are joined, the first piece's error other
@@ -577,7 +569,7 @@ def _run_ranges(
 
     def run(i: int) -> None:
         try:
-            results[i] = _run_blocks(config, fs, tol, *pieces[i], streams[i], gaps, violated, in_order)
+            results[i] = _run_blocks(config, fs, tol, *pieces[i], streams[i], gaps, violated)
         except BaseException as exc:  # raised by the calling thread, below
             results[i] = exc
 
@@ -597,19 +589,15 @@ def _run_ranges(
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every (function, trial) pair and aggregate.
 
-    A campaign that neither runs more than one range (``_range_count``) nor
-    has matrices of at least THREAD_MIN_DIM draws its pairs in campaign
-    order, on the calling thread, in blocks of consecutive pairs.  Any other
-    campaign (``_sorts``) goes through its pairs KEY_CHUNK at a time, in
-    campaign order: it reads each window's counts, sorts its pairs by
-    dimension and cuts them into one piece per range (``_pieces``).  The first piece runs on the
-    calling thread and each other one on a thread of its own, each from its
-    own Philox generator, reseeded with each trial's key, and in capped
-    blocks whose rows are in campaign order.  Each block writes its pairs'
-    entries of ``gaps`` and ``violated`` in place (see the module notes).
-    The summary does not depend on the split, and an error names the first
-    failing trial in campaign order: the first window with a failed block
-    holds it.  ``workers`` is kept for existing callers and is not read.
+    The pairs are walked KEY_CHUNK at a time, in campaign order: a window is
+    one piece, or, when the campaign sorts (``_sorts``), its pairs are sorted
+    by dimension and cut into one piece per range (``_pieces``).  The first
+    piece runs on the calling thread and each other one on a thread of its
+    own, from a Philox generator of its own, in capped blocks that write
+    their pairs' entries of ``gaps`` and ``violated`` in place (see the
+    module notes).  The summary does not depend on the split, and an error
+    names the first failing trial in campaign order.  ``workers`` is kept
+    for existing callers and is not read.
     """
     config = validate_config(config)
     tol, trials = config.resolved_tol(), config.trials
@@ -618,18 +606,15 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     violated = np.empty(gaps.shape, dtype=bool)
     ranges = _range_count(config)
     streams = [_stream(config) for _ in range(ranges)]
-    in_order = not _sorts(config, ranges)
-    if in_order:
-        windows = [[(range(gaps.size), _trial_keys(config, 0, gaps.size))]]
-    else:
-        windows = (
-            _pieces(config, lo, min(lo + KEY_CHUNK, gaps.size), streams[0][1], ranges)
-            for lo in range(0, gaps.size, KEY_CHUNK)
+    sorts = _sorts(config, ranges)
+    for lo in range(0, gaps.size, KEY_CHUNK):
+        hi = min(lo + KEY_CHUNK, gaps.size)
+        pieces = (
+            _pieces(config, lo, hi, streams[0][1], ranges) if sorts else [(range(lo, hi), _trial_keys(config, lo, hi))]
         )
-    for pieces in windows:
-        failed = _run_ranges(config, fs, tol, pieces, streams, gaps, violated, in_order)
-        if failed:
-            _raise_first_failure(config, fs, failed)
+        failed = _run_ranges(config, fs, tol, pieces, streams, gaps, violated)
+        if failed:  # a trial that fails alone first, else a block's own error
+            raise min(failed, key=lambda found: found[0])[1]
 
     violations = violated.sum(axis=1).tolist()
     lows = gaps.min(axis=1).tolist() if trials else [None] * len(fs)
@@ -691,4 +676,4 @@ def search_violation(
         if gaps[i] < best[0]:  # strict: the first smallest gap in restart order
             best = (float(gaps[i]), *x[i].tolist(), float(p[i]))
     _, x1, x2, p1 = best
-    return replace(verify_numeric(construct_counterexample(f, x1, x2, p1), f, tol), seed=seed)
+    return replace(verify_numeric(construct_counterexample(x1, x2, p1), f, tol), seed=seed)

@@ -310,7 +310,7 @@ def _run(args: argparse.Namespace, out) -> int:
         spec = OperatorMeanSpec(f)
         report = verify_random_matrix(_space_file(args.space, MODE_MATRIX), spec, args.tol)
     elif args.command == "counterexample":
-        report = verify_numeric(construct_counterexample(f, args.x1, args.x2, args.p), f, args.tol)
+        report = verify_numeric(construct_counterexample(args.x1, args.x2, args.p), f, args.tol)
     elif args.command == "search":
         report = search_violation(f, split_rng(args.seed, 0), args.trials, tol=args.tol, seed=args.seed)
     else:

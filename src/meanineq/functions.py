@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Real
 from typing import Callable, Union
 
 import numpy as np
@@ -107,8 +108,8 @@ def _wyd_fn(beta: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def wyd_function(beta: float) -> RepresentingFunction:
-    """WYD family entry (x^b + x^(1-b))/2; b must lie in the open interval (0, 1)."""
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta)):
+    """WYD family entry (x^b + x^(1-b))/2; b, a real other than a bool, must lie in (0, 1)."""
+    if isinstance(beta, bool) or not (isinstance(beta, Real) and math.isfinite(beta)):
         raise UsageError(f"wyd beta must be a finite number, got {beta!r}")
     if not 0.0 < beta < 1.0:
         raise UsageError(f"wyd beta must lie in (0, 1), got {beta!r}")

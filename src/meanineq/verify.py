@@ -170,12 +170,10 @@ def verify_numeric(
     return _verify(space, f, tol, "num")
 
 
-def construct_counterexample(
-    f: RepresentingFunction, x1: float, x2: float, p: float
-) -> FiniteJointSpace:
+def construct_counterexample(x1: float, x2: float, p: float) -> FiniteJointSpace:
     """Two-point space with Y constant 1: X takes x1, x2 with weights p, 1-p.
 
-    Verifying it computes the gap f(p*x1 + (1-p)*x2) - (p*f(x1) + (1-p)*f(x2)),
+    Verifying it with f computes the gap f(p*x1 + (1-p)*x2) - (p*f(x1) + (1-p)*f(x2)),
     the midpoint-concavity defect of f at that weighting: any non-concave f
     yields a violation for some choice of (x1, x2, p).
     """

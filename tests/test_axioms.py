@@ -78,6 +78,21 @@ def test_empty_grid_rejected():
 
 
 @pytest.mark.parametrize(
+    "grid", [[0.0, 1.0], [1.0, np.inf], [-1.0, 2.0], [np.nan, 1.0]], ids=["zero", "inf", "negative", "nan"]
+)
+def test_grid_entries_must_be_finite_and_positive(grid):
+    with pytest.raises(UsageError, match="^probe grid entries must be finite and strictly positive$"):
+        check_axioms(get_function("geometric"), grid)
+
+
+def test_axiom_report_check_names_only_its_checks():
+    report = check_axioms(get_function("geometric"), [0.5, 1.0, 2.0])
+    assert report.check(report.checks[0].name) is report.checks[0]
+    with pytest.raises(KeyError):
+        report.check("nope")
+
+
+@pytest.mark.parametrize(
     "grid, value, probe",
     [
         ([1.0, 1e308], "1e+308", "2.0 * g = inf"),
@@ -208,7 +223,7 @@ def test_verifier_certifies_claims_concave(fid):
     assert verdict.concave == (searched.verdict != "violated") == f.claims_concave
     if not verdict.concave:
         a, b = verdict.witness
-        assert verify_numeric(construct_counterexample(f, a, b, 0.5), f).verdict == "violated"
+        assert verify_numeric(construct_counterexample(a, b, 0.5), f).verdict == "violated"
 
 
 def test_concavity_probe_weighs_before_it_adds():

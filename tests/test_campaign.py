@@ -213,11 +213,11 @@ def _search_one_restart_at_a_time(f, rng, budget, tol=1e-10, seed=None):
         p = float(rng.uniform())
         if x1 == x2 or not 0.0 < p < 1.0:
             continue
-        report = verify_numeric(construct_counterexample(f, x1, x2, p), f, tol)
+        report = verify_numeric(construct_counterexample(x1, x2, p), f, tol)
         if best is None or report.gap < best.gap:
             best = report
     if best is None:
-        best = verify_numeric(construct_counterexample(f, 1.0, 2.0, 0.5), f, tol)
+        best = verify_numeric(construct_counterexample(1.0, 2.0, 0.5), f, tol)
     return dataclasses.replace(best, seed=seed)
 
 
@@ -243,7 +243,7 @@ def test_search_falls_back_when_every_restart_is_degenerate():
 
     f = get_function("counterexample-g")
     rep = search_violation(f, Zeros(), 5, seed=4)
-    assert rep == dataclasses.replace(verify_numeric(construct_counterexample(f, 1.0, 2.0, 0.5), f, 1e-10), seed=4)
+    assert rep == dataclasses.replace(verify_numeric(construct_counterexample(1.0, 2.0, 0.5), f, 1e-10), seed=4)
 
 
 class _RecordedDraws:
@@ -817,6 +817,18 @@ def test_validate_config_takes_function_ids_as_a_tuple():
     assert run_campaign(CampaignConfig("num", ["geometric"], 3)) == run_campaign(CampaignConfig("num", ("geometric",), 3))
 
 
+def test_function_ids_are_the_ids_they_resolve_to():
+    # Two spellings of one function would run it twice, as two rows.
+    checked = validate_config(CampaignConfig("op", ("wyd:.50", " geometric", "harmonic "), 1))
+    assert checked.functions == ("wyd:0.5", "geometric", "harmonic")
+    for ids in (("wyd:0.5", "wyd:.5", "wyd:0.50"), ("geometric", " geometric")):
+        with pytest.raises(UsageError, match=f"^function id {ids[0].strip()!r} is listed more than once$"):
+            validate_config(CampaignConfig("num", ids, 1))
+    with pytest.raises(UsageError, match="^config file camp.cfg: function id 'wyd:0.25' is listed more than once$"):
+        parse_campaign_config("mode = num\nfunctions = wyd:0.25, wyd:2.5e-1\ntrials = 1\n", "camp.cfg")
+    assert run_campaign(CampaignConfig("num", ("wyd:.5",), 3)).per_function.keys() == {"wyd:0.5"}
+
+
 def test_numpy_integer_counts_are_accepted():
     # A campaign runs, and reports, the Python ints its counts stand for.
     from meanineq.cli import emit_report
@@ -916,6 +928,29 @@ def test_sorted_windows_do_not_depend_on_the_window_size(ranges, monkeypatch):
     with pytest.raises(NotPositiveDefiniteError) as exc:
         _within(60, lambda: run_campaign(cfg))
     assert str(exc.value).startswith("function 'geometric', trial 9: first argument is not positive definite")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CampaignConfig(mode="num", functions=("geometric", "counterexample-g", "harmonic"), trials=10, seed=29),
+        CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=10, dims=(2, 6), seed=30),
+    ],
+    ids=["num", "op-2-6"],
+)
+def test_one_range_windows_do_not_depend_on_the_window_size(cfg, monkeypatch):
+    # A campaign that does not sort walks each window as one piece: windows
+    # of 7 pairs end inside each function's 10 trials and cut blocks short,
+    # and the bytes are those of one window of 4096.
+    from meanineq import campaign
+    from meanineq.cli import emit_report
+
+    monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", 16)
+    assert not campaign._sorts(cfg, campaign._range_count(cfg))
+    one = emit_report(run_campaign(cfg), "json")
+    monkeypatch.setattr(campaign, "KEY_CHUNK", 7)
+    assert emit_report(run_campaign(cfg), "json") == one
+    assert cfg.mode != "num" or '"worst_case"' in one
 
 
 def test_sorted_blocks_stack_each_dimension_s_trials(monkeypatch):
@@ -1097,6 +1132,99 @@ def test_a_block_that_fails_only_as_a_block_raises_its_own_error(monkeypatch):
     with pytest.raises(DomainError) as exc:
         run_campaign(cfg)
     assert str(exc.value) == "the block broke"
+
+
+def _tiny_draw(d):
+    """A two-atom num draw whose E X is 0: 0.5 * 5e-324 rounds to 0 (see
+    test_floor_errors_name_the_trial)."""
+    from meanineq.campaign import Draw
+
+    return Draw(np.array([0.5, 0.5]), np.array([[-133.75, -133.75], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize(
+    "cfg, ranges, bad, detail",
+    [
+        (CampaignConfig(mode="num", functions=("geometric",), trials=4, atoms=(2, 2), seed=4), 1, "draw", "E X must be"),
+        (CampaignConfig(mode="op", functions=("harmonic",), trials=4, dims=(3, 3), seed=4), 2, "atom", "first argument"),
+    ],
+    ids=["num-one-range", "op-two-ranges"],
+)
+def test_a_trial_that_fails_alone_is_named_before_an_earlier_block_s_own_error(cfg, ranges, bad, detail, monkeypatch):
+    # Blocks 0-1 and 2-3 of one window both fail as blocks: the first only as
+    # a block, the second also at trial 3 alone.  Trial 3 is named (num: two
+    # blocks of one range; op: one block in each of two ranges).
+    from meanineq import DomainError, campaign
+
+    if bad == "draw":
+        _with_bad_trials(monkeypatch, {(0, 3)}, draw=_tiny_draw)
+        monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", 4)  # two draws of two atoms a block
+    else:
+        _with_bad_trials(monkeypatch, {(0, 3)}, atom=_indefinite)
+    monkeypatch.setattr(campaign, "_range_count", lambda config: ranges)
+    block_sides = campaign.block_sides
+
+    def fails_on_several_rows(runs, counts, buckets):
+        if len(counts) > 1:
+            raise DomainError("the block broke")
+        return block_sides(runs, counts, buckets)
+
+    monkeypatch.setattr(campaign, "block_sides", fails_on_several_rows)
+    with pytest.raises(DomainError) as exc:
+        _within(60, lambda: run_campaign(cfg))
+    assert str(exc.value).startswith(f"function '{cfg.functions[0]}', trial 3: {detail}")
+
+
+def test_a_walk_goes_no_further_than_the_window_of_a_failure(monkeypatch):
+    # Windows of 7 pairs, each trial a block: trial 3 fails, and the walk
+    # draws the rest of its window (pairs 0-6) but none of the next.
+    from meanineq import DomainError, campaign
+
+    _with_bad_trials(monkeypatch, {(0, 3)}, draw=_tiny_draw)
+    monkeypatch.setattr(campaign, "KEY_CHUNK", 7)
+    monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", 1)
+    run_trial, drawn = campaign._run_trial, []
+
+    def record(config, fi, t, *rest):
+        drawn.append(fi * config.trials + t)
+        return run_trial(config, fi, t, *rest)
+
+    monkeypatch.setattr(campaign, "_run_trial", record)
+    cfg = CampaignConfig(mode="num", functions=("geometric", "harmonic"), trials=10, seed=4)
+    with pytest.raises(DomainError, match="^function 'geometric', trial 3: E X must be positive"):
+        run_campaign(cfg)
+    assert drawn == list(range(7))
+
+
+@pytest.mark.parametrize("fails_alone", [True, False], ids=["trial-error", "block-error"])
+def test_a_raised_error_holds_none_of_the_draws(fails_alone, monkeypatch):
+    # A failed block is resolved at once and keeps only its error, whose
+    # frames are cleared: once the campaign has raised, no draw is alive.
+    import gc
+    import weakref
+
+    from meanineq import DomainError, campaign
+
+    run_trial, block_sides, raws = campaign._run_trial, campaign.block_sides, []
+
+    def tracked(*args):
+        d = run_trial(*args)
+        raws.append(weakref.ref(d.raw))
+        return d
+
+    def fails(runs, counts, buckets):
+        if fails_alone or len(counts) > 1:
+            raise DomainError("broke")
+        return block_sides(runs, counts, buckets)
+
+    monkeypatch.setattr(campaign, "_run_trial", tracked)
+    monkeypatch.setattr(campaign, "block_sides", fails)
+    cfg = CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=6, dims=(2, 4), seed=5)
+    with pytest.raises(DomainError) as exc:
+        run_campaign(cfg)
+    gc.collect()
+    assert str(exc.value) == ("function 'geometric', trial 0: broke" if fails_alone else "broke")
+    assert len(raws) == 12 and all(raw() is None for raw in raws)
 
 
 def test_range_count_follows_the_cores_blas_leaves_free(monkeypatch):

@@ -139,6 +139,25 @@ def test_emit_report_renders_an_axioms_pair():
     assert doc["function"] == "geometric" and doc["concavity"]["verdict"] == "concave"
 
 
+def test_emit_report_rejects_an_unknown_format():
+    from meanineq import UsageError, check_axioms, get_function
+    from meanineq.cli import emit_report
+
+    with pytest.raises(UsageError, match="^unknown format 'xml'$"):
+        emit_report(check_axioms(get_function("geometric")), "xml")
+
+
+def test_json_writer_reads_as_pinned():
+    from meanineq import NumericError, UsageError
+    from meanineq.cli import _emit_json, fmt_float
+
+    with pytest.raises(NumericError, match="^cannot serialize non-finite value nan$"):
+        fmt_float(float("nan"))
+    assert [_emit_json(v) for v in ({}, [], (), False, True, None)] == ["{}", "[]", "[]", "false", "true", "null"]
+    with pytest.raises(UsageError, match="^cannot serialize value of type set$"):
+        _emit_json({1.0})
+
+
 def test_campaign_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "camp.cfg"
     cfg.write_text("mode = num\nfunctions = geometric,harmonic\ntrials = 40\nseed = 7\n")
@@ -251,9 +270,7 @@ def test_json_round_trip_17_digits(tmp_path, capsys):
     from meanineq import construct_counterexample, get_function, verify_numeric
 
     rep = verify_numeric(
-        construct_counterexample(
-            get_function("geometric"), 1.1234567890123456, 4.0, 0.3333333333333333
-        ),
+        construct_counterexample(1.1234567890123456, 4.0, 0.3333333333333333),
         get_function("geometric"),
     )
     # serialization preserved every bit of the 64-bit values
@@ -391,6 +408,24 @@ def test_duplicate_function_id_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "campaign", "--config", str(cfg))
     assert code == 2 and out == ""
     assert "counterexample-g" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ids", ["wyd:0.5, wyd:.5, wyd:0.50", "geometric, harmonic, geometric"])
+def test_two_spellings_of_one_function_are_a_usage_error(tmp_path, capsys, ids):
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text(f"mode = num\nfunctions = {ids}\ntrials = 20\n")
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg))
+    fid = ids.split(",")[0]
+    assert (code, out) == (2, "")
+    assert err == f"error: config file {cfg}: function id {fid!r} is listed more than once\n"
+
+
+def test_campaign_reports_the_ids_its_functions_resolve_to(tmp_path, capsys):
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text("mode = num\nfunctions = wyd:.50, geometric\ntrials = 5\n")
+    code, out, _ = run_cli(capsys, "campaign", "--config", str(cfg), "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["wyd:0.5", "geometric", "(total)"]
 
 
 def test_nan_tol_is_a_usage_error(tmp_path, capsys):

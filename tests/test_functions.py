@@ -198,6 +198,15 @@ def test_wyd_id_round_trips():
     assert get_function(f.id).params == (0.25,)
 
 
+def test_wyd_beta_is_any_real_but_a_bool():
+    # The rule of reports.require_tol: numbers.Real, numpy scalars included.
+    assert wyd_function(np.float32(0.25)).id == wyd_function(np.float64(0.25)).id == "wyd:0.25"
+    assert wyd_function(np.float16(0.5)).params == (0.5,)
+    for bad in (True, "0.5", None):
+        with pytest.raises(UsageError, match=f"^wyd beta must be a finite number, got {bad!r}$"):
+            wyd_function(bad)
+
+
 def test_catalog_flags():
     for fid in CONCAVE:
         f = get_function(fid)

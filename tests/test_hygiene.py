@@ -414,3 +414,52 @@ def test_src_checks_integers_only_in_errors(path):
         assert found != []
     else:
         assert found == []
+
+
+#: Parameters of the package that nothing reads, each kept for a caller, as
+#: (file, function, parameter): a nested function is named inside its own.
+KEPT_PARAMETERS = {
+    ("campaign.py", "run_campaign", "workers"): "bench/run.py passes it (ROADMAP item 3)",
+    ("campaign.py", "_run_trial", "fi"): "test hooks and bench/spans.py read a trial's coordinates",
+    ("campaign.py", "_run_trial", "t"): "test hooks and bench/spans.py read a trial's coordinates",
+    ("verify.py", "load_space.where", "part"): "matrix_space's location callback; a space line is one place",
+    ("verify.py", "verify_operator.<lambda>", "i"): "matrix_space's location callback; the one atom is 0",
+}
+
+
+def _unread_parameters(tree: ast.AST, scope: str = "") -> list[str]:
+    """``function parameter`` for each parameter that its function's body
+    never loads, a function being a def or a lambda at any depth, named by
+    the functions and classes it is in."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        name = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            name = ".".join(filter(None, (scope, getattr(node, "name", "<lambda>"))))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            params = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+            found += [f"{name} {p.arg}" for p in params if p is not None and p.arg not in read]
+        found += _unread_parameters(node, name)
+    return found
+
+
+def test_parameter_scan_catches_unread_parameters():
+    tree = ast.parse(
+        "def f(a, b, *args, c, d=1, **kw):\n    return a + c\n"
+        "class K:\n    def m(self, x):\n        def inner(y):\n            return x\n        return inner\n"
+        "g = lambda i, part: part\n"
+        "def h(n):\n    return lambda: n\n"
+    )
+    assert _unread_parameters(tree) == [
+        "f b", "f d", "f args", "f kw", "K.m self", "K.m.inner y", "<lambda> i",
+    ]
+
+
+def test_src_reads_every_parameter():
+    # A parameter nothing reads is a setting that changes nothing, as the
+    # ``f`` of construct_counterexample once was.
+    found = {(p.name, *f.split(" ")) for p in SRC for f in _unread_parameters(ast.parse(p.read_text()))}
+    assert found == set(KEPT_PARAMETERS)

@@ -49,6 +49,19 @@ def test_eigen_examples():
     assert np.allclose(np.abs(q), np.abs(q).round(), atol=1e-12)  # permutation-like
 
 
+def test_spectrum_reports_a_solver_that_does_not_converge(monkeypatch):
+    from meanineq import NumericError
+
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(NumericError) as exc:
+        spectrum(A22)
+    assert str(exc.value) == "symmetric eigensolver failed to converge (off-diagonal norm 1.414e+00)"
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_eigen_ascending_and_deterministic():
     rng = split_rng(7, 0)
     a = sym_matrix(rng.normal(size=(6, 6)))

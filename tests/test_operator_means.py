@@ -230,6 +230,10 @@ ARGUMENT_ERRORS = {
         lambda: check_transformer(operator_mean_spec("geometric"), EYE2, EYE2, np.ones((3, 2))),
         "transformer factor shape (3, 2) does not match (2, 2)",
     ),
+    "jensen-rows": (
+        lambda: check_jensen_sum(operator_mean_spec("geometric"), [(EYE2, EYE2, EYE2), (np.ones((3, 2)), EYE2, EYE2)]),
+        "all congruence factors must share the same row dimension",
+    ),
     "jensen-columns": (
         lambda: check_jensen_sum(operator_mean_spec("geometric"), [(EYE2, EYE2, EYE2), (np.ones((2, 3)), EYE2, EYE2)]),
         "all congruence factors must share the same column dimension",

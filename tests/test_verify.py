@@ -177,16 +177,16 @@ def test_verify_numeric_counterexample_values():
 
 
 def test_construct_counterexample():
-    space = construct_counterexample(G, 0.5, 2.0, 0.5)
+    space = construct_counterexample(0.5, 2.0, 0.5)
     rep = verify_numeric(space, G)
     assert rep.gap == -0.125 and rep.verdict == "violated"
 
-    space = construct_counterexample(GEO, 1.0, 4.0, 0.5)
+    space = construct_counterexample(1.0, 4.0, 0.5)
     rep = verify_numeric(space, GEO)
     assert rep.gap == pytest.approx(math.sqrt(2.5) - 1.5, abs=1e-15)
     assert rep.verdict == "holds"
 
-    space = construct_counterexample(get_function("arithmetic"), 0.3, 3.0, 0.25)
+    space = construct_counterexample(0.3, 3.0, 0.25)
     assert abs(verify_numeric(space, get_function("arithmetic")).gap) <= 1e-15
 
 
@@ -197,7 +197,7 @@ def test_construct_counterexample_gap_is_concavity_defect():
         if x1 == x2:
             continue
         p = rng.uniform(0.05, 0.95)
-        rep = verify_numeric(construct_counterexample(G, x1, x2, p), G)
+        rep = verify_numeric(construct_counterexample(x1, x2, p), G)
         f = lambda t: (t + 3.0) / 4.0 if t <= 1.0 else (3.0 * t + 1.0) / 4.0
         defect = f(p * x1 + (1 - p) * x2) - (p * f(x1) + (1 - p) * f(x2))
         assert rep.gap == pytest.approx(defect, abs=1e-14)
@@ -205,13 +205,13 @@ def test_construct_counterexample_gap_is_concavity_defect():
 
 def test_construct_counterexample_rejects():
     with pytest.raises(UsageError):
-        construct_counterexample(G, 1.0, 2.0, 0.0)
+        construct_counterexample(1.0, 2.0, 0.0)
     with pytest.raises(UsageError):
-        construct_counterexample(G, 1.0, 2.0, 1.0)
+        construct_counterexample(1.0, 2.0, 1.0)
     with pytest.raises(UsageError):
-        construct_counterexample(G, 2.0, 2.0, 0.5)
+        construct_counterexample(2.0, 2.0, 0.5)
     with pytest.raises(DomainError):
-        construct_counterexample(G, -1.0, 2.0, 0.5)
+        construct_counterexample(-1.0, 2.0, 0.5)
 
 
 def test_refinement_invariance():
@@ -485,7 +485,7 @@ def test_space_file_probability_errors_name_the_file(tmp_path, scalar):
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
 def test_verify_numeric_rejects_bad_tol(tol):
-    space = construct_counterexample(G, 0.5, 2.0, 0.5)
+    space = construct_counterexample(0.5, 2.0, 0.5)
     with pytest.raises(UsageError, match="tol"):
         verify_numeric(space, G, tol=tol)
 
@@ -494,7 +494,7 @@ _A, _B, _RHO = np.diag([1.0, 2.0]), np.diag([3.0, 5.0]), np.eye(2) / 2
 _GEO_SPEC = operator_mean_spec("geometric")
 #: Every public verdict that takes a caller's tol, called with a tol.
 TOL_SITES = {
-    "verify_numeric": lambda tol: verify_numeric(construct_counterexample(G, 0.5, 2.0, 0.5), G, tol),
+    "verify_numeric": lambda tol: verify_numeric(construct_counterexample(0.5, 2.0, 0.5), G, tol),
     "verify_operator": lambda tol: verify_operator(_RHO, _A, _B, _GEO_SPEC, tol),
     "trace_perspective_check": lambda tol: trace_perspective_check(GEO, _A, _B, tol),
     "search_violation": lambda tol: search_violation(G, split_rng(1, 0), 10, tol),
