@@ -62,10 +62,11 @@ class AxiomReport:
         return all(c.passed for c in self.checks)
 
     def check(self, name: str) -> AxiomCheck:
+        """The check called ``name``, else a UsageError that names the report's checks."""
         for c in self.checks:
             if c.name == name:
                 return c
-        raise KeyError(name)
+        raise UsageError(f"no axiom check {name!r}; the checks are {', '.join(c.name for c in self.checks)}")
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,22 @@ LAPACK, which releases it, so they get one range per core that BLAS leaves
 free (``_range_count``).  A range's generator and reseed state are its own,
 so ranges, and whole campaigns, may run in concurrent threads.
 
-A trial only makes its generator calls (``Draw``): its dimension and atom
-count, its atoms' Dirichlet weights (exponentials, not yet normalised), then
-its raw values, one call for all its atoms (uniforms for the log2 values of
-x and y, or the Gaussian factors of each atom's rho, X and Y).  The counts
-are numpy's ``integers`` over two ranges (``_count_ranges``); a freshly
-reseeded generator holds no spare 32-bit word, so ``sampling.fresh_counts``
-reseeds it and computes both counts from one raw word with numpy's own rule,
-in one straight-line path for the ranges that draw (one for each mode at the
-default ranges).  The public samplers take a caller's generator, which may
-hold a spare word, so they draw the counts with ``integers``, as does the
-rebuild of a trial from its ``split_rng`` generator; the values are drawn by
-one body, ``_draw``, either way.
+A trial only makes its generator calls, and keeps only its (dimension,
+atom count) record (``_Trial``): its counts, its atoms' Dirichlet weights
+(exponentials, not yet normalised; op draws none, its one atom weighs 1),
+then its raw values, one call for all its atoms (uniforms for the log2
+values of x and y, or the Gaussian factors of each atom's rho, X and Y).
+The calls write with ``out=`` into its range's ``_Block``: two buffers that
+live as long as the range, grow only for a trial that does not fit, and hold
+the open block's draws end to end.  The counts are numpy's ``integers`` over
+two ranges (``_count_ranges``); a freshly reseeded generator holds no spare
+32-bit word, so ``sampling.fresh_counts`` reseeds it and computes both
+counts from one raw word with numpy's own rule, in one straight-line path
+for the ranges that draw (one for each mode at the default ranges).  The
+public samplers take a caller's generator, which may hold a spare word, so
+they draw the counts with ``integers``, as does the rebuild of a trial from
+its ``split_rng`` generator, into a block of that one trial; the values are
+drawn by one body, ``_draw``, either way.
 
 A campaign walks its pairs KEY_CHUNK at a time, in campaign order, and each
 range fills blocks from its piece of a window: a block ends at the piece's
@@ -42,14 +46,17 @@ through the call each trial's draw makes again, sorts its pairs by
 of k n^3 (``_pieces``).  So a block holds a run of dimensions, and each
 LAPACK call stacks every trial of its dimension in the block (on op-large,
 20.4 buckets of 2.94 trials per campaign against 47.6 of 1.26 in campaign
-order).  One stable argsort puts a block's rows in campaign order.
+order).  A block's rows are its trials in campaign order: ``_build`` ranks
+each draw by its pair.
 
-A block does the arithmetic of its draws at once (``_build``): it normalises
-the weights of all its draws of one atom count as one array and raises 2 to
-the scaled uniforms.  Its matrix draws are grouped in buckets,
-one per dimension, and ``verify.block_sides`` evaluates the buckets one
-after another: ``_build`` builds a bucket's valid-by-construction spaces
-(one SPD construction for all its factors) only when it is asked for, the
+A block does the arithmetic of its draws at once, reading them from its
+buffers (``_build``): it normalises the weights of all its draws of one atom
+count as one array and raises 2 to its uniforms, taken in one gather.  Its
+matrix draws are grouped in buckets, one per dimension, and
+``verify.block_sides`` evaluates the buckets one after another: ``_build``
+builds a bucket's valid-by-construction spaces (one SPD construction for all
+its factors, a view of the buffer when the bucket's draws lie end to end, as
+in a sorted block, else one gather) only when it is asked for, the
 kernel admits all its atoms with two stacked Cholesky factorizations, reads
 the arithmetic and harmonic runs' traces out of closed forms and the other
 runs' out of one eigensolve of their inner matrices, with only f on the
@@ -61,12 +68,12 @@ rhs have the bits of building and verifying it alone.  A block writes its
 gaps, and whether ``classify_gap`` finds each violated, into its pairs'
 entries of the campaign's two (functions, trials) arrays, 9 bytes a trial,
 whose reductions give the counts and extremes.  A failed block is
-resolved at once: of its trials, verified one by one in campaign order, it
-keeps the error of the first that fails alone, named by its (function,
-trial), else its own error, and none of its draws.  Once a window's ranges
-are joined, the first such trial's error is raised, else that of the failed
-block that starts first.  A search verifies its restarts in blocks of
-SEARCH_CHUNK in the same way.
+resolved at once: of its trials, verified one by one in campaign order from
+their slices of the buffers, it keeps the error of the first that fails
+alone, named by its (function, trial), else its own error, and no view of
+its buffers.  Once a window's ranges are joined, the first such trial's
+error is raised, else that of the failed block that starts first.  A search
+verifies its restarts in blocks of SEARCH_CHUNK in the same way.
 """
 
 from __future__ import annotations
@@ -77,7 +84,8 @@ import threading
 import traceback
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -285,21 +293,14 @@ def load_campaign_config(path) -> CampaignConfig:
     return parse_campaign_config(read_input(path, "config"), path)
 
 
-#: The weight of every op draw's one atom, shared by all of them and read-only.
-_ONE_ATOM = np.ones(1)
-_ONE_ATOM.flags.writeable = False
+class _Trial(tuple):
+    """All a trial's draw leaves outside its block's buffers: its dimension n
+    and atom count k (num: n = 1; op: k = 1).  Built from its counts' tuple
+    in C, where a NamedTuple would add a Python call per trial."""
 
-
-class Draw(NamedTuple):
-    """One trial's raw draw, as the generator gave it: its atoms' Dirichlet
-    weights, k standard exponentials not yet normalised (op: the shared
-    ``_ONE_ATOM``), and for a scalar space the (2, k) uniforms that give the
-    log2 values of x and y, else the (k, 3, n, n) Gaussian factors of each
-    atom's rho, X and Y.  ``_build`` turns a block of draws into spaces."""
-
-    weights: np.ndarray
-    raw: np.ndarray
-    atoms = property(lambda self: len(self.weights))
+    __slots__ = ()
+    dims = property(itemgetter(0))
+    atoms = property(itemgetter(1))
 
 
 def _count_ranges(mode: str, dims: tuple[int, int], atoms: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -310,20 +311,66 @@ def _count_ranges(mode: str, dims: tuple[int, int], atoms: tuple[int, int]) -> t
     return (dims if mode != "num" else (1, 1)), (atoms if mode != "op" else (1, 1))
 
 
-def _draw(rng: np.random.Generator, mode: str, n: int, k: int) -> Draw:
-    """One trial's draw in the v1 stream once its counts n and k are drawn:
-    k exponentials unless the mode is op (one atom), then 2k uniforms (x,
-    then y) or the factors.  Only generator calls: ``_build`` does the
+def _atom_values(mode: str, n):
+    """The raw values of one atom of dimension n: its two uniforms, or the
+    (3, n, n) factors of its rho, X and Y."""
+    return 2 if mode == "num" else 3 * n * n
+
+
+class _Block:
+    """A range's open block: the draws of its trials, in draw order, each
+    written after the last into two buffers that outlive the block.
+    ``weights`` holds each trial's k exponentials (op: none are drawn, and
+    the slots are never read) and ``raw`` its k atoms' raw values; ``nw``
+    and ``nr`` count the values in use, and ``pairs`` and ``trials`` hold
+    each trial's campaign pair and record.  The buffers start with room for
+    ``values`` raw values, atoms of at least ``atom_values`` each, and grow
+    only for a trial that does not fit.  ``counts`` is a campaign range's
+    ``fresh_counts`` closure for ``rng``."""
+
+    def __init__(self, rng: np.random.Generator, values: int, atom_values: int, counts=None) -> None:
+        self.rng, self.atom_values, self.counts = rng, atom_values, counts
+        self.weights, self.raw = np.empty(values // atom_values), np.empty(values)
+        self.clear()
+
+    def clear(self) -> None:
+        self.nw = self.nr = 0
+        self.pairs: list[int] = []
+        self.trials: list[_Trial] = []
+
+    def grow(self, values: int) -> None:
+        """Room for ``values`` raw values at least, twice the room at least,
+        with the draws in use kept."""
+        values = max(values, 2 * self.raw.size)
+        weights, raw = np.empty(values // self.atom_values), np.empty(values)
+        weights[: self.nw] = self.weights[: self.nw]
+        raw[: self.nr] = self.raw[: self.nr]
+        self.weights, self.raw = weights, raw
+
+    def records(self) -> np.ndarray:
+        """The (n, k) of the block's trials as a (T, 2) array, in draw order."""
+        return np.fromiter(chain.from_iterable(self.trials), np.int64, 2 * len(self.trials)).reshape(-1, 2)
+
+
+def _draw(block: _Block, mode: str, n: int, k: int) -> None:
+    """One trial's draw in the v1 stream once its counts n and k are drawn,
+    written after ``block``'s last: k exponentials unless the mode is op (one
+    atom), then 2k uniforms (x, then y) or the factors.  Only generator
+    calls, with ``out=``: they fill a slice with the doubles they would return
+    and leave the generator in the same state.  ``_build`` does the
     arithmetic for a whole block.  ``standard_exponential`` gives the doubles
     of ``exponential(1.0)``, which scales each by 1.0, and ``standard_normal``
     those of ``normal(0.0, 1.0)``, which adds 0.0 to each, so they differ at
     most in the sign of an exact zero."""
-    if mode == "op":
-        return Draw(_ONE_ATOM, rng.standard_normal((1, 3, n, n)))
-    weights = rng.standard_exponential(k)
-    if mode == "num":
-        return Draw(weights, rng.random((2, k)))
-    return Draw(weights, rng.standard_normal((k, 3, n, n)))
+    w, r = block.nw, block.nr
+    end = r + k * (2 if mode == "num" else 3 * n * n)  # _atom_values, inlined: once per trial
+    if end > block.raw.size:
+        block.grow(end)
+    rng = block.rng
+    if mode != "op":
+        rng.standard_exponential(out=block.weights[w : w + k])
+    (rng.random if mode == "num" else rng.standard_normal)(out=block.raw[r:end])
+    block.nw, block.nr = w + k, end
 
 
 def _log_uniform(u: np.ndarray) -> np.ndarray:
@@ -348,48 +395,57 @@ def _probabilities(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return p
 
 
-def _stacked(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
-
-
-def _build(draws: list[Draw]) -> Iterator[tuple[list[int], FiniteJointSpace]]:
-    """Draws of one mode as the trusted (rows, space) buckets of
+def _build(mode: str, weights: np.ndarray, raw: np.ndarray, drawn: np.ndarray, pairs) -> Iterator[tuple[np.ndarray, FiniteJointSpace]]:
+    """Draws of one mode, end to end in ``weights`` and ``raw`` in the order
+    of their (n, k) records ``drawn``, as the trusted (rows, space) buckets of
     ``verify.atom_values``, one per matrix dimension, with the bits of
-    building each draw alone.  The block's weights are normalised at once
-    (``_probabilities``) and its scalar values raised at once.  The buckets
-    are yielded one at a time, and each bucket's matrices are built at once
-    from its draws' stacked factors only when it is asked for, so that a
-    block holds its raw draws and the stacks of one bucket, not of all."""
-    counts = np.array([d.atoms for d in draws])
-    p = _probabilities(_stacked([d.weights for d in draws]), counts)
-    if draws[0].raw.ndim == 2:
-        x, y = _log_uniform(_stacked([d.raw for d in draws], 1))
-        yield np.arange(len(draws)), FiniteJointSpace(p, x, y)
+    building each draw alone.  A draw's row is the rank of its campaign pair
+    in ``pairs``, and the draws of one dimension must be in campaign order,
+    as a block's are.  The weights are normalised at once
+    (``_probabilities``), and the uniforms taken in one gather and raised at
+    once.  The buckets are yielded one at a time, and each bucket's matrices
+    are built at once from its factors, a view of ``raw`` when they lie end
+    to end, else one gather, only when it is asked for, so that a block holds
+    its raw draws and the stacks of one bucket, not of all."""
+    dims, counts = drawn.T
+    rows = np.empty(len(drawn), dtype=np.intp)
+    rows[np.argsort(pairs)] = np.arange(len(drawn))
+    if mode == "num":
+        # Atom j of a draw whose first atom is the block's atom a has its
+        # uniforms at 2a + j (x) and 2a + k + j (y).
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        at = np.arange(first.size) + first
+        u = raw[np.stack((at, at + np.repeat(counts, counts)))]
+        yield rows, FiniteJointSpace(_probabilities(weights, counts), *_log_uniform(u))
         return
-    dims = [d.raw.shape[-1] for d in draws]
-    buckets: dict[int, list[int]] = {}
-    for i, n in enumerate(dims):
-        buckets.setdefault(n, []).append(i)
+    p = _probabilities(weights, counts) if mode == "rm" else np.ones(len(drawn))  # op: one atom, weight 1
     atom_dims = np.repeat(dims, counts)
-    for n, rows in buckets.items():
-        rho, x, y = atom_stacks(_stacked([draws[i].raw for i in rows]))
-        yield rows, FiniteJointSpace(p[atom_dims == n], x, y, rho)
-        del rho, x, y  # before the next bucket's stacks are built
-
-
-def _space(draw: Draw) -> FiniteJointSpace:
-    return next(_build([draw]))[1]
+    values = _atom_values(mode, atom_dims)
+    starts = np.cumsum(values) - values
+    for n in np.flatnonzero(np.bincount(dims)).tolist():
+        at = atom_dims == n
+        first, size = starts[at], _atom_values(mode, n)
+        if first[-1] - first[0] == (first.size - 1) * size:
+            g = raw[first[0] : first[-1] + size]
+        else:
+            g = raw[first[:, None] + np.arange(size)]
+        rho, x, y = atom_stacks(g.reshape(-1, 3, n, n))
+        yield rows[dims == n], FiniteJointSpace(p[at], x, y, rho)
+        del g, rho, x, y  # before the next bucket's stacks are built
 
 
 def _sampled(rng: np.random.Generator, mode: str, dims: tuple[int, int], atoms: tuple[int, int]) -> FiniteJointSpace:
-    """A public sampler's space, drawn from a caller's generator.  That
-    generator may hold a spare 32-bit word, which ``integers`` uses and
-    ``sampling.fresh_counts`` would not, so the counts come from
-    ``integers``; the draw and the generator's end state are those of the
-    v1 stream.  Bad ranges are rejected before anything is drawn."""
+    """A public sampler's space, drawn from a caller's generator into a block
+    of its one trial.  That generator may hold a spare 32-bit word, which
+    ``integers`` uses and ``sampling.fresh_counts`` would not, so the counts
+    come from ``integers``; the draw and the generator's end state are those
+    of the v1 stream.  Bad ranges are rejected before anything is drawn."""
     dims, atoms = _check_ranges(dims, atoms)
     n, k = (int(rng.integers(lo, hi + 1)) for lo, hi in _count_ranges(mode, dims, atoms))
-    return _space(_draw(rng, mode, n, k))
+    values = _atom_values(mode, n)
+    block = _Block(rng, k * values, values)
+    _draw(block, mode, n, k)
+    return next(_build(mode, block.weights, block.raw, np.array([[n, k]]), [0]))[1]
 
 
 def sample_scalar_space(
@@ -423,12 +479,15 @@ def _sample_space(config: CampaignConfig, fi: int, t: int) -> FiniteJointSpace:
     return _sampled(split_rng(config.seed, fi, t), config.mode, config.dims, config.atoms)
 
 
-def _run_trial(config: CampaignConfig, fi: int, t: int, rng: np.random.Generator, key: tuple[int, int], counts) -> Draw:
+def _run_trial(config: CampaignConfig, fi: int, t: int, key: tuple[int, int], block: _Block) -> _Trial:
     """Trial t of function fi's own work, run once per trial, in its range's
-    order and maybe on another range's thread at once: its
-    draw from ``rng`` after ``counts``, the range's ``sampling.fresh_counts``,
-    has reseeded it with the trial's key and drawn the trial's counts."""
-    return _draw(rng, config.mode, *counts(key))
+    order and maybe on another range's thread at once: its counts, which the
+    range's ``sampling.fresh_counts`` reads after reseeding its generator
+    with the trial's ``key``, and its draw, written into the range's open
+    ``block``.  Returns the trial's record, which the walk keeps."""
+    n, k = trial = _Trial(block.counts(key))
+    _draw(block, config.mode, n, k)
+    return trial
 
 
 def _trial_keys(config: CampaignConfig, lo: int, hi: int) -> Iterator[tuple[int, int]]:
@@ -439,28 +498,40 @@ def _trial_keys(config: CampaignConfig, lo: int, hi: int) -> Iterator[tuple[int,
     return map(tuple, philox_keys(config.seed, pair // config.trials, pair % config.trials).tolist())
 
 
-def _block_gaps(config: CampaignConfig, fs: list, pairs: np.ndarray, draws: list[Draw]) -> np.ndarray:
-    """The gaps rhs - lhs of the draws of the campaign's pairs ``pairs``, an
-    array in campaign order, evaluated at once, each function's pairs one
-    ``verify.atom_values`` run.  A failing block raises an error that does not
-    say which trial failed (``_first_failure`` finds it)."""
+def _block_gaps(config: CampaignConfig, fs: list, pairs: np.ndarray, block: _Block) -> np.ndarray:
+    """The gaps rhs - lhs of the trials of ``block``, whose campaign pairs are
+    ``pairs`` in campaign order, an array in campaign order, evaluated at
+    once, each function's pairs one ``verify.atom_values`` run.  A failing
+    block raises an error that does not say which trial failed
+    (``_first_failure`` finds it)."""
     trials = config.trials
     fis = np.arange(pairs[0] // trials, pairs[-1] // trials + 1)
     ends = np.searchsorted(pairs, (fis + 1) * trials).tolist()
     runs = [(fs[fi], end - start) for fi, start, end in zip(fis.tolist(), [0, *ends], ends)]
-    lhs, rhs = block_sides(runs, [d.atoms for d in draws], _build(draws))
+    drawn, drawn_pairs = block.records(), np.array(block.pairs)
+    counts = drawn[np.argsort(drawn_pairs), 1]
+    buckets = _build(config.mode, block.weights[: block.nw], block.raw[: block.nr], drawn, drawn_pairs)
+    lhs, rhs = block_sides(runs, counts, buckets)
     return rhs - lhs
 
 
-def _first_failure(config: CampaignConfig, fs: list, pairs: np.ndarray, draws: list[Draw], error: MeanIneqError):
+def _first_failure(config: CampaignConfig, fs: list, pairs: np.ndarray, block: _Block, error: MeanIneqError):
     """A failed block's ((rank, pair), error): of its trials ``pairs``, in
-    campaign order, the first to fail alone, rank 0 and named, else its
-    first pair and own ``error``, rank 1."""
-    for pair, d in zip(pairs.tolist(), draws):
+    campaign order, each verified alone from its slices of the block's
+    buffers, the first to fail alone, rank 0 and named, else its first pair
+    and own ``error``, rank 1."""
+    drawn = block.records()
+    dims, counts = drawn.T
+    weight_ends = np.cumsum(counts).tolist()
+    raw_ends = np.cumsum(counts * _atom_values(config.mode, dims)).tolist()
+    for pair, i in zip(pairs.tolist(), np.argsort(block.pairs).tolist()):
         fi, t = divmod(pair, config.trials)
+        n, k = block.trials[i]
+        weights = block.weights[weight_ends[i] - k : weight_ends[i]]
+        raw = block.raw[raw_ends[i] - k * _atom_values(config.mode, n) : raw_ends[i]]
         try:
             with located(f"function {config.functions[fi]!r}, trial {t}"):
-                block_sides([(fs[fi], 1)], [d.atoms], _build([d]))
+                block_sides([(fs[fi], 1)], [k], _build(config.mode, weights, raw, drawn[i : i + 1], [pair]))
         except MeanIneqError as alone:
             return (0, pair), alone
     return (1, pairs[0]), error
@@ -471,13 +542,6 @@ def _worst_case_payload(config: CampaignConfig, fid: str, fi: int, t: int) -> di
     return {"function": fid, "trial": t, "space": space_to_jsonable(space)}
 
 
-def _stream(config: CampaignConfig):
-    """A range's own Philox generator, reseeded before every draw, and its
-    ``fresh_counts`` closure."""
-    rng = np.random.Generator(np.random.Philox(0))
-    return rng, fresh_counts(rng, _count_ranges(config.mode, config.dims, config.atoms))
-
-
 def _block_limit(config: CampaignConfig) -> int:
     """The raw values at which a block closes: BLOCK_ELEMENTS values of x, or
     MATRIX_BLOCK_FACTOR times as many in matrix mode, x being one of a draw's
@@ -485,37 +549,43 @@ def _block_limit(config: CampaignConfig) -> int:
     return BLOCK_ELEMENTS * (2 if config.mode == "num" else 3 * MATRIX_BLOCK_FACTOR)
 
 
-def _run_blocks(config: CampaignConfig, fs: list, tol: float, pairs, keys, stream, gaps, violated) -> list:
+def _range_block(config: CampaignConfig) -> _Block:
+    """A range's block: its own Philox generator, reseeded before every draw,
+    with its ``fresh_counts`` closure, and buffers with room for a block of
+    ``_block_limit`` raw values and a last trial of as many."""
+    rng = np.random.Generator(np.random.Philox(0))
+    counts = fresh_counts(rng, _count_ranges(config.mode, config.dims, config.atoms))
+    return _Block(rng, 2 * _block_limit(config), _atom_values(config.mode, config.dims[0]), counts)
+
+
+def _run_blocks(config: CampaignConfig, fs: list, tol: float, pairs, keys, block: _Block, gaps, violated) -> list:
     """Draw the trials of ``pairs``, campaign pair indices, in the order given
-    from their ``keys`` and the range's ``stream``, and evaluate them in
+    from their ``keys`` into the range's ``block``, and evaluate them in
     blocks that close at ``_block_limit`` raw values or at the last pair.  A
-    block's rows are put in campaign order, and its gaps and verdicts written
-    into its pairs' entries of ``gaps`` and ``violated``.  Returns the failed
-    blocks, each resolved at once by ``_first_failure``."""
+    block's gaps and verdicts are written, in campaign order, into its pairs'
+    entries of ``gaps`` and ``violated``.  Returns the failed blocks, each
+    resolved at once by ``_first_failure``."""
     trials, limit, last = config.trials, _block_limit(config), pairs[-1]
-    rng, counts = stream
-    block, draws, size, failed = [], [], 0, []
+    failed = []
     for pair, key in zip(pairs, keys):
-        block.append(pair)
-        draws.append(_run_trial(config, *divmod(pair, trials), rng, key, counts))
-        size += draws[-1].raw.size
-        if size < limit and pair != last:
+        fi, t = divmod(pair, trials)
+        block.pairs.append(pair)
+        block.trials.append(_run_trial(config, fi, t, key, block))
+        if block.nr < limit and pair != last:
             continue
-        at = np.array(block)
-        rows = np.argsort(at, kind="stable")
-        at, draws, error = at[rows], [draws[i] for i in rows.tolist()], None
+        at, error = np.sort(block.pairs), None
         try:
-            values = _block_gaps(config, fs, at, draws)
+            values = _block_gaps(config, fs, at, block)
         except MeanIneqError as exc:
             error = exc
         else:
             gaps.flat[at] = values
             violated.flat[at] = classify_gap(values, tol) == VERDICT_VIOLATED
         if error is not None:  # resolved outside the handler, so no error chains to it
-            failed.append(_first_failure(config, fs, at, draws, error))
-            for held in (error, failed[-1][1]):  # neither error's frames keep the draws alive
+            failed.append(_first_failure(config, fs, at, block, error))
+            for held in (error, failed[-1][1]):  # neither error's frames keep a view of the buffers alive
                 traceback.clear_frames(held.__traceback__)
-        block, draws, size = [], [], 0
+        block.clear()
     return failed
 
 
@@ -558,9 +628,9 @@ def _pieces(config: CampaignConfig, lo: int, hi: int, counts, ranges: int) -> li
     return [((lo + order[a:b]).tolist(), [keys[i] for i in order[a:b]]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_ranges(config: CampaignConfig, fs: list, tol: float, pieces: list, streams: list, gaps, violated) -> list:
+def _run_ranges(config: CampaignConfig, fs: list, tol: float, pieces: list, blocks: list, gaps, violated) -> list:
     """``_run_blocks`` on every non-empty (pairs, keys) piece, each with a
-    stream of its own, the first on the calling thread and each other on a
+    block of its own, the first on the calling thread and each other on a
     thread of its own; once all are joined, the first piece's error other
     than a failed block is raised, else the failed blocks of all are
     returned."""
@@ -569,7 +639,7 @@ def _run_ranges(config: CampaignConfig, fs: list, tol: float, pieces: list, stre
 
     def run(i: int) -> None:
         try:
-            results[i] = _run_blocks(config, fs, tol, *pieces[i], streams[i], gaps, violated)
+            results[i] = _run_blocks(config, fs, tol, *pieces[i], blocks[i], gaps, violated)
         except BaseException as exc:  # raised by the calling thread, below
             results[i] = exc
 
@@ -593,11 +663,11 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     one piece, or, when the campaign sorts (``_sorts``), its pairs are sorted
     by dimension and cut into one piece per range (``_pieces``).  The first
     piece runs on the calling thread and each other one on a thread of its
-    own, from a Philox generator of its own, in capped blocks that write
-    their pairs' entries of ``gaps`` and ``violated`` in place (see the
-    module notes).  The summary does not depend on the split, and an error
-    names the first failing trial in campaign order.  ``workers`` is kept
-    for existing callers and is not read.
+    own, each range with a block of its own (``_range_block``), in capped
+    blocks that write their pairs' entries of ``gaps`` and ``violated`` in
+    place (see the module notes).  The summary does not depend on the split,
+    and an error names the first failing trial in campaign order.
+    ``workers`` is kept for existing callers and is not read.
     """
     config = validate_config(config)
     tol, trials = config.resolved_tol(), config.trials
@@ -605,16 +675,22 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     gaps = np.empty((len(fs), trials))  # row fi: function fi's trials
     violated = np.empty(gaps.shape, dtype=bool)
     ranges = _range_count(config)
-    streams = [_stream(config) for _ in range(ranges)]
+    blocks = [_range_block(config) for _ in range(ranges)]
     sorts = _sorts(config, ranges)
-    for lo in range(0, gaps.size, KEY_CHUNK):
-        hi = min(lo + KEY_CHUNK, gaps.size)
-        pieces = (
-            _pieces(config, lo, hi, streams[0][1], ranges) if sorts else [(range(lo, hi), _trial_keys(config, lo, hi))]
-        )
-        failed = _run_ranges(config, fs, tol, pieces, streams, gaps, violated)
-        if failed:  # a trial that fails alone first, else a block's own error
-            raise min(failed, key=lambda found: found[0])[1]
+    try:
+        for lo in range(0, gaps.size, KEY_CHUNK):
+            hi = min(lo + KEY_CHUNK, gaps.size)
+            pieces = (
+                _pieces(config, lo, hi, blocks[0].counts, ranges)
+                if sorts
+                else [(range(lo, hi), _trial_keys(config, lo, hi))]
+            )
+            failed = _run_ranges(config, fs, tol, pieces, blocks, gaps, violated)
+            if failed:  # a trial that fails alone first, else a block's own error
+                raise min(failed, key=lambda found: found[0])[1]
+    finally:  # a raised error's traceback keeps the walk's frames alive, and they the blocks
+        for block in blocks:
+            block.weights = block.raw = None
 
     violations = violated.sum(axis=1).tolist()
     lows = gaps.min(axis=1).tolist() if trials else [None] * len(fs)

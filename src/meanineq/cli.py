@@ -12,10 +12,10 @@ verdict is violated, 2 on usage or domain errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 from .axioms import AxiomReport, ConcavityVerdict, check_axioms, concavity_probe
 from .campaign import (
@@ -67,13 +67,13 @@ def _emit_json(value, indent: int = 0) -> str:
         return fmt_float(value)
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+    if isinstance(value, str):  # json.dumps's bytes for a str, without its dispatch
+        return encode_basestring_ascii(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = [
-            f"{inner}{json.dumps(str(k))}: {_emit_json(v, indent + 1)}"
+            f"{inner}{encode_basestring_ascii(str(k))}: {_emit_json(v, indent + 1)}"
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"

@@ -22,7 +22,9 @@ _COMMANDS = {
     "axioms-wyd": ["axioms", "--function", "wyd:0.25"],
     "campaign-num": ["campaign", "--config", "campaign-num.cfg"],
     "campaign-num-wyd": ["campaign", "--config", "campaign-num-wyd.cfg"],
+    "campaign-num-big": ["campaign", "--config", "campaign-num-big.cfg"],
     "campaign-op": ["campaign", "--config", "campaign-op.cfg"],
+    "campaign-op-large": ["campaign", "--config", "campaign-op-large.cfg"],
     "campaign-rm": ["campaign", "--config", "campaign-rm.cfg"],
     "campaign-rm-wide": ["campaign", "--config", "campaign-rm-wide.cfg"],
     "campaign-rm-wyd": ["campaign", "--config", "campaign-rm-wyd.cfg"],

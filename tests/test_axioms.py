@@ -88,7 +88,7 @@ def test_grid_entries_must_be_finite_and_positive(grid):
 def test_axiom_report_check_names_only_its_checks():
     report = check_axioms(get_function("geometric"), [0.5, 1.0, 2.0])
     assert report.check(report.checks[0].name) is report.checks[0]
-    with pytest.raises(KeyError):
+    with pytest.raises(UsageError):
         report.check("nope")
 
 

@@ -333,21 +333,29 @@ def test_a_matrix_block_holds_one_bucket_at_a_time():
 
     from meanineq import campaign
 
-    rng = split_rng(4, 0)
-    draws = [campaign._draw(rng, "op", n, 1) for n in (61, 62, 63, 64) for _ in range(4)]
+    def drawn(dims, rng):  # a block of one op trial at each of dims, in order
+        block = campaign._Block(rng, 3 * 64 * 64 * len(dims), 3 * 61 * 61)
+        for pair, n in enumerate(dims):
+            campaign._draw(block, "op", n, 1)
+            block.pairs.append(pair)
+            block.trials.append(campaign._Trial((n, 1)))
+        return block
+
+    dims = [n for n in (61, 62, 63, 64) for _ in range(4)]
+    draws, last = drawn(dims, split_rng(4, 0)), drawn(dims[-4:], split_rng(4, 1))
     fs = [get_function("geometric")]
 
     def peak(block):
-        config = CampaignConfig(mode="op", functions=("geometric",), trials=len(block), dims=(61, 64))
+        config = CampaignConfig(mode="op", functions=("geometric",), trials=len(block.trials), dims=(61, 64))
         tracemalloc.start()
         try:
-            campaign._block_gaps(config, fs, range(len(block)), block)
+            campaign._block_gaps(config, fs, np.arange(len(block.trials)), block)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     peak(draws)  # one-time allocations of a first block
-    one_bucket, four_buckets = peak(draws[-4:]), peak(draws)
+    one_bucket, four_buckets = peak(last), peak(draws)
     stacks = 3 * 4 * 64 * 64 * 8  # bytes of the n = 64 bucket's rho, X and Y
     assert four_buckets < one_bucket + stacks / 2, (one_bucket, four_buckets, stacks)
 
@@ -434,9 +442,9 @@ def test_sampled_scalar_space_views_match_its_arrays():
 
 def _recorded_reports(cfg, monkeypatch):
     """run_campaign's summary, its per-trial (function, lhs, rhs, gap, verdict,
-    atoms, dims) records (read off its block tails), the draws its _run_trial
-    calls returned, and the number of trials in each block it evaluated, all
-    in campaign order.  Threads of one campaign run blocks and trials in any
+    atoms, dims) records (read off its block tails), the trial records its
+    _run_trial calls returned, and the number of trials in each block it
+    evaluated, all in campaign order.  Threads of one campaign run blocks and trials in any
     order, and a block may hold pairs of another's range, so each record is
     kept under its pair and each block under its first pair, and sorted by
     them."""
@@ -534,33 +542,111 @@ def test_run_trial_is_called_once_per_trial(mode, monkeypatch):
     assert sum(d.atoms for d in draws) == sum(r[5] for r in reports) == atoms
 
 
+def _allocating_draw(rng, mode, n, k):
+    """The generator calls of a trial's draw as they return fresh arrays."""
+    weights = rng.standard_exponential(k) if mode != "op" else np.empty(0)
+    return weights, (rng.random((2, k)) if mode == "num" else rng.standard_normal((k, 3, n, n)))
+
+
+def _last_draw(block, mode, trial):
+    """The slices of ``block``'s buffers that hold its last draw, ``trial``'s."""
+    from meanineq import campaign
+
+    n, k = trial
+    weights = block.weights[block.nw - k : block.nw] if mode != "op" else np.empty(0)
+    return weights, block.raw[block.nr - k * campaign._atom_values(mode, n) : block.nr]
+
+
+@pytest.mark.parametrize("mode", ["num", "op", "rm"])
+def test_buffered_draws_match_the_allocating_calls(mode):
+    # A trial's generator calls write into its block's buffers with out=.
+    # They must give the doubles, and leave the generator in the state, of
+    # the calls that return fresh arrays: from a freshly reseeded generator
+    # (a campaign range's) and from a caller's that holds a spare 32-bit
+    # word, which 64-bit draws leave as it is (a public sampler's).
+    from meanineq import campaign
+
+    config = validate_config(
+        CampaignConfig(mode=mode, functions=("geometric",), trials=12, dims=(1, 5), atoms=(1, 7), seed=41)
+    )
+    ranges = campaign._count_ranges(mode, config.dims, config.atoms)
+    block = campaign._range_block(config)
+    ref = np.random.Generator(np.random.Philox(0))
+    ref_counts = campaign.fresh_counts(ref, ranges)
+    for t, key in enumerate(campaign._trial_keys(config, 0, config.trials)):
+        trial = campaign._run_trial(config, 0, t, key, block)
+        assert trial == ref_counts(key)
+        assert [_hex(a) for a in _last_draw(block, mode, trial)] == [_hex(a) for a in _allocating_draw(ref, mode, *trial)]
+        assert repr(block.rng.bit_generator.state) == repr(ref.bit_generator.state)
+    for seed in range(12):
+        rng, ref = split_rng(seed, 5), split_rng(seed, 5)
+        for g in (rng, ref):
+            n, k = (int(g.integers(lo, hi + 1)) for lo, hi in ranges)
+            if not g.bit_generator.state["has_uint32"]:  # a 32-bit draw keeps the high half of its word
+                g.integers(0, 7)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        values = campaign._atom_values(mode, n)
+        block = campaign._Block(rng, k * values, values)
+        campaign._draw(block, mode, n, k)
+        assert [_hex(a) for a in _last_draw(block, mode, (n, k))] == [_hex(a) for a in _allocating_draw(ref, mode, n, k)]
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("atoms, grows", [((1, 12), False), ((4000, 4500), True)], ids=["fits", "grows"])
+def test_a_range_s_buffers_live_for_the_campaign(atoms, grows, monkeypatch):
+    # A range's buffers hold a block at the cap and a last trial as large, so
+    # at atoms 1-12 all 8000 trials (14 blocks) draw into the buffers the
+    # campaign started with.  A trial of more values than the cap may not
+    # fit; the buffers grow for such a trial and for no other.
+    from meanineq import campaign
+
+    run_trial, seen = campaign._run_trial, []
+
+    def record(config, fi, t, key, block):
+        before, used = block.raw, block.nr
+        trial = run_trial(config, fi, t, key, block)
+        fits = used + trial.atoms * 2 <= before.size
+        seen.append((before, block.raw, fits))
+        return trial
+
+    monkeypatch.setattr(campaign, "_run_trial", record)
+    trials = 4000 if not grows else 12
+    run_campaign(CampaignConfig(mode="num", functions=("geometric", "harmonic"), trials=trials, atoms=atoms, seed=15))
+    assert len(seen) == 2 * trials
+    assert all((after is before) == fits for before, after, fits in seen)
+    assert len({id(raw) for before, after, _ in seen for raw in (before, after)}) == 1 + sum(not f for _, _, f in seen)
+    assert any(not fits for _, _, fits in seen) == grows
+
+
 def _with_bad_trials(monkeypatch, bad, draw=None, atom=None):
-    """Make the trials ``bad``, (function, trial) pairs, bad: ``draw(d)``
-    replaces the draw d of each, and ``atom(space, j)`` edits every space
-    built from it, j being the index of its first atom in the space.  Returns
-    the number of draws of each block the campaign builds (a failing block's
-    draws are built again one by one)."""
+    """Make the trials ``bad``, (function, trial) pairs, bad: ``draw(block,
+    trial)`` rewrites the draw of each, its block's last, and returns its
+    record, and ``atom(space, j)`` edits every space built from it, j being
+    the index of its first atom in the space.  Returns the number of draws of
+    each block the campaign builds (a failing block's draws are built again
+    one by one)."""
     from meanineq import campaign
 
     run_trial, build = campaign._run_trial, campaign._build
-    bad_draws, built = [], []
+    bad_pairs, built = set(), []
 
-    def run_trial_with_bad_draws(config, fi, t, rng, key, counts):
-        d = run_trial(config, fi, t, rng, key, counts)
+    def run_trial_with_bad_draws(config, fi, t, key, block):
+        trial = run_trial(config, fi, t, key, block)
         if (fi, t) in bad:
-            bad_draws.append(draw(d) if draw else d)
-            return bad_draws[-1]
-        return d
+            bad_pairs.add(fi * config.trials + t)
+            return draw(block, trial) if draw else trial
+        return trial
 
-    def build_with_bad_spaces(draws):
-        built.append(len(draws))
-        return edited_buckets(draws)
+    def build_with_bad_spaces(mode, weights, raw, drawn, pairs):
+        built.append(len(drawn))
+        return edited_buckets(mode, weights, raw, drawn, pairs)
 
-    def edited_buckets(draws):  # build's buckets, each edited as it is taken
-        for rows, space in build(draws):
-            starts = np.cumsum([0] + [draws[i].atoms for i in rows])
+    def edited_buckets(mode, weights, raw, drawn, pairs):  # build's buckets, each edited as it is taken
+        ranked = sorted(zip(np.asarray(pairs).tolist(), drawn[:, 1].tolist()))  # (pair, atoms) by row
+        for rows, space in build(mode, weights, raw, drawn, pairs):
+            starts = np.cumsum([0] + [ranked[i][1] for i in rows])
             for j, i in zip(starts, rows):
-                if atom and any(draws[i] is d for d in bad_draws):
+                if atom and ranked[i][0] in bad_pairs:
                     atom(space, j)
             yield rows, space
 
@@ -604,11 +690,10 @@ def test_floor_errors_name_the_trial(monkeypatch):
     # y = 1 from u = 0.5); the block tail finds it among the block's other
     # trials.
     from meanineq import DomainError
-    from meanineq.campaign import Draw, _log_uniform
+    from meanineq.campaign import _log_uniform
 
-    tiny = Draw(np.array([0.5, 0.5]), np.array([[-133.75, -133.75], [0.5, 0.5]]))
-    assert _log_uniform(tiny.raw).tolist() == [[2.0**-1074] * 2, [1.0] * 2]
-    _with_bad_trials(monkeypatch, {(0, 2)}, draw=lambda d: tiny)
+    assert _log_uniform(_TINY_UNIFORMS).tolist() == [[2.0**-1074] * 2, [1.0] * 2]
+    _with_bad_trials(monkeypatch, {(0, 2)}, draw=_tiny_draw)
     cfg = CampaignConfig(mode="num", functions=("geometric",), trials=6, seed=3)
     with pytest.raises(DomainError) as exc:
         run_campaign(cfg)
@@ -625,10 +710,13 @@ def _campaign_spaces(cfg, monkeypatch):
     drawn = []
     run_trial = campaign._run_trial
 
-    def record(config, fi, t, rng, key, counts):
-        d = run_trial(config, fi, t, rng, key, counts)
-        drawn.append((fi, t, campaign._space(d)))
-        return d
+    def record(config, fi, t, key, block):
+        trial = run_trial(config, fi, t, key, block)
+        n, k = trial
+        weights = block.weights[block.nw - k : block.nw]
+        raw = block.raw[block.nr - k * campaign._atom_values(config.mode, n) : block.nr]
+        drawn.append((fi, t, next(campaign._build(config.mode, weights, raw, np.array([trial]), [0]))[1]))
+        return trial
 
     monkeypatch.setattr(campaign, "_run_trial", record)
     run_campaign(cfg)
@@ -966,9 +1054,9 @@ def test_sorted_blocks_stack_each_dimension_s_trials(monkeypatch):
     blocks, eigh_calls = [], []
     block_gaps, eigh = campaign._block_gaps, np.linalg.eigh
 
-    def record_block(config, fs, pairs, draws):
-        blocks.append({d.raw.shape[-1] for pair, d in zip(pairs, draws) if pair < config.trials})
-        return block_gaps(config, fs, pairs, draws)
+    def record_block(config, fs, pairs, block):
+        blocks.append({trial.dims for pair, trial in zip(block.pairs, block.trials) if pair < config.trials})
+        return block_gaps(config, fs, pairs, block)
 
     def counted_eigh(a):
         eigh_calls.append(a.shape)
@@ -1134,12 +1222,23 @@ def test_a_block_that_fails_only_as_a_block_raises_its_own_error(monkeypatch):
     assert str(exc.value) == "the block broke"
 
 
-def _tiny_draw(d):
-    """A two-atom num draw whose E X is 0: 0.5 * 5e-324 rounds to 0 (see
-    test_floor_errors_name_the_trial)."""
-    from meanineq.campaign import Draw
+#: The uniforms of a two-atom num draw whose x values are 2 ** -1074 and y
+#: values 1 (see test_floor_errors_name_the_trial).
+_TINY_UNIFORMS = np.array([[-133.75, -133.75], [0.5, 0.5]])
 
-    return Draw(np.array([0.5, 0.5]), np.array([[-133.75, -133.75], [0.5, 0.5]]))
+
+def _tiny_draw(block, trial):
+    """Rewrite a num block's last draw, that of ``trial``, as a two-atom draw
+    whose E X is 0: 0.5 * 5e-324 rounds to 0.  Returns its record."""
+    from meanineq import campaign
+
+    w, r = block.nw - trial.atoms, block.nr - 2 * trial.atoms
+    if r + 4 > block.raw.size:
+        block.grow(r + 4)
+    block.weights[w : w + 2] = 0.5
+    block.raw[r : r + 4] = _TINY_UNIFORMS.ravel()
+    block.nw, block.nr = w + 2, r + 4
+    return campaign._Trial((1, 2))
 
 
 @pytest.mark.parametrize(
@@ -1199,18 +1298,20 @@ def test_a_walk_goes_no_further_than_the_window_of_a_failure(monkeypatch):
 @pytest.mark.parametrize("fails_alone", [True, False], ids=["trial-error", "block-error"])
 def test_a_raised_error_holds_none_of_the_draws(fails_alone, monkeypatch):
     # A failed block is resolved at once and keeps only its error, whose
-    # frames are cleared: once the campaign has raised, no draw is alive.
+    # frames are cleared, and the walk lets its ranges' blocks go: once the
+    # campaign has raised, no buffer that held a draw is alive.
     import gc
     import weakref
 
     from meanineq import DomainError, campaign
 
-    run_trial, block_sides, raws = campaign._run_trial, campaign.block_sides, []
+    run_trial, block_sides, raws, weights = campaign._run_trial, campaign.block_sides, [], []
 
-    def tracked(*args):
-        d = run_trial(*args)
-        raws.append(weakref.ref(d.raw))
-        return d
+    def tracked(config, fi, t, key, block):
+        trial = run_trial(config, fi, t, key, block)
+        raws.append(weakref.ref(block.raw))
+        weights.append(weakref.ref(block.weights))
+        return trial
 
     def fails(runs, counts, buckets):
         if fails_alone or len(counts) > 1:
@@ -1225,6 +1326,7 @@ def test_a_raised_error_holds_none_of_the_draws(fails_alone, monkeypatch):
     gc.collect()
     assert str(exc.value) == ("function 'geometric', trial 0: broke" if fails_alone else "broke")
     assert len(raws) == 12 and all(raw() is None for raw in raws)
+    assert all(weight() is None for weight in weights)
 
 
 def test_range_count_follows_the_cores_blas_leaves_free(monkeypatch):

@@ -158,6 +158,15 @@ def test_json_writer_reads_as_pinned():
         _emit_json({1.0})
 
 
+def test_json_strings_are_quoted_as_json_dumps_quotes_them():
+    from meanineq.cli import _emit_json
+
+    strings = ["", "plain", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "wyd:0.25 \u00e9\u2264\U0001f600"]
+    for s in strings:
+        assert _emit_json(s) == json.dumps(s)
+        assert _emit_json({s: s}) == "{\n  " + json.dumps(s) + ": " + json.dumps(s) + "\n}"
+
+
 def test_campaign_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "camp.cfg"
     cfg.write_text("mode = num\nfunctions = geometric,harmonic\ntrials = 40\nseed = 7\n")
