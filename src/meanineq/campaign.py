@@ -29,9 +29,8 @@ live as long as the range, grow only for a trial that does not fit, and hold
 the open block's draws end to end.  The counts are numpy's ``integers`` over
 two ranges (``_count_ranges``); a freshly reseeded generator holds no spare
 32-bit word, so ``sampling.fresh_counts`` reseeds it and computes both
-counts from one raw word with numpy's own rule, in one straight-line path
-for the ranges that draw (one for each mode at the default ranges).  The
-public samplers take a caller's generator, which may hold a spare word, so
+counts from one raw word with numpy's own rule, in one path for every mode.
+The public samplers take a caller's generator, which may hold a spare word, so
 they draw the counts with ``integers``, as does the rebuild of a trial from
 its ``split_rng`` generator, into a block of that one trial; the values are
 drawn by one body, ``_draw``, either way.
@@ -64,22 +63,25 @@ spectrum run per function, and the bucket's stacks are freed once its
 values are in the block's padded layout.  So a matrix block holds its raw
 draws and one bucket's stacks at a time.  All weighted sums are then taken
 as padded arrays, with one rhs call per function.  Every trial's lhs and
-rhs have the bits of building and verifying it alone.  A block writes its
-gaps, and whether ``classify_gap`` finds each violated, into its pairs'
-entries of the campaign's two (functions, trials) arrays, 9 bytes a trial,
-whose reductions give the counts and extremes.  A failed block is
-resolved at once: of its trials, verified one by one in campaign order from
-their slices of the buffers, it keeps the error of the first that fails
-alone, named by its (function, trial), else its own error, and no view of
-its buffers.  Once a window's ranges are joined, the first such trial's
-error is raised, else that of the failed block that starts first.  A search
-verifies its restarts in blocks of SEARCH_CHUNK in the same way.
+rhs have the bits of building and verifying it alone.  A block folds its
+gaps, one function run at a time, into its range's record of the function:
+the violations ``classify_gap`` finds, the smallest gap with its pair and
+the largest |gap|.  The campaign merges its ranges' records, so it keeps
+nothing per trial.  A failed block is resolved at once: of its trials,
+verified one by one in campaign order from their slices of the buffers, it
+keeps the error of the first that fails alone, named by its (function,
+trial), else its own error.  Once a window's ranges are joined, the first
+such trial's error is raised, else that of the failed block that starts
+first, and the frames of the walk are cleared, so that the error holds
+nothing of it.  A search verifies its restarts in blocks of SEARCH_CHUNK in
+the same way.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 import traceback
 from collections.abc import Iterator
@@ -326,11 +328,14 @@ class _Block:
     each trial's campaign pair and record.  The buffers start with room for
     ``values`` raw values, atoms of at least ``atom_values`` each, and grow
     only for a trial that does not fit.  ``counts`` is a campaign range's
-    ``fresh_counts`` closure for ``rng``."""
+    ``fresh_counts`` closure for ``rng``, and ``stats`` the range's record
+    of each of its campaign's ``functions``, which its closed blocks fold
+    their gaps into: [violations, (smallest gap, its pair), largest |gap|]."""
 
-    def __init__(self, rng: np.random.Generator, values: int, atom_values: int, counts=None) -> None:
+    def __init__(self, rng: np.random.Generator, values: int, atom_values: int, counts=None, functions: int = 0) -> None:
         self.rng, self.atom_values, self.counts = rng, atom_values, counts
         self.weights, self.raw = np.empty(values // atom_values), np.empty(values)
+        self.stats = [[0, (math.inf, 0), 0.0] for _ in range(functions)]
         self.clear()
 
     def clear(self) -> None:
@@ -551,20 +556,21 @@ def _block_limit(config: CampaignConfig) -> int:
 
 def _range_block(config: CampaignConfig) -> _Block:
     """A range's block: its own Philox generator, reseeded before every draw,
-    with its ``fresh_counts`` closure, and buffers with room for a block of
-    ``_block_limit`` raw values and a last trial of as many."""
+    with its ``fresh_counts`` closure, a record of each function, and buffers
+    with room for a block of ``_block_limit`` raw values and a last trial."""
     rng = np.random.Generator(np.random.Philox(0))
     counts = fresh_counts(rng, _count_ranges(config.mode, config.dims, config.atoms))
-    return _Block(rng, 2 * _block_limit(config), _atom_values(config.mode, config.dims[0]), counts)
+    return _Block(rng, 2 * _block_limit(config), _atom_values(config.mode, config.dims[0]), counts, len(config.functions))
 
 
-def _run_blocks(config: CampaignConfig, fs: list, tol: float, pairs, keys, block: _Block, gaps, violated) -> list:
+def _run_blocks(config: CampaignConfig, fs: list, tol: float, pairs, keys, block: _Block) -> list:
     """Draw the trials of ``pairs``, campaign pair indices, in the order given
     from their ``keys`` into the range's ``block``, and evaluate them in
     blocks that close at ``_block_limit`` raw values or at the last pair.  A
-    block's gaps and verdicts are written, in campaign order, into its pairs'
-    entries of ``gaps`` and ``violated``.  Returns the failed blocks, each
-    resolved at once by ``_first_failure``."""
+    block's gaps are folded, one function run at a time, into the range's
+    ``block.stats``: its violations (``classify_gap``), its smallest gap
+    with the first pair that has it, and its largest |gap|.  Returns the
+    failed blocks, each resolved at once by ``_first_failure``."""
     trials, limit, last = config.trials, _block_limit(config), pairs[-1]
     failed = []
     for pair, key in zip(pairs, keys):
@@ -579,12 +585,18 @@ def _run_blocks(config: CampaignConfig, fs: list, tol: float, pairs, keys, block
         except MeanIneqError as exc:
             error = exc
         else:
-            gaps.flat[at] = values
-            violated.flat[at] = classify_gap(values, tol) == VERDICT_VIOLATED
+            violated = classify_gap(values, tol) == VERDICT_VIOLATED
+            fis = at // trials
+            starts = np.flatnonzero(np.diff(fis, prepend=-1))  # of each function's run
+            counts, highs = np.add.reduceat(violated, starts), np.maximum.reduceat(abs(values), starts)
+            ends = [*starts[1:].tolist(), len(at)]
+            for fi, a, b, count, high in zip(fis[starts].tolist(), starts.tolist(), ends, counts.tolist(), highs.tolist()):
+                stats, i = block.stats[fi], a + int(values[a:b].argmin())
+                stats[0] += count
+                stats[1] = min(stats[1], (float(values[i]), int(at[i])))
+                stats[2] = max(stats[2], high)
         if error is not None:  # resolved outside the handler, so no error chains to it
             failed.append(_first_failure(config, fs, at, block, error))
-            for held in (error, failed[-1][1]):  # neither error's frames keep a view of the buffers alive
-                traceback.clear_frames(held.__traceback__)
         block.clear()
     return failed
 
@@ -628,86 +640,89 @@ def _pieces(config: CampaignConfig, lo: int, hi: int, counts, ranges: int) -> li
     return [((lo + order[a:b]).tolist(), [keys[i] for i in order[a:b]]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_ranges(config: CampaignConfig, fs: list, tol: float, pieces: list, blocks: list, gaps, violated) -> list:
-    """``_run_blocks`` on every non-empty (pairs, keys) piece, each with a
-    block of its own, the first on the calling thread and each other on a
-    thread of its own; once all are joined, the first piece's error other
-    than a failed block is raised, else the failed blocks of all are
-    returned."""
-    pieces = [piece for piece in pieces if piece[0]]
-    results: list = [[] for _ in pieces]  # each piece's failed blocks, or what it raised
+def _run_range(results: list, i: int, *args) -> None:
+    """``_run_blocks(*args)``'s failed blocks as ``results[i]``, or what it
+    raised, ranked before any failed block; a module function, not a
+    closure, so that its frame, once cleared, holds nothing of the walk."""
+    try:
+        results[i] = _run_blocks(*args)
+    except BaseException as exc:  # raised by the calling thread, in _walk
+        results[i] = [((-1, i), exc)]
 
-    def run(i: int) -> None:
-        try:
-            results[i] = _run_blocks(config, fs, tol, *pieces[i], blocks[i], gaps, violated)
-        except BaseException as exc:  # raised by the calling thread, below
-            results[i] = exc
 
-    threads = [threading.Thread(target=run, args=(i,), name=f"meanineq-range-{i}") for i in range(1, len(pieces))]
-    for thread in threads:
-        thread.start()
-    if pieces:
-        run(0)
-    for thread in threads:
-        thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return [block for result in results for block in result]
+def _walk(config: CampaignConfig, fs: list, tol: float) -> list:
+    """Every range's ``stats`` once the campaign's pairs have run, KEY_CHUNK
+    at a time in campaign order: a window is one piece, or, when the campaign
+    sorts (``_sorts``), one piece per range (``_pieces``).  Each non-empty
+    piece runs on a range's block (``_range_block``), the first on the
+    calling thread and each other on a thread of its own.  Once all are
+    joined, a range's own error is raised, else the window's first failing
+    trial in campaign order (see the module notes)."""
+    ranges = _range_count(config)
+    blocks = [_range_block(config) for _ in range(ranges)]
+    sorts, total = _sorts(config, ranges), len(fs) * config.trials
+    for lo in range(0, total, KEY_CHUNK):
+        hi = min(lo + KEY_CHUNK, total)
+        pieces = (
+            _pieces(config, lo, hi, blocks[0].counts, ranges)
+            if sorts
+            else [(range(lo, hi), _trial_keys(config, lo, hi))]
+        )
+        results: list = [[] for _ in pieces]  # each piece's ((rank, pair), error) entries
+        args = [(results, i, config, fs, tol, *piece, block) for i, (piece, block) in enumerate(zip(pieces, blocks)) if piece[0]]
+        threads = [threading.Thread(target=_run_range, args=a, name=f"meanineq-range-{a[1]}") for a in args[1:]]
+        for thread in threads:
+            thread.start()
+        _run_range(*args[0])
+        for thread in threads:
+            thread.join()
+        # A range's own error first, then a trial that fails alone, then a block's error.
+        failed = min((found for result in results for found in result), key=itemgetter(0), default=None)
+        if failed:
+            raise failed[1]
+    return [block.stats for block in blocks]
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every (function, trial) pair and aggregate.
 
-    The pairs are walked KEY_CHUNK at a time, in campaign order: a window is
-    one piece, or, when the campaign sorts (``_sorts``), its pairs are sorted
-    by dimension and cut into one piece per range (``_pieces``).  The first
-    piece runs on the calling thread and each other one on a thread of its
-    own, each range with a block of its own (``_range_block``), in capped
-    blocks that write their pairs' entries of ``gaps`` and ``violated`` in
-    place (see the module notes).  The summary does not depend on the split,
-    and an error names the first failing trial in campaign order.
-    ``workers`` is kept for existing callers and is not read.
+    ``_walk`` runs the pairs in ranges that each keep a record per function,
+    merged here: the counts add up, the largest |gap| is the largest of all,
+    and the smallest gap is the least of the ranges' (gap, pair), so a tie
+    goes to the first trial in campaign order whatever the split.  An error
+    names the first failing trial in campaign order, and nothing the walk
+    held outlives it.  ``workers`` is kept for existing callers and is not
+    read.
     """
     config = validate_config(config)
     tol, trials = config.resolved_tol(), config.trials
     fs = [get_function(fid) for fid in config.functions]
-    gaps = np.empty((len(fs), trials))  # row fi: function fi's trials
-    violated = np.empty(gaps.shape, dtype=bool)
-    ranges = _range_count(config)
-    blocks = [_range_block(config) for _ in range(ranges)]
-    sorts = _sorts(config, ranges)
     try:
-        for lo in range(0, gaps.size, KEY_CHUNK):
-            hi = min(lo + KEY_CHUNK, gaps.size)
-            pieces = (
-                _pieces(config, lo, hi, blocks[0].counts, ranges)
-                if sorts
-                else [(range(lo, hi), _trial_keys(config, lo, hi))]
-            )
-            failed = _run_ranges(config, fs, tol, pieces, blocks, gaps, violated)
-            if failed:  # a trial that fails alone first, else a block's own error
-                raise min(failed, key=lambda found: found[0])[1]
-    finally:  # a raised error's traceback keeps the walk's frames alive, and they the blocks
-        for block in blocks:
-            block.weights = block.raw = None
+        records = _walk(config, fs, tol)
+    except BaseException as exc:  # the frames it passed, and their callers, hold the walk's windows and ranges
+        here = sys._getframe()
+        for frame, _ in traceback.walk_tb(exc.__traceback__):
+            while frame is not None and frame is not here:
+                frame.clear()
+                frame = frame.f_back
+        raise
 
-    violations = violated.sum(axis=1).tolist()
-    lows = gaps.min(axis=1).tolist() if trials else [None] * len(fs)
-    highs = abs(gaps).max(axis=1).tolist() if trials else [None] * len(fs)
-    per_function = {
-        fid: FunctionStats(trials, *stats) for fid, *stats in zip(config.functions, violations, lows, highs)
-    }
+    per_function, worst = {}, (math.inf, 0)
+    for fid, stats in zip(config.functions, zip(*records)):  # each range's record of the function
+        violations, lows, highs = zip(*stats)
+        worst = min(worst, *lows)
+        per_function[fid] = FunctionStats(trials, sum(violations), *((min(lows)[0], max(highs)) if trials else (None, None)))
+    violations = sum(stats.violations for stats in per_function.values())
     worst_case = None
-    if sum(violations) > 0:  # at the smallest gap, ties to the first trial in campaign order
-        fi, t = divmod(int(gaps.argmin()), trials)
+    if violations > 0:
+        fi, t = divmod(worst[1], trials)
         worst_case = _worst_case_payload(config, config.functions[fi], fi, t)
     return CampaignSummary(
         mode=config.mode,
         functions=config.functions,
-        trials=gaps.size,
-        violations=sum(violations),
-        worst_gap=float(gaps.min()) if gaps.size else None,
+        trials=len(fs) * trials,
+        violations=violations,
+        worst_gap=worst[0] if trials else None,
         worst_case=worst_case,
         per_function=per_function,
         tol=tol,

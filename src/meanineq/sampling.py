@@ -18,7 +18,9 @@ A fresh generator also draws bounded integers more cheaply.  numpy's
 words by Lemire's rule, and a fresh Philox has no spare 32-bit word, so its
 first two counts come from the low, then the high half of its first 64-bit
 raw word unless one is rejected: the per-campaign :func:`fresh_counts`
-computes them from one ``random_raw()`` word, bit for bit.  A caller's
+computes them from one ``random_raw()`` word, bit for bit, in one path for
+every mode: numpy draws nothing for a range of one value, so the second
+count takes the low half when the first range has one value.  A caller's
 generator may hold a spare word (``integers`` keeps the high half it did not
 use), so this holds only for a fresh one; and it leaves no spare word behind,
 so only 64-bit draws (uniforms, normals, exponentials) may follow.
@@ -157,9 +159,12 @@ def fresh_counts(rng: np.random.Generator, ranges):
     inclusive (lo, hi) ``ranges`` in turn, as a tuple.  Built once per
     campaign: it owns its reseed state and its ranges' Lemire constants, and
     computes both counts from the fresh generator's first raw word (see the
-    module notes).  When a half of that word is rejected (a chance below
-    span / 2**32 per count), a span is 2**32 or more, or neither range has
-    more than one value, it calls ``integers`` on the reseeded generator."""
+    module notes) in one path: the first count from the low half, the second
+    from the high half when the first range draws, else from the low half;
+    a range of one value gives lo at threshold 0, as numpy's rule does.
+    When a half is rejected (a chance below span / 2**32 per count), a span
+    is 2**32 or more, or neither range draws, it calls ``integers`` on the
+    reseeded generator."""
     state = _fresh_state()
     inner, bit_generator = state["state"], rng.bit_generator
 
@@ -172,40 +177,19 @@ def fresh_counts(rng: np.random.Generator, ranges):
     if bounded is None or bounded[0][1] == bounded[1][1] == 1:
         return general
     (lo_a, span_a, thr_a), (lo_b, span_b, thr_b) = bounded
-    random_raw = bit_generator.random_raw
+    random_raw, shift = bit_generator.random_raw, 32 if span_a > 1 else 0
 
-    # One straight-line path per set of ranges that draw (a span of 1 takes
-    # no half word): both (rm) take the low, then the high half; one alone,
-    # the first (op) or the second (num), takes the low half.
-    def both(key: tuple[int, int]) -> tuple[int, int]:
+    def counts(key: tuple[int, int]) -> tuple[int, int]:
         inner["key"] = key
         bit_generator.state = state
         word = random_raw()
         a = (word & _MASK32) * span_a
-        b = (word >> 32) * span_b
+        b = (word >> shift & _MASK32) * span_b
         if a & _MASK32 < thr_a or b & _MASK32 < thr_b:
             return general(key)
         return lo_a + (a >> 32), lo_b + (b >> 32)
 
-    def first(key: tuple[int, int]) -> tuple[int, int]:
-        inner["key"] = key
-        bit_generator.state = state
-        a = (random_raw() & _MASK32) * span_a
-        if a & _MASK32 < thr_a:
-            return general(key)
-        return lo_a + (a >> 32), lo_b
-
-    def second(key: tuple[int, int]) -> tuple[int, int]:
-        inner["key"] = key
-        bit_generator.state = state
-        b = (random_raw() & _MASK32) * span_b
-        if b & _MASK32 < thr_b:
-            return general(key)
-        return lo_a, lo_b + (b >> 32)
-
-    if span_a == 1:
-        return second
-    return both if span_b > 1 else first
+    return counts
 
 
 def spd_stack(g: np.ndarray) -> np.ndarray:

@@ -323,6 +323,26 @@ def test_campaign_memory_per_trial_stays_small():
     assert (large - small) / (2 * (3 * 10**4 - 10**3)) < 24, (small, large)
 
 
+def test_campaign_memory_does_not_grow_with_the_trials():
+    # A campaign keeps a record per range and function, not per trial: from
+    # 10**3 to 10**5 trials a function, its traced peak grows by less than a
+    # megabyte, where two (functions, trials) arrays alone would take 1.8.
+    import tracemalloc
+
+    def peak(trials):
+        cfg = CampaignConfig(mode="num", functions=("geometric", "harmonic"), trials=trials, seed=3)
+        tracemalloc.start()
+        try:
+            run_campaign(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # one-time allocations of a first campaign
+    small, large = peak(10**3), peak(10**5)
+    assert large - small < 2**20, (small, large)
+
+
 def test_a_matrix_block_holds_one_bucket_at_a_time():
     # One block of sixteen op draws, four at each dimension 61-64, has four
     # buckets.  With its draws already made, its traced peak must stay within
@@ -996,6 +1016,26 @@ def test_output_does_not_depend_on_the_range_count(cfg, block, monkeypatch):
     assert cfg.mode != "num" or '"worst_case"' in one
 
 
+@pytest.mark.parametrize("block", [1, 4096])
+@pytest.mark.parametrize("ranges", [1, 2, 7])
+def test_tied_gaps_go_to_the_first_trial_whatever_the_split(ranges, block, monkeypatch):
+    # Every gap is -1.0, so every block and range ties: the merged records
+    # still name trial 0 of the first function, the first in campaign order,
+    # whether the sorted pairs make one block a range or one a trial.
+    from meanineq import campaign
+    from meanineq.campaign import FunctionStats
+
+    monkeypatch.setattr(campaign, "_block_gaps", lambda config, fs, pairs, draws: np.full(len(pairs), -1.0))
+    monkeypatch.setattr(campaign, "_range_count", lambda config: ranges)
+    monkeypatch.setattr(campaign, "BLOCK_ELEMENTS", block)
+    cfg = CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=10, dims=(40, 48), seed=31)
+    assert campaign._sorts(cfg, ranges)
+    summary = run_campaign(cfg)
+    assert (summary.worst_gap, summary.violations) == (-1.0, 20)
+    assert (summary.worst_case["function"], summary.worst_case["trial"]) == ("geometric", 0)
+    assert list(summary.per_function.values()) == [FunctionStats(10, 10, -1.0, 1.0)] * 2
+
+
 @pytest.mark.parametrize("ranges", [1, 2])
 def test_sorted_windows_do_not_depend_on_the_window_size(ranges, monkeypatch):
     # Windows of 7 pairs end inside each function's 10 trials, and each is
@@ -1295,23 +1335,41 @@ def test_a_walk_goes_no_further_than_the_window_of_a_failure(monkeypatch):
     assert drawn == list(range(7))
 
 
+class _Key(list):
+    """A trial key that a weak reference can watch."""
+
+
 @pytest.mark.parametrize("fails_alone", [True, False], ids=["trial-error", "block-error"])
 def test_a_raised_error_holds_none_of_the_draws(fails_alone, monkeypatch):
-    # A failed block is resolved at once and keeps only its error, whose
-    # frames are cleared, and the walk lets its ranges' blocks go: once the
-    # campaign has raised, no buffer that held a draw is alive.
+    # A failed block is resolved at once and keeps only its error, and the
+    # walk's frames are cleared, with the frames that called them: once the
+    # campaign has raised, no buffer that held a draw, no range's block and
+    # no window's keys are alive, nor any error but the one raised.  On two
+    # ranges at 40 the windows are sorted into pieces, and both ranges fail.
     import gc
     import weakref
 
     from meanineq import DomainError, campaign
 
-    run_trial, block_sides, raws, weights = campaign._run_trial, campaign.block_sides, [], []
+    run_trial, block_sides = campaign._run_trial, campaign.block_sides
+    trial_keys, first_failure = campaign._trial_keys, campaign._first_failure
 
     def tracked(config, fi, t, key, block):
         trial = run_trial(config, fi, t, key, block)
-        raws.append(weakref.ref(block.raw))
-        weights.append(weakref.ref(block.weights))
+        refs["raw"].append(weakref.ref(block.raw))
+        refs["weights"].append(weakref.ref(block.weights))
+        refs["block"].append(weakref.ref(block))
         return trial
+
+    def watched_keys(config, lo, hi):
+        for key in trial_keys(config, lo, hi):
+            refs["key"].append(weakref.ref(key := _Key(key)))
+            yield key
+
+    def watched_failure(config, fs, pairs, block, error):
+        found = first_failure(config, fs, pairs, block, error)
+        refs["error"].extend(weakref.ref(e) for e in (error, found[1]))
+        return found
 
     def fails(runs, counts, buckets):
         if fails_alone or len(counts) > 1:
@@ -1320,13 +1378,18 @@ def test_a_raised_error_holds_none_of_the_draws(fails_alone, monkeypatch):
 
     monkeypatch.setattr(campaign, "_run_trial", tracked)
     monkeypatch.setattr(campaign, "block_sides", fails)
-    cfg = CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=6, dims=(2, 4), seed=5)
-    with pytest.raises(DomainError) as exc:
-        run_campaign(cfg)
-    gc.collect()
-    assert str(exc.value) == ("function 'geometric', trial 0: broke" if fails_alone else "broke")
-    assert len(raws) == 12 and all(raw() is None for raw in raws)
-    assert all(weight() is None for weight in weights)
+    monkeypatch.setattr(campaign, "_trial_keys", watched_keys)
+    monkeypatch.setattr(campaign, "_first_failure", watched_failure)
+    for ranges, dims in ((1, (2, 4)), (2, (40, 41))):
+        monkeypatch.setattr(campaign, "_range_count", lambda config, ranges=ranges: ranges)
+        cfg = CampaignConfig(mode="op", functions=("geometric", "harmonic"), trials=6, dims=dims, seed=5)
+        refs = {"raw": [], "weights": [], "block": [], "key": [], "error": []}
+        with pytest.raises(DomainError) as exc:
+            run_campaign(cfg)
+        gc.collect()
+        assert str(exc.value) == ("function 'geometric', trial 0: broke" if fails_alone else "broke")
+        assert [len(held) for held in refs.values()] == [12, 12, 12, 12, 2 * ranges], ranges
+        assert all(ref() in (None, exc.value) for held in refs.values() for ref in held), ranges
 
 
 def test_range_count_follows_the_cores_blas_leaves_free(monkeypatch):
