@@ -327,16 +327,18 @@ class _Block:
     and ``nr`` count the values in use, and ``pairs`` and ``trials`` hold
     each trial's campaign pair and record.  The buffers start with room for
     ``values`` raw values, atoms of at least ``atom_values`` each, and grow
-    only for a trial that does not fit.  ``counts`` is a campaign range's
-    ``fresh_counts`` closure for ``rng``, and ``stats`` the range's record
-    of each of its campaign's ``functions``, which its closed blocks fold
-    their gaps into: [violations, (smallest gap, its pair), largest |gap|]."""
+    only for a trial that does not fit; room numpy cannot allocate is a
+    UsageError.  ``counts`` is a campaign range's ``fresh_counts`` closure
+    for ``rng``, and ``stats`` the range's record of each of its campaign's
+    ``functions``, which its closed blocks fold their gaps into:
+    [violations, (smallest gap, its pair), largest |gap|]."""
 
     def __init__(self, rng: np.random.Generator, values: int, atom_values: int, counts=None, functions: int = 0) -> None:
         self.rng, self.atom_values, self.counts = rng, atom_values, counts
-        self.weights, self.raw = np.empty(values // atom_values), np.empty(values)
+        self.weights = self.raw = np.empty(0)
         self.stats = [[0, (math.inf, 0), 0.0] for _ in range(functions)]
         self.clear()
+        self.grow(values)
 
     def clear(self) -> None:
         self.nw = self.nr = 0
@@ -347,7 +349,10 @@ class _Block:
         """Room for ``values`` raw values at least, twice the room at least,
         with the draws in use kept."""
         values = max(values, 2 * self.raw.size)
-        weights, raw = np.empty(values // self.atom_values), np.empty(values)
+        try:
+            weights, raw = np.empty(values // self.atom_values), np.empty(values)
+        except (ValueError, MemoryError) as exc:  # numpy refuses the size, or the host the memory
+            raise UsageError(f"room for {values} raw values of a draw cannot be allocated: {exc}") from None
         weights[: self.nw] = self.weights[: self.nw]
         raw[: self.nr] = self.raw[: self.nr]
         self.weights, self.raw = weights, raw
@@ -489,9 +494,14 @@ def _run_trial(config: CampaignConfig, fi: int, t: int, key: tuple[int, int], bl
     order and maybe on another range's thread at once: its counts, which the
     range's ``sampling.fresh_counts`` reads after reseeding its generator
     with the trial's ``key``, and its draw, written into the range's open
-    ``block``.  Returns the trial's record, which the walk keeps."""
+    ``block``.  Returns the trial's record, which the walk keeps; an error
+    of its draw (room that cannot be allocated) names the trial."""
     n, k = trial = _Trial(block.counts(key))
-    _draw(block, config.mode, n, k)
+    try:
+        _draw(block, config.mode, n, k)
+    except MeanIneqError:
+        with located(f"function {config.functions[fi]!r}, trial {t}"):
+            raise
     return trial
 
 

@@ -8,9 +8,10 @@ and the operator mean generated by an operator monotone representing
 function is exactly this perspective, so that the scalar reduction for
 commuting arguments is a*f(b/a) per joint eigenvalue pair.  By congruence
 invariance any factor A = L L^T may stand in for A^(1/2) (Kubo and Ando,
-1980; Bhatia, *Positive Definite Matrices*, ch. 4): the kernel takes
-Cholesky factors and one eigensolve, of L^-1 B L^-T, and reads out either
-the matrix or, for campaigns, only Tr(rho P_f(A, B)).  Every kernel first
+1980; Bhatia, *Positive Definite Matrices*, ch. 4): both readouts, the
+matrix (``perspective_kernel``) and, for campaigns, only Tr(rho P_f(A, B))
+(``perspective_traces``), take Cholesky factors and call the one eigen
+route, ``_eigen_factor``, an eigensolve of L^-1 B L^-T.  Every kernel first
 admits its arguments, with the same checks and messages, through ``linalg``,
 the one home of eigensolves, Cholesky factors and PD admission.  The trace
 readout takes closed forms for two means, A∇B = (A + B) / 2 and A!B =
@@ -113,9 +114,10 @@ def _admit(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 def _eigen_factor(runs, l, k, atoms=None, count=None) -> tuple[np.ndarray, np.ndarray]:
     """(F, f(Λ)) of admitted slices, each (f, count) run's f on its
     consecutive slices' inner spectra, from one eigensolve of the stack of
-    inner matrices K K^T, K = L^-1 R.  ``atoms`` gives each slice's index in
-    the caller's stack of ``count`` atoms, which the errors name (default:
-    the slices are that stack)."""
+    inner matrices K K^T, K = L^-1 R: the eigen route of both readouts,
+    :func:`perspective_kernel` and :func:`perspective_traces`.  ``atoms``
+    gives each slice's index in the caller's stack of ``count`` atoms, which
+    the errors name (default: the slices are that stack)."""
     lam_m, q_m = spectrum(k @ k.swapaxes(-1, -2))
     lows = lam_m[..., 0].ravel().tolist()
     if atoms is None:
@@ -139,14 +141,9 @@ def _eigen_factor(runs, l, k, atoms=None, count=None) -> tuple[np.ndarray, np.nd
     return l @ q_m, images
 
 
-def _runs(f, count: int) -> list:
-    """``f`` as (f, count) runs: one function is one run over ``count`` slices."""
-    return [(f, count)] if isinstance(f, RepresentingFunction) else f
-
-
-def perspective_factor(f, sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, f(Λ)) with P_f(A, B) = F diag(f(Λ)) F^T, for trusted symmetric A, B
-    of one shape, B known PD within the guard.
+def perspective_kernel(f: RepresentingFunction, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """P_f(A, B) = F diag(f(Λ)) F^T, for trusted symmetric A, B of one shape,
+    B known PD within the guard.
 
     By congruence invariance, P_f(A, B) = L f(L^-1 B L^-T) L^T for A = L L^T.
     With B = R R^T and K = L^-1 R, the inner matrix K K^T = Q Λ Q^T takes the
@@ -156,17 +153,9 @@ def perspective_factor(f, sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, n
     rejects the inputs.
 
     A and B may be (..., n, n) stacks, one pair per atom (a 2-D pair is a
-    stack of one): every slice gets the checks, and the bits, it gets alone.
-    ``f`` is one function, or (f, count) runs over consecutive slices of a
-    stack, each run's f applied to its inner spectra."""
+    stack of one): every slice gets the checks, and the bits, it gets alone."""
     l, inv_l, r = _admit(sa, sb)
-    return _eigen_factor(_runs(f, len(sa)), l, inv_l @ r)
-
-
-def perspective_kernel(f, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """P_f(A, B) as F diag(f(Λ)) F^T, for :func:`perspective_factor`'s
-    arguments and with its checks."""
-    factor, images = perspective_factor(f, sa, sb)
+    factor, images = _eigen_factor([(f, len(sa))], l, inv_l @ r)
     return rebuild(images, factor)
 
 
@@ -196,26 +185,20 @@ CLOSED_TRACES = {
 }
 
 
-def _eigen_traces(runs, rho, l, k, atoms, count) -> np.ndarray:
-    """Tr(rho P_f) of admitted slices from :func:`_eigen_factor`, as
-    sum_i f(λ_i) w_i with w = diag(F^T rho F); F and its products are freed
-    on return."""
-    factor, images = _eigen_factor(runs, l, k, atoms, count)
-    return (images * ((rho @ factor) * factor).sum(axis=-2)).sum(axis=-1)
-
-
-def perspective_traces(f, rho: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+def perspective_traces(runs, rho: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """Tr(rho P_f(A, B)) of each slice of (k, n, n) stacks, for
-    :func:`perspective_factor`'s arguments, without forming P.
+    :func:`perspective_kernel`'s arguments, without forming P: ``runs`` are
+    (f, count) pairs, each run's f applied to its consecutive slices.
 
     Every slice is admitted first, as ``_admit`` admits it.  A run whose
     ``f.fn`` is in CLOSED_TRACES takes its closed form, with no eigensolve
     and no inner clamp.  The other runs' slices are gathered into one
-    eigensolve, with :func:`perspective_factor`'s clamp and checks; their
-    errors name an atom by its index in the whole stack.  Every slice gets
-    the bits it gets alone."""
+    eigensolve, with :func:`perspective_kernel`'s clamp and checks, and read
+    out as sum_i f(λ_i) w_i with w = diag(F^T rho F); their errors name an
+    atom by its index in the whole stack.  Every slice gets the bits it gets
+    alone."""
     l, inv_l, r = _admit(sa, sb)
-    runs = run_slices(_runs(f, len(sa)))
+    runs = run_slices(runs)
     eigen = np.ones(len(sa), dtype=bool)
     for g, rows in runs:
         eigen[rows] = g.fn not in CLOSED_TRACES
@@ -228,8 +211,9 @@ def perspective_traces(f, rho: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> np
     traces = np.empty(len(sa))
     if len(at):
         eigen_runs = [(g, rows.stop - rows.start) for g, rows in runs if g.fn not in CLOSED_TRACES]
-        traces[at] = _eigen_traces(eigen_runs, rho[at] if gathered else rho, l, k, at, len(sa))
-    del l, k  # before the closed forms
+        factor, images = _eigen_factor(eigen_runs, l, k, at, len(sa))
+        traces[at] = (images * (((rho[at] if gathered else rho) @ factor) * factor).sum(axis=-2)).sum(axis=-1)
+        del l, k, factor  # before the closed forms
     for g, rows in runs:
         if g.fn in CLOSED_TRACES:
             traces[rows] = CLOSED_TRACES[g.fn](rho[rows], sa[rows], sb[rows])

@@ -307,6 +307,12 @@ def test_error_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "campaign", "--config", str(cfg))
     assert code == 2 and "nope" in err
 
+    # Trial 0 draws 2**62 atoms: 2**63 doubles, a size numpy refuses outright.
+    cfg.write_text("mode = num\nfunctions = arithmetic\ntrials = 2\natoms = 4611686018427387904\n")
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: function 'arithmetic', trial 0: ") and err.count("\n") == 1
+
     code, _, err = run_cli(
         capsys, "counterexample", "--function", "counterexample-g",
         "--x1", "1", "--x2", "2", "--p", "1.5",

@@ -420,8 +420,6 @@ def test_src_checks_integers_only_in_errors(path):
 #: (file, function, parameter): a nested function is named inside its own.
 KEPT_PARAMETERS = {
     ("campaign.py", "run_campaign", "workers"): "bench/run.py passes it (ROADMAP item 3)",
-    ("campaign.py", "_run_trial", "fi"): "test hooks and bench/spans.py read a trial's coordinates",
-    ("campaign.py", "_run_trial", "t"): "test hooks and bench/spans.py read a trial's coordinates",
     ("verify.py", "load_space.where", "part"): "matrix_space's location callback; a space line is one place",
     ("verify.py", "verify_operator.<lambda>", "i"): "matrix_space's location callback; the one atom is 0",
 }

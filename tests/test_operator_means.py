@@ -32,7 +32,7 @@ from meanineq import (
 )
 from meanineq import operator_means
 from meanineq.linalg import SpectralDecomposition
-from meanineq.operator_means import perspective_factor, perspective_kernel
+from meanineq.operator_means import perspective_kernel
 
 SPECS = ["arithmetic", "wyd:0.25", "wyd:0.5", "geometric", "harmonic", "logarithmic"]
 
@@ -211,7 +211,8 @@ def test_inner_clamp_does_not_depend_on_the_scale(monkeypatch):
             lam = c * np.array([low, 0.5, 1.0])
             monkeypatch.setattr(operator_means, "spectrum", lambda s, lam=lam: SpectralDecomposition(lam, np.eye(3)))
             try:
-                images = perspective_factor(identity, np.eye(3), np.eye(3))[1] / c
+                l, inv_l, r = operator_means._admit(np.eye(3), np.eye(3))
+                images = operator_means._eigen_factor([(identity, 3)], l, inv_l @ r)[1] / c
             except DomainError:
                 images = None
             assert (images if images is None else images.tolist()) == (

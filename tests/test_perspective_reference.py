@@ -8,7 +8,7 @@ of the inner matrix.  The kernel's two readouts (the matrix and
 Tr(rho P)), its admission of A by its own factor, and the campaign
 verdicts are all checked against it.  The arithmetic and harmonic runs of
 ``perspective_traces`` take closed forms; ``eigen_traces`` reads the same
-traces out of ``perspective_factor``, which stays on the eigen route.
+traces out of ``_eigen_factor``, the eigen route of both readouts.
 """
 
 from pathlib import Path
@@ -30,7 +30,7 @@ from meanineq.campaign import CampaignConfig, load_campaign_config, run_campaign
 from meanineq.functions import RepresentingFunction, run_slices
 from meanineq.linalg import SpectralDecomposition, rebuild, require_pd, symmetrize
 from meanineq import operator_means
-from meanineq.operator_means import CLOSED_TRACES, perspective_factor, perspective_kernel, perspective_traces
+from meanineq.operator_means import CLOSED_TRACES, perspective_kernel, perspective_traces
 from meanineq.tolerances import CLAMP_TOL, COND_LIMIT
 
 #: The catalog's operator monotone ids.
@@ -73,7 +73,7 @@ def test_readouts_match_the_reference_perspective(n):
     rho, a, b = _triples(n, 3, 0)
     for fid in MONOTONE:
         f = get_function(fid)
-        matrix, traces = perspective_kernel(f, a, b), perspective_traces(f, rho, a, b)
+        matrix, traces = perspective_kernel(f, a, b), perspective_traces([(f, len(a))], rho, a, b)
         ref = reference_perspective(f, a, b)
         for i in range(len(a)):
             assert np.linalg.norm(matrix[i] - ref[i]) <= 1e-10 * np.linalg.norm(ref[i]), (fid, i)
@@ -82,7 +82,7 @@ def test_readouts_match_the_reference_perspective(n):
         assert _rel(traces, np.einsum("kij,kji->k", rho, matrix)) <= 1e-12, fid
         for i in range(len(a)):
             assert np.array_equal(matrix[i], perspective_kernel(f, a[i], b[i])), (fid, i)
-            assert np.array_equal(traces[i : i + 1], perspective_traces(f, rho[i : i + 1], a[i : i + 1], b[i : i + 1])), (fid, i)
+            assert np.array_equal(traces[i : i + 1], perspective_traces([(f, 1)], rho[i : i + 1], a[i : i + 1], b[i : i + 1])), (fid, i)
 
 
 def test_trace_readout_runs_apply_each_function_to_its_slices():
@@ -90,7 +90,7 @@ def test_trace_readout_runs_apply_each_function_to_its_slices():
     runs = [(get_function("geometric"), 2), (get_function("harmonic"), 3)]
     traces = perspective_traces(runs, rho, a, b)
     for f, rows in run_slices(runs):
-        assert np.array_equal(traces[rows], perspective_traces(f, rho[rows], a[rows], b[rows]))
+        assert np.array_equal(traces[rows], perspective_traces([(f, rows.stop - rows.start)], rho[rows], a[rows], b[rows]))
 
 
 def _require_pd_outcome(a):
@@ -141,7 +141,7 @@ def test_certified_arguments_take_no_eigvalsh(monkeypatch):
 
     rho, a, b = _triples(64, 2, 2)
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    perspective_traces(get_function("geometric"), rho, a, b)
+    perspective_traces([(get_function("geometric"), len(a))], rho, a, b)
 
 
 def test_second_argument_without_a_factor_is_a_package_error(monkeypatch):
@@ -186,9 +186,11 @@ CLOSED = ["arithmetic", "harmonic"]
 
 
 def eigen_traces(f, rho, a, b):
-    """Tr(rho P_f(A, B)) of each slice, read out of ``perspective_factor``'s
-    eigen route as sum_i f(λ_i) w_i with w = diag(F^T rho F)."""
-    factor, images = perspective_factor(f, a, b)
+    """Tr(rho P_f(A, B)) of each slice, read out of the eigen route,
+    ``_eigen_factor`` on the stacks as ``_admit`` admits them, as
+    sum_i f(λ_i) w_i with w = diag(F^T rho F)."""
+    l, inv_l, r = operator_means._admit(a, b)
+    factor, images = operator_means._eigen_factor([(f, len(a))], l, inv_l @ r)
     return (images * ((rho @ factor) * factor).sum(axis=-2)).sum(axis=-1)
 
 
@@ -218,7 +220,7 @@ def test_closed_forms_are_the_catalog_entries():
     # A function that only shares an id takes the eigen route.
     impostor = RepresentingFunction("arithmetic", lambda t: np.sqrt(t))
     rho, a, b = _triples(3, 2, 8)
-    assert np.array_equal(perspective_traces(impostor, rho, a, b), eigen_traces(impostor, rho, a, b))
+    assert np.array_equal(perspective_traces([(impostor, len(a))], rho, a, b), eigen_traces(impostor, rho, a, b))
 
 
 @pytest.mark.parametrize("dims", [(2, 6), (7, 16), (48, 64)], ids=["dims-2-6", "dims-7-16", "dims-48-64"])
@@ -232,7 +234,7 @@ def test_closed_forms_match_the_eigen_readout(dims):
         rho, a, b = _triples(n, 6, 3)
         for fid in CLOSED:
             f = get_function(fid)
-            closed, eigen = perspective_traces(f, rho, a, b), eigen_traces(f, rho, a, b)
+            closed, eigen = perspective_traces([(f, len(a))], rho, a, b), eigen_traces(f, rho, a, b)
             exact = extended_traces(fid, rho, a, b)
             assert (np.abs(closed - exact) <= 1e-14 * np.abs(exact)).all(), (fid, n)
             assert (np.abs(closed - eigen) <= 1e-12 * np.abs(eigen) + np.abs(eigen - exact)).all(), (fid, n)
@@ -252,15 +254,16 @@ def test_mixed_bucket_gives_each_atom_its_bits_alone(n):
     traces = perspective_traces(_mixed_runs(), rho, a, b)
     for f, rows in run_slices(_mixed_runs()):
         for i in range(rows.start, rows.stop):
-            alone = perspective_traces(f, rho[i : i + 1], a[i : i + 1], b[i : i + 1])
+            alone = perspective_traces([(f, 1)], rho[i : i + 1], a[i : i + 1], b[i : i + 1])
             assert traces[i : i + 1].tobytes() == alone.tobytes(), (f.id, i)
 
 
 def _traces_outcome(f, a, b):
     """None when ``perspective_traces`` admits the stacks, else the type and
-    message of its error."""
+    message of its error; ``f`` is one function or (f, count) runs."""
+    runs = [(f, len(a))] if isinstance(f, RepresentingFunction) else f
     try:
-        perspective_traces(f, np.broadcast_to(np.eye(a.shape[-1]) / a.shape[-1], a.shape).copy(), a, b)
+        perspective_traces(runs, np.broadcast_to(np.eye(a.shape[-1]) / a.shape[-1], a.shape).copy(), a, b)
     except DomainError as exc:
         return type(exc), str(exc)
     return None

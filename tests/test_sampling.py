@@ -170,6 +170,21 @@ def test_samplers_reject_bad_ranges_before_drawing(sampler, ranges):
     assert _state(rng) == before
 
 
+@pytest.mark.parametrize(
+    "sampler, ranges",
+    [
+        (sample_scalar_space, {"atoms": (2**62, 2**62)}),
+        (sample_matrix_space, {"dims": (64, 64), "atoms": (2**62, 2**62)}),
+    ],
+    ids=["num-atoms-2**62", "rm-atoms-2**62"],
+)
+def test_a_space_too_large_to_allocate_is_a_package_error(sampler, ranges):
+    # Each draw needs 2**63 doubles or more, a size numpy refuses outright
+    # whatever memory the host has.
+    with pytest.raises(UsageError, match="^room for [0-9]+ raw values of a draw cannot be allocated: "):
+        sampler(split_rng(12, 0), **ranges)
+
+
 def test_check_density_rejects():
     with pytest.raises(DomainError):
         check_density(np.eye(2))  # trace 2
